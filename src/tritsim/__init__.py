@@ -20,8 +20,8 @@ from .cnfet import Chirality, CnfetInstance, DIAMETER_COEF_NM, DeviceParams, Pol
 from .errors import ConfigError, MetallicTube, NetlistError, NetlistSemanticError, \
     NetlistSyntaxError, NoPath, NonConvergent, OutOfRange, Overflow, TritsimError, \
     Unresolvable, WidthMismatch, WrongArity, ZeroChirality
-from .netlist import Capacitor, Fet, FixedSource, GND, Instance, Netlist, Node, NodeKind, \
-    Probe, Subckt, VDD, flatten, parse, serialize
+from .netlist import Capacitor, Fet, FixedSource, GND, Instance, Netlist, Probe, \
+    Subckt, VDD, flatten, parse, serialize
 from .sim import Measurement, Signal, SimConfig, Strength, WaveEvent, Waveform, \
     delay_estimate, measure, steady_state, transient, waveform_csv, waveform_vcd
 from .trits import Trit, TritVector, VoltageMap, base3_value, decompose, from_integer, \
@@ -35,7 +35,7 @@ __all__ = [
     "CnfetInstance", "ConfigError", "DEFAULT_VALUES", "DIAMETER_COEF_NM", "DesignVariant",
     "DeviceParams", "FIXTURE_NAMES", "Fet", "FixedSource", "GND", "Instance", "Measurement",
     "MetallicTube", "Netlist", "NetlistError", "NetlistSemanticError", "NetlistSyntaxError",
-    "NoPath", "Node", "NodeKind", "NonConvergent", "OutOfRange", "Overflow", "Polarity",
+    "NoPath", "NonConvergent", "OutOfRange", "Overflow", "Polarity",
     "Probe", "SelectorState", "Signal", "SimConfig", "Strength", "Subckt", "SweepPoint",
     "SweepSpec", "TernaryCellKind", "Trit", "TritVector", "TritsimError", "Unresolvable",
     "VDD", "VTH_DIAMETER_PRODUCT", "VoltageMap", "WIDTH_MODES", "WaveEvent", "Waveform",

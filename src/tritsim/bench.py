@@ -12,15 +12,14 @@ rejected up front instead of producing flat lines that look like data.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .builders import BuildConfig, build_design
 from .cells import DesignVariant
 from .errors import ConfigError
-from .sim import SimConfig, delay_estimate, measure, transient
-from .trits import VoltageMap
+from .sim import SimConfig, _exhaustive_inputs, delay_estimate, measure, transient
 
 AXES = ("vdd", "load", "frequency")
 
@@ -67,6 +66,8 @@ class SweepSpec:
         if not self.variants:
             raise ConfigError("at least one design variant is required")
         object.__setattr__(self, "values", tuple(self.values) or DEFAULT_VALUES[self.axis])
+        if not all(map(math.isfinite, (*self.values, self.vdd, self.load, self.frequency))):
+            raise ConfigError("sweep values, vdd, load and frequency must be finite")
         if any(v <= 0 for v in self.values):
             raise ConfigError("sweep values must be strictly positive")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -80,11 +81,8 @@ def benchmark_stimulus(vdd: float, period: float) -> list[tuple[float, dict[str,
     The first entry doubles as the quiescent baseline."""
     if period <= 0:
         raise ConfigError("period must be strictly positive")
-    levels = VoltageMap(vdd).levels()
-    out = []
-    for k, (a, b, c) in enumerate(itertools.product(range(3), repeat=3)):
-        out.append((k * period, {"a": levels[a], "b": levels[b], "cin": levels[c]}))
-    return out
+    return [(k * period, assign)
+            for k, assign in enumerate(_exhaustive_inputs(("a", "b", "cin"), vdd))]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepPoint]:

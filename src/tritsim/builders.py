@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .cells import DesignVariant
+from .cells import DesignVariant, _variant_of
 from .cnfet import Chirality, CnfetInstance, Polarity, is_semiconducting, threshold_voltage
 from .errors import ConfigError
 from .netlist import Capacitor, Fet, FixedSource, Netlist, Probe, parse
@@ -108,31 +108,24 @@ class BuildConfig:
 
 
 class _Builder:
-    """Accumulates cards with unique auto-checked names."""
+    """Accumulates cards; finish() validates them, duplicate ids included."""
 
     def __init__(self, name: str):
         self.net = Netlist(name, [])
-        self._names: set[str] = set()
-
-    def _add(self, dev):
-        if not isinstance(dev, Probe):
-            if dev.name in self._names:
-                raise ConfigError(f"duplicate device name {dev.name}")
-            self._names.add(dev.name)
-        self.net.devices.append(dev)
 
     def fet(self, name: str, drain: str, gate: str, source: str,
             polarity: Polarity, chirality: Chirality, tubes: int):
-        self._add(Fet(name, CnfetInstance(polarity, chirality, tubes, drain, gate, source)))
+        self.net.devices.append(
+            Fet(name, CnfetInstance(polarity, chirality, tubes, drain, gate, source)))
 
     def cap(self, name: str, a: str, b: str, farads: float):
-        self._add(Capacitor(name, a, b, farads))
+        self.net.devices.append(Capacitor(name, a, b, farads))
 
     def source(self, name: str, node: str, volts: float):
-        self._add(FixedSource(name, node, volts))
+        self.net.devices.append(FixedSource(name, node, volts))
 
     def probe(self, node: str):
-        self._add(Probe(node))
+        self.net.devices.append(Probe(node))
 
     def mark_inputs(self, *nodes: str):
         self.net.inputs = self.net.inputs | frozenset(nodes)
@@ -319,14 +312,7 @@ def build_design(variant, cfg: BuildConfig = BuildConfig()) -> Netlist:
     drives the restored trit in a single buffer stage gated by the decoder
     outputs.  Transistor and capacitor totals are available via stats().
     """
-    if isinstance(variant, DesignVariant):
-        v = variant
-    elif variant in (1, "1", "design1"):
-        v = DesignVariant.DESIGN1
-    elif variant in (2, "2", "design2"):
-        v = DesignVariant.DESIGN2
-    else:
-        raise ConfigError(f"unknown design variant {variant!r}")
+    v = _variant_of(variant)
     t = cfg.tubes
     lo = cfg.low_vth
     b = _Builder(v.value)

@@ -120,6 +120,18 @@ class DesignVariant(Enum):
     DESIGN2 = "design2"
 
 
+def _variant_of(design) -> DesignVariant:
+    """The variant a caller names: the enum itself, 1/2, "1"/"2" or
+    "design1"/"design2"."""
+    if isinstance(design, DesignVariant):
+        return design
+    if design in (1, "1", "design1"):
+        return DesignVariant.DESIGN1
+    if design in (2, "2", "design2"):
+        return DesignVariant.DESIGN2
+    raise OutOfRange(f"unknown design variant {design!r}")
+
+
 @dataclass(frozen=True)
 class AdderDesign:
     """Datasheet facts for the two published adder variants.
@@ -142,18 +154,6 @@ class AdderDesign:
     @staticmethod
     def design2() -> "AdderDesign":
         return AdderDesign(DesignVariant.DESIGN2, 43, 3, 2)
-
-
-def _variant_of(design) -> DesignVariant:
-    if isinstance(design, AdderDesign):
-        return design.variant
-    if isinstance(design, DesignVariant):
-        return design
-    if design in (1, "1", "design1"):
-        return DesignVariant.DESIGN1
-    if design in (2, "2", "design2"):
-        return DesignVariant.DESIGN2
-    raise OutOfRange(f"unknown design variant {design!r}")
 
 
 def adder_eval(design, a, b, cin, m: VoltageMap = VoltageMap()) -> tuple[Trit, Trit]:

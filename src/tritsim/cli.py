@@ -12,18 +12,18 @@ failed to settle.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from .bench import BOTH_VARIANTS, SweepSpec, run_sweep, sweep_csv
 from .builders import BuildConfig, build_design
-from .cells import DesignVariant, TernaryCellKind, cell_eval
+from .cells import TernaryCellKind, _variant_of, cell_eval
 from .cnfet import Chirality, DeviceParams, cnt_diameter, gate_width, \
     is_semiconducting, threshold_voltage
-from .errors import ConfigError, NonConvergent, TritsimError, Unresolvable
+from .errors import ConfigError, NonConvergent, TritsimError
 from .netlist import parse
-from .sim import SimConfig, steady_state, transient, waveform_csv, waveform_vcd
-from .trits import VoltageMap, full_add, truth_table_csv, voltage_to_trit
+from .sim import SimConfig, _exhaustive_inputs, _trit_symbol, steady_state, transient, \
+    waveform_csv, waveform_vcd
+from .trits import VoltageMap, truth_table_csv, truth_table_rows
 
 OK = 0
 MISMATCH = 1
@@ -31,34 +31,26 @@ USAGE = 2
 NO_FIXPOINT = 3
 
 
-def _variants(arg: str) -> tuple[DesignVariant, ...]:
-    if arg == "both":
-        return BOTH_VARIANTS
-    return (DesignVariant.DESIGN1,) if arg == "1" else (DesignVariant.DESIGN2,)
+def _variants(arg: str):
+    return BOTH_VARIANTS if arg == "both" else (_variant_of(arg),)
 
 
-def _trit_symbol(level: float | str, cfg: SimConfig) -> str:
-    if isinstance(level, str):
-        return level
-    try:
-        return str(int(voltage_to_trit(level, cfg.vmap(), cfg.tol())))
-    except Unresolvable:
-        return "x"
+def _read_netlist(path: str):
+    with open(path) as fh:
+        return parse(fh.read())
 
 
-def _load_netlist(args) -> object:
+def _load_netlist(args):
     if (args.netlist is None) == (args.design is None):
         raise ConfigError("pass exactly one of a netlist file or --design")
     if args.netlist is not None:
-        with open(args.netlist) as fh:
-            return parse(fh.read())
-    variant = DesignVariant.DESIGN1 if args.design == "1" else DesignVariant.DESIGN2
-    return build_design(variant, BuildConfig(vdd=args.vdd))
+        return _read_netlist(args.netlist)
+    return build_design(args.design, BuildConfig(vdd=args.vdd))
 
 
 def _parse_inputs(spec: str, vdd: float) -> dict[str, float]:
-    """node=value pairs, comma separated.  Bare 0/1/2 are trit levels; a
-    value with a decimal point or exponent is taken as volts."""
+    """node=value pairs, comma separated.  Bare 0/1/2 are trit levels; any
+    other number, such as 0.45 or 1e-1, is taken as volts."""
     levels = VoltageMap(vdd).levels()
     out: dict[str, float] = {}
     for item in spec.split(","):
@@ -80,17 +72,35 @@ def _parse_inputs(spec: str, vdd: float) -> dict[str, float]:
     return out
 
 
-def _exhaustive_stimulus(nodes: list[str], vdd: float,
-                         period: float) -> list[tuple[float, dict[str, float]]]:
-    if not nodes:
-        raise ConfigError("netlist declares no input nodes; pass --inputs instead")
-    if len(nodes) > 6:
-        raise ConfigError("too many inputs for an exhaustive waveform; pass --inputs")
-    levels = VoltageMap(vdd).levels()
-    out = []
-    for k, combo in enumerate(itertools.product(range(3), repeat=len(nodes))):
-        out.append((k * period, {n: levels[t] for n, t in zip(nodes, combo)}))
-    return out
+def _check_rows(net, cfg: SimConfig, ins: tuple[str, ...], outs: tuple[str, ...],
+                rows) -> list[tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]]:
+    """Solve every row and read its outputs back as logic symbols.
+
+    A row holds the input trits on ins followed by the expected trits on
+    outs.  Returns (input trits, simulated symbols, expected symbols) per row.
+    """
+    missing = sorted(set(ins + outs) - net.node_ids())
+    if missing:
+        raise ConfigError(f"netlist lacks required nodes: {', '.join(missing)}")
+    levels = cfg.vmap().levels()
+    checked = []
+    for row in rows:
+        trits_in = row[:len(ins)]
+        sigs = steady_state(net, {n: levels[t] for n, t in zip(ins, trits_in)}, cfg)
+        got = tuple(_trit_symbol(sigs[n].level, cfg) for n in outs)
+        checked.append((trits_in, got, tuple(str(t) for t in row[len(ins):])))
+    return checked
+
+
+def _check_adder(net, cfg: SimConfig):
+    return _check_rows(net, cfg, ("a", "b", "cin"), ("sum", "cout"), truth_table_rows())
+
+
+def _adder_mismatch(trits_in: tuple[int, ...], got: tuple[str, ...],
+                    want: tuple[str, ...]) -> str:
+    a, b, c = trits_in
+    return (f"a={a} b={b} cin={c}: sum={got[0]} cout={got[1]}, "
+            f"want sum={want[0]} cout={want[1]}")
 
 
 def cmd_truth_table(args) -> int:
@@ -98,21 +108,14 @@ def cmd_truth_table(args) -> int:
         sys.stdout.write(truth_table_csv())
         return OK
     cfg = SimConfig(vdd=args.vdd)
-    levels = cfg.vmap().levels()
     lines = ["design,a,b,cin,sum,cout"]
     mismatches = []
     for variant in _variants(args.design):
         net = build_design(variant, BuildConfig(vdd=args.vdd))
-        for a, b, c in itertools.product(range(3), repeat=3):
-            sigs = steady_state(net, {"a": levels[a], "b": levels[b], "cin": levels[c]}, cfg)
-            got_sum = _trit_symbol(sigs["sum"].level, cfg)
-            got_cout = _trit_symbol(sigs["cout"].level, cfg)
-            want_sum, want_cout = full_add(a, b, c)
-            if got_sum != str(int(want_sum)) or got_cout != str(int(want_cout)):
-                mismatches.append(
-                    f"{variant.value} a={a} b={b} cin={c}: sum={got_sum} "
-                    f"cout={got_cout}, want sum={int(want_sum)} cout={int(want_cout)}")
-            lines.append(f"{variant.value},{a},{b},{c},{got_sum},{got_cout}")
+        for trits_in, got, want in _check_adder(net, cfg):
+            if got != want:
+                mismatches.append(f"{variant.value} {_adder_mismatch(trits_in, got, want)}")
+            lines.append(",".join((variant.value, *map(str, trits_in), *got)))
     sys.stdout.write("\n".join(lines) + "\n")
     if mismatches:
         for m in mismatches:
@@ -160,7 +163,12 @@ def cmd_simulate(args) -> int:
             lines.append(f"{node},{level},{strength}")
         sys.stdout.write("\n".join(lines) + "\n")
         return OK
-    stimulus = _exhaustive_stimulus(sorted(net.inputs), args.vdd, 1.0 / args.freq)
+    nodes = sorted(net.inputs)
+    if not nodes:
+        raise ConfigError("netlist declares no input nodes; pass --inputs instead")
+    period = 1.0 / args.freq
+    stimulus = [(k * period, assign)
+                for k, assign in enumerate(_exhaustive_inputs(nodes, args.vdd))]
     wave = transient(net, stimulus, cfg)
     if args.format == "vcd":
         sys.stdout.write(waveform_vcd(wave, cfg, name=net.name))
@@ -178,44 +186,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.netlist) as fh:
-        net = parse(fh.read())
+    net = _read_netlist(args.netlist)
     cfg = SimConfig(vdd=args.vdd)
-    levels = cfg.vmap().levels()
-    nodes = net.node_ids()
-    mismatches = []
     if args.cell:
         kind = TernaryCellKind(args.cell.upper())
-        missing = sorted({"in", "out"} - nodes)
-        if missing:
-            raise ConfigError(f"netlist lacks required nodes: {', '.join(missing)}")
-        rows = 3
-        for x in range(3):
-            sigs = steady_state(net, {"in": levels[x]}, cfg)
-            got = _trit_symbol(sigs["out"].level, cfg)
-            want = str(int(cell_eval(kind, x)))
-            if got != want:
-                mismatches.append(f"in={x}: out={got}, want {want}")
+        checked = _check_rows(net, cfg, ("in",), ("out",),
+                              [(x, int(cell_eval(kind, x))) for x in range(3)])
+        mismatches = [f"in={x}: out={got}, want {want}"
+                      for (x,), (got,), (want,) in checked if got != want]
     else:
-        missing = sorted({"a", "b", "cin", "sum", "cout"} - nodes)
-        if missing:
-            raise ConfigError(f"netlist lacks required nodes: {', '.join(missing)}")
-        rows = 27
-        for a, b, c in itertools.product(range(3), repeat=3):
-            sigs = steady_state(net, {"a": levels[a], "b": levels[b], "cin": levels[c]}, cfg)
-            got_sum = _trit_symbol(sigs["sum"].level, cfg)
-            got_cout = _trit_symbol(sigs["cout"].level, cfg)
-            want_sum, want_cout = full_add(a, b, c)
-            if got_sum != str(int(want_sum)) or got_cout != str(int(want_cout)):
-                mismatches.append(
-                    f"a={a} b={b} cin={c}: sum={got_sum} cout={got_cout}, "
-                    f"want sum={int(want_sum)} cout={int(want_cout)}")
+        checked = _check_adder(net, cfg)
+        mismatches = [_adder_mismatch(*row) for row in checked if row[1] != row[2]]
     if mismatches:
         for m in mismatches:
             print(f"FAIL {m}")
-        print(f"{len(mismatches)} of {rows} rows disagree")
+        print(f"{len(mismatches)} of {len(checked)} rows disagree")
         return MISMATCH
-    print(f"ok: {rows} rows match")
+    print(f"ok: {len(checked)} rows match")
     return OK
 
 

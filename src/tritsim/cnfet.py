@@ -12,7 +12,7 @@ All lengths are in nanometers and all voltages in volts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MetallicTube, OutOfRange, ZeroChirality
@@ -80,27 +80,22 @@ def threshold_voltage(c) -> float:
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Geometry and material constants of the reference process.
+    """Gate-width geometry of the reference process, in nm.
 
-    All lengths in nm, dielectric constant and work function dimensionless /
-    eV as conventionally quoted.  The flat-band work function is stored at
-    its quoted value.
+    The rest of the reference process is quoted for context only; nothing in
+    the switch-level model reads it:
+
+        channel length 32 nm, mean free path (intrinsic region) 100 nm,
+        doped drain- and source-side extensions 32 nm each, top-gate oxide
+        thickness 1 nm, gate oxide dielectric constant 16, flat-band term
+        6.0 (as quoted), substrate-coupling capacitance 20 aF/um.
     """
 
-    l_ch: float = 32.0     # physical channel length
-    l_geff: float = 100.0  # mean free path, intrinsic region
-    l_dd: float = 32.0     # doped drain-side extension
-    l_ss: float = 32.0     # doped source-side extension
-    t_ox: float = 1.0      # top-gate oxide thickness
-    k_gate: float = 16.0   # gate oxide dielectric constant
-    e_fi: float = 6.0      # flat-band voltage term, as quoted
-    c_sub: float = 20.0    # substrate-coupling capacitance, aF/um
     pitch: float = 20.0    # inter-tube pitch under one gate
     w_min: float = 32.0    # minimum lithographic gate width
 
     def __post_init__(self):
-        for name in ("l_ch", "l_geff", "l_dd", "l_ss", "t_ox", "k_gate",
-                     "e_fi", "c_sub", "pitch", "w_min"):
+        for name in ("pitch", "w_min"):
             if getattr(self, name) <= 0:
                 raise OutOfRange(f"DeviceParams.{name} must be strictly positive")
 

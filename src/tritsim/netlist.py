@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .cnfet import Chirality, CnfetInstance, Polarity, is_semiconducting
 from .errors import NetlistSemanticError, NetlistSyntaxError, OutOfRange, ZeroChirality
@@ -35,20 +34,6 @@ VDD = "VDD"
 GND = "GND"
 
 _CAP_SCALE = {"f": 1e-15, "p": 1e-12, "n": 1e-9}
-
-
-class NodeKind(Enum):
-    SUPPLY_VDD = "supply_vdd"
-    SUPPLY_GND = "supply_gnd"
-    INPUT = "input"
-    OUTPUT = "output"
-    INTERNAL = "internal"
-
-
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: NodeKind
 
 
 @dataclass(frozen=True)
@@ -111,20 +96,6 @@ class Netlist:
 
     def probed(self) -> list[str]:
         return sorted(d.node for d in self.devices if isinstance(d, Probe))
-
-    def node_kind(self, node: str) -> NodeKind:
-        if node == VDD:
-            return NodeKind.SUPPLY_VDD
-        if node == GND:
-            return NodeKind.SUPPLY_GND
-        if node in self.inputs:
-            return NodeKind.INPUT
-        if any(isinstance(d, Probe) and d.node == node for d in self.devices):
-            return NodeKind.OUTPUT
-        return NodeKind.INTERNAL
-
-    def nodes(self) -> list[Node]:
-        return [Node(i, self.node_kind(i)) for i in sorted(self.node_ids())]
 
     def stats(self) -> dict[str, int]:
         flat = flatten(self)

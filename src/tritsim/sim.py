@@ -26,6 +26,7 @@ neighbors with no delay of their own.  Event energy is 0.5 * C * dV**2.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -68,6 +69,8 @@ class SimConfig:
     level_tolerance: float | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.vdd, self.r_on_per_tube, self.c_out_load))):
+            raise ConfigError("vdd, r_on_per_tube and c_out_load must be finite")
         if self.vdd <= 0:
             raise ConfigError("vdd must be strictly positive")
         if self.max_iterations < 8:
@@ -92,6 +95,18 @@ class _Solve(NamedTuple):
     netlist: Netlist  # flattened
 
 
+def _exhaustive_inputs(nodes: Sequence[str], vdd: float) -> list[dict[str, float]]:
+    """Every assignment of the three logic levels to nodes, in
+    itertools.product order (the first node changes slowest).  No nodes give
+    one empty assignment."""
+    if len(nodes) > 6:
+        raise ConfigError(f"{len(nodes)} inputs are too many to enumerate exhaustively "
+                          "(at most 6); pass explicit inputs")
+    levels = VoltageMap(vdd).levels()
+    return [{n: levels[t] for n, t in zip(nodes, combo)}
+            for combo in itertools.product(range(3), repeat=len(nodes))]
+
+
 def _pin_map(flat: Netlist, inputs: Mapping[str, float], cfg: SimConfig) -> dict[str, float]:
     pins: dict[str, float] = {}
     node_ids = flat.node_ids()
@@ -107,7 +122,10 @@ def _pin_map(flat: Netlist, inputs: Mapping[str, float], cfg: SimConfig) -> dict
             raise ConfigError(f"input assignment to unknown node {node!r}")
         if node in (VDD, GND):
             raise ConfigError(f"cannot reassign rail {node}")
-        pins[node] = float(volts)
+        volts = float(volts)
+        if not math.isfinite(volts):
+            raise ConfigError(f"input {node} must be a finite voltage, got {volts!r}")
+        pins[node] = volts
     missing = sorted(n for n in flat.inputs if n not in pins)
     if missing:
         raise ConfigError(f"unassigned input nodes: {', '.join(missing)}")
@@ -363,16 +381,9 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
         if output_node not in arr or solve.signals[output_node].strength is None:
             raise NoPath(f"output {output_node} is not driven")
         return arr[output_node]
-    in_nodes = sorted(flat.inputs)
-    if len(in_nodes) > 6:
-        raise ConfigError("too many inputs for exhaustive analysis; pass explicit inputs")
-    levels = VoltageMap(cfg.vdd).levels()
     worst = None
-    combos = [[]]
-    for _ in in_nodes:
-        combos = [c + [v] for c in combos for v in levels]
-    for combo in combos:
-        solve = _solve(flat, _pin_map(flat, dict(zip(in_nodes, combo)), cfg), cfg)
+    for assign in _exhaustive_inputs(sorted(flat.inputs), cfg.vdd):
+        solve = _solve(flat, _pin_map(flat, assign, cfg), cfg)
         if solve.signals[output_node].strength is None:
             continue
         if not solve.signals[output_node].is_numeric():
@@ -490,7 +501,9 @@ def waveform_csv(w: Waveform) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _vcd_symbol(level: float | str, cfg: SimConfig) -> str:
+def _trit_symbol(level: float | str, cfg: SimConfig) -> str:
+    """A level as its logic symbol: 0/1/2, or x/z; a voltage off every level
+    is x."""
     if isinstance(level, str):
         return level  # 'x' or 'z'
     try:
@@ -520,12 +533,12 @@ def waveform_vcd(w: Waveform, cfg: SimConfig = SimConfig(), name: str = "tritsim
     lines.append("$enddefinitions $end")
     lines.append("$dumpvars")
     for node in nodes:
-        lines.append(f"{_vcd_symbol(w.initial_levels.get(node, Z), cfg)}{codes[node]}")
+        lines.append(f"{_trit_symbol(w.initial_levels.get(node, Z), cfg)}{codes[node]}")
     lines.append("$end")
     by_time: dict[int, dict[str, str]] = {}
     for e in w.events:
         ps = round(e.time * 1e12)
-        by_time.setdefault(ps, {})[e.node] = _vcd_symbol(e.new, cfg)
+        by_time.setdefault(ps, {})[e.node] = _trit_symbol(e.new, cfg)
     for ps in sorted(by_time):
         lines.append(f"#{ps}")
         for node in sorted(by_time[ps]):

@@ -59,6 +59,14 @@ def test_spec_validates_fields():
         SweepSpec(load=0.0)
     with pytest.raises(ConfigError):
         SweepSpec(frequency=-1.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for field in ("vdd", "load", "frequency"):
+            with pytest.raises(ConfigError, match="finite"):
+                SweepSpec(**{field: bad})
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec(values=(bad,))
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec(values=(1e-15, bad))
 
 
 # --- stimulus ---------------------------------------------------------------
@@ -249,6 +257,20 @@ def test_cli_simulate_needs_exactly_one_source(tmp_path, capsys):
     path.write_text(fixture_text("sti.tnl"))
     assert main(["simulate", str(path), "--design", "1"]) == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--values", "nan"],
+    ["sweep", "--values", "1e-15", "inf"],
+    ["sweep", "--axis", "vdd", "--values", "0.9", "--load", "nan"],
+    ["simulate", "--design", "2", "--inputs", "a=nan,b=0,cin=0"],
+    ["simulate", "--design", "2", "--load", "nan", "--inputs", "a=0,b=0,cin=0"],
+])
+def test_cli_rejects_non_finite_numbers(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 # --- cli: sweep -------------------------------------------------------------

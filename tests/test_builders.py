@@ -10,7 +10,7 @@ from tritsim import (BuildConfig, Chirality, ConfigError, DesignVariant, FIXTURE
                      SimConfig, TernaryCellKind, VoltageMap, adder_eval, build_design,
                      build_nti, build_pti, build_sti, build_tgate, cell_eval,
                      delay_estimate, fixture_text, full_add, is_semiconducting,
-                     load_fixture, pick_chirality, serialize, steady_state,
+                     load_fixture, OutOfRange, pick_chirality, serialize, steady_state,
                      threshold_voltage, truth_table_csv)
 
 SUPPLIES = (0.8, 0.9, 1.0)
@@ -56,8 +56,10 @@ def test_build_config_validates_scalars():
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(OutOfRange):
         build_design("design3")
+    with pytest.raises(OutOfRange):
+        adder_eval("design3", 0, 0, 0)
 
 
 # --- chirality selection ----------------------------------------------------

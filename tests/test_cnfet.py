@@ -101,7 +101,7 @@ def test_device_params_must_be_positive():
     with pytest.raises(OutOfRange):
         DeviceParams(pitch=0)
     with pytest.raises(OutOfRange):
-        DeviceParams(t_ox=-1)
+        DeviceParams(w_min=-1)
 
 
 def test_conducts_nfet():

@@ -6,7 +6,7 @@ import pytest
 
 from gen_netlists import random_netlist
 from tritsim import (Capacitor, Fet, FixedSource, Instance, NetlistSemanticError,
-                     NetlistSyntaxError, Netlist, NodeKind, Probe, fixture_text,
+                     NetlistSyntaxError, Netlist, Probe, fixture_text,
                      FIXTURE_NAMES, flatten, parse, serialize)
 
 SAMPLE = """\
@@ -71,20 +71,6 @@ def test_first_comment_names_netlist_only_before_cards():
 def test_capacitance_suffixes():
     n = parse("* t\nC1 a b 2f\nC2 a b 3p\nC3 a b 1.5n\nC4 a b 4.7e-14\n.end\n")
     assert [d.farads for d in n.devices] == [2 * 1e-15, 3 * 1e-12, 1.5 * 1e-9, 4.7e-14]
-
-
-def test_node_kinds():
-    n = parse(SAMPLE)
-    kinds = {node.id: node.kind for node in n.nodes()}
-    # VDD only appears inside the subckt body, so the top-level view omits it
-    assert set(kinds) == {"GND", "a", "y", "nb"}
-    assert kinds["GND"] is NodeKind.SUPPLY_GND
-    assert kinds["a"] is NodeKind.INPUT
-    assert kinds["y"] is NodeKind.OUTPUT
-    assert kinds["nb"] is NodeKind.INTERNAL
-    assert n.node_kind("VDD") is NodeKind.SUPPLY_VDD
-    flat_kinds = {node.id: node.kind for node in flatten(n).nodes()}
-    assert flat_kinds["VDD"] is NodeKind.SUPPLY_VDD
 
 
 def test_stats_flattens_instances():

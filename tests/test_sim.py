@@ -97,6 +97,9 @@ def test_input_validation():
         steady_state(n, {"a": 0.9, "GND": 0.3}, CFG)
     with pytest.raises(ConfigError):
         steady_state(n, {}, CFG)          # declared input left unassigned
+    for volts in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            steady_state(n, {"a": volts}, CFG)
 
 
 def test_sim_config_validation():
@@ -108,6 +111,10 @@ def test_sim_config_validation():
         SimConfig(r_on_per_tube=0.0)
     with pytest.raises(ConfigError):
         SimConfig(level_tolerance=0.5)
+    for field in ("vdd", "r_on_per_tube", "c_out_load"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                SimConfig(**{field: bad})
     assert SimConfig(level_tolerance=0.05).tol() == 0.05
     assert SimConfig().tol() == pytest.approx(0.09)
 
