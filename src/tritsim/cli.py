@@ -12,6 +12,7 @@ failed to settle.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bench import BOTH_VARIANTS, SweepSpec, run_sweep, sweep_csv
@@ -166,6 +167,8 @@ def cmd_simulate(args) -> int:
     nodes = sorted(net.inputs)
     if not nodes:
         raise ConfigError("netlist declares no input nodes; pass --inputs instead")
+    if not (math.isfinite(args.freq) and args.freq > 0):
+        raise ConfigError(f"--freq must be a finite frequency above 0 Hz, got {args.freq!r}")
     period = 1.0 / args.freq
     stimulus = [(k * period, assign)
                 for k, assign in enumerate(_exhaustive_inputs(nodes, args.vdd))]

@@ -141,13 +141,19 @@ class CnfetInstance:
             raise OutOfRange("tube count must be >= 1")
 
 
+def switch_on(is_nfet: bool, v_gate: float, v_ref: float, vth: float) -> bool:
+    """The switch-level conduction rule: an NFET conducts iff
+    v_gate - v_ref > vth, a PFET iff v_ref - v_gate > vth."""
+    if is_nfet:
+        return v_gate - v_ref > vth
+    return v_ref - v_gate > vth
+
+
 def conducts(t: CnfetInstance, v_gate: float, v_src: float) -> bool:
     """Switch-level conduction test against the chirality's threshold.
 
     NFET conducts iff v_gate - v_src > Vth; PFET iff v_src - v_gate > Vth.
     Metallic chiralities raise MetallicTube (no valid switch exists).
     """
-    vth = threshold_voltage(t.chirality)
-    if t.polarity is Polarity.NFET:
-        return v_gate - v_src > vth
-    return v_src - v_gate > vth
+    return switch_on(t.polarity is Polarity.NFET, v_gate, v_src,
+                     threshold_voltage(t.chirality))

@@ -24,6 +24,7 @@ a second serialization is byte-identical.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -147,10 +148,12 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
                     f"({d.fet.chirality.n1}, {d.fet.chirality.n2})")
             referenced.update(_device_nodes(d))
         elif isinstance(d, Capacitor):
-            if d.farads <= 0:
+            if not d.farads > 0:
                 raise NetlistSemanticError(f"device {d.name}: capacitance must be positive")
             referenced.update(_device_nodes(d))
         elif isinstance(d, FixedSource):
+            if not math.isfinite(d.volts):
+                raise NetlistSemanticError(f"device {d.name}: voltage must be finite")
             if d.node in (VDD, GND):
                 raise NetlistSemanticError(f"device {d.name}: {d.node} is already a rail")
             if d.node in source_nodes:
@@ -240,9 +243,12 @@ def _parse_int(tok: str, lineno: int, col: int, what: str) -> int:
 
 def _parse_float(tok: str, lineno: int, col: int, what: str) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise NetlistSyntaxError(lineno, col, f"expected number {what}, got {tok!r}") from None
+    if not math.isfinite(value):
+        raise NetlistSyntaxError(lineno, col, f"expected finite {what}, got {tok!r}")
+    return value
 
 
 def _parse_cap_value(tok: str, lineno: int, col: int) -> float:

@@ -12,6 +12,10 @@ non-pinned members; 'x' is reported per node, never raised.  A gate reading
 'x' or 'z' is treated as non-conducting; the bundled cell library never
 exposes an unresolved gate net within its validated supply range.
 
+Each public call (steady_state, delay_estimate, transient) flattens and
+validates its netlist once and compiles it to integer node indices, sorted by
+node name, with per-FET threshold voltage and on-resistance, capacitor
+adjacency and per-node capacitance; every solve of that call reuses it.
 Each sweep re-evaluates conduction from the previous state snapshot, so the
 result cannot depend on device declaration order.  A state that fails to
 repeat within max_iterations raises NonConvergent.
@@ -30,9 +34,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .cnfet import Polarity, threshold_voltage
+from .cnfet import Polarity, switch_on, threshold_voltage
 from .errors import ConfigError, NoPath, NonConvergent, Unresolvable
 from .netlist import Capacitor, Fet, FixedSource, GND, Netlist, VDD, flatten
 from .trits import VoltageMap, voltage_to_trit
@@ -88,11 +92,63 @@ class SimConfig:
         return VoltageMap(self.vdd)
 
 
+class _Compiled(NamedTuple):
+    """A flattened, validated netlist on integer node indices, built once per
+    public call.  Nodes are numbered in sorted name order, so the smallest
+    index is also the smallest name."""
+
+    flat: Netlist
+    names: list[str]
+    index: dict[str, int]
+    fets: list[tuple[int, int, int, bool, float]]   # drain, gate, source, is_nfet, vth
+    fet_r: list[float]                              # on-resistance per FET
+    caps: list[tuple[int, int]]                     # capacitor terminals, device order
+    cap_adj: list[list[tuple[int, float]]]          # per node (neighbor, farads), device order
+    node_cap: list[float]                           # per node, probes carry c_out_load
+    fixed: list[tuple[int, float]]                  # rails, then fixed sources
+
+
+def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
+    flat = flatten(n)
+    flat.validate()
+    names = sorted(flat.node_ids())
+    index = {name: i for i, name in enumerate(names)}
+    fets: list[tuple[int, int, int, bool, float]] = []
+    fet_r: list[float] = []
+    caps: list[tuple[int, int]] = []
+    cap_adj: list[list[tuple[int, float]]] = [[] for _ in names]
+    node_cap = [0.0] * len(names)
+    fixed: list[tuple[int, float]] = []
+    if VDD in index:
+        fixed.append((index[VDD], cfg.vdd))
+    if GND in index:
+        fixed.append((index[GND], 0.0))
+    for d in flat.devices:
+        if isinstance(d, Fet):
+            f = d.fet
+            fets.append((index[f.drain], index[f.gate], index[f.source],
+                         f.polarity is Polarity.NFET, threshold_voltage(f.chirality)))
+            fet_r.append(cfg.r_on_per_tube / f.tubes)
+        elif isinstance(d, Capacitor):
+            a, b = index[d.a], index[d.b]
+            caps.append((a, b))
+            cap_adj[a].append((b, d.farads))
+            cap_adj[b].append((a, d.farads))
+            node_cap[a] += d.farads
+            node_cap[b] += d.farads
+        elif isinstance(d, FixedSource):
+            fixed.append((index[d.node], d.volts))
+    for node in flat.probed():
+        node_cap[index[node]] += cfg.c_out_load
+    return _Compiled(flat, names, index, fets, fet_r, caps, cap_adj, node_cap, fixed)
+
+
 class _Solve(NamedTuple):
     signals: dict[str, Signal]
-    pins: dict[str, float]
-    conducting: list[Fet]
-    netlist: Netlist  # flattened
+    levels: list[float | str]          # per node index
+    strengths: list[Strength | None]   # per node index
+    pins: list[float | None]           # per node index
+    conducting: list[int]              # FET indices
 
 
 def _exhaustive_inputs(nodes: Sequence[str], vdd: float) -> list[dict[str, float]]:
@@ -107,132 +163,114 @@ def _exhaustive_inputs(nodes: Sequence[str], vdd: float) -> list[dict[str, float
             for combo in itertools.product(range(3), repeat=len(nodes))]
 
 
-def _pin_map(flat: Netlist, inputs: Mapping[str, float], cfg: SimConfig) -> dict[str, float]:
-    pins: dict[str, float] = {}
-    node_ids = flat.node_ids()
-    if VDD in node_ids:
-        pins[VDD] = cfg.vdd
-    if GND in node_ids:
-        pins[GND] = 0.0
-    for d in flat.devices:
-        if isinstance(d, FixedSource):
-            pins[d.node] = d.volts
+def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]:
+    """Pinned voltage per node index, None where the node is not pinned."""
+    pins: list[float | None] = [None] * len(comp.names)
+    for i, volts in comp.fixed:
+        pins[i] = volts
     for node, volts in inputs.items():
-        if node not in node_ids:
+        i = comp.index.get(node)
+        if i is None:
             raise ConfigError(f"input assignment to unknown node {node!r}")
         if node in (VDD, GND):
             raise ConfigError(f"cannot reassign rail {node}")
         volts = float(volts)
         if not math.isfinite(volts):
             raise ConfigError(f"input {node} must be a finite voltage, got {volts!r}")
-        pins[node] = volts
-    missing = sorted(n for n in flat.inputs if n not in pins)
+        pins[i] = volts
+    missing = sorted(n for n in comp.flat.inputs if pins[comp.index[n]] is None)
     if missing:
         raise ConfigError(f"unassigned input nodes: {', '.join(missing)}")
     return pins
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {i: i for i in items}
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
-def _conducting(fets: list[Fet], state: dict[str, Signal]) -> list[Fet]:
+def _union(parent: list[int], a: int, b: int) -> None:
+    """Merge two sets; the smaller root index stays the root."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra
+
+
+def _conducting(fets: list[tuple[int, int, int, bool, float]],
+                levels: list[float | str]) -> list[int]:
     on = []
-    for dev in fets:
-        f = dev.fet
-        g = state[f.gate].level
-        if isinstance(g, str):
+    for k, (d, g, s, is_nfet, vth) in enumerate(fets):
+        vg = levels[g]
+        if isinstance(vg, str):
             continue
-        refs = [state[t].level for t in (f.drain, f.source)
-                if not isinstance(state[t].level, str)]
-        if not refs:
-            continue
-        vth = threshold_voltage(f.chirality)
-        if f.polarity is Polarity.NFET:
-            if g - min(refs) > vth:
-                on.append(dev)
+        vd, vs = levels[d], levels[s]
+        if isinstance(vd, str):
+            if isinstance(vs, str):
+                continue
+            ref = vs
+        elif isinstance(vs, str):
+            ref = vd
         else:
-            if max(refs) - g > vth:
-                on.append(dev)
+            ref = min(vd, vs) if is_nfet else max(vd, vs)
+        if switch_on(is_nfet, vg, ref, vth):
+            on.append(k)
     return on
 
 
-def _solve(flat: Netlist, pins: dict[str, float], cfg: SimConfig) -> _Solve:
-    node_ids = sorted(flat.node_ids())
-    fets = [d for d in flat.devices if isinstance(d, Fet)]
-    caps = [d for d in flat.devices if isinstance(d, Capacitor)]
-    cap_neighbors: dict[str, list[tuple[str, float]]] = {n: [] for n in node_ids}
-    for c in caps:
-        cap_neighbors[c.a].append((c.b, c.farads))
-        cap_neighbors[c.b].append((c.a, c.farads))
-
-    state: dict[str, Signal] = {}
-    for n in node_ids:
-        if n in pins:
-            state[n] = Signal(pins[n], Strength.SUPPLY)
-        else:
-            state[n] = Signal(Z, None)
+def _solve(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
+    count = len(comp.names)
+    fets, caps, cap_adj = comp.fets, comp.caps, comp.cap_adj
+    levels: list[float | str] = [Z if p is None else p for p in pins]
+    strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
 
     for _ in range(cfg.max_iterations):
-        on = _conducting(fets, state)
-        uf = _UnionFind(node_ids)
-        for dev in on:
-            uf.union(dev.fet.drain, dev.fet.source)
-        groups: dict[str, list[str]] = {}
-        for n in node_ids:
-            groups.setdefault(uf.find(n), []).append(n)
+        on = _conducting(fets, levels)
+        parent = list(range(count))
+        for k in on:
+            _union(parent, fets[k][0], fets[k][2])
+        groups: dict[int, list[int]] = {}
+        for i in range(count):
+            groups.setdefault(_find(parent, i), []).append(i)
 
-        new_state: dict[str, Signal] = {}
-        floating: list[list[str]] = []
+        new_levels: list[float | str] = [Z] * count
+        new_strengths: list[Strength | None] = [None] * count
+        floating = [False] * count
         for members in groups.values():
-            drive_levels = sorted({pins[m] for m in members if m in pins})
+            drive_levels = sorted({pins[m] for m in members if pins[m] is not None})
             if drive_levels:
-                if len(drive_levels) == 1:
-                    sig = Signal(drive_levels[0], Strength.DRIVEN)
-                else:
-                    sig = Signal(X, Strength.DRIVEN)  # equal-strength contention
+                # two supply levels in one group: equal-strength contention
+                level = drive_levels[0] if len(drive_levels) == 1 else X
                 for m in members:
-                    new_state[m] = Signal(pins[m], Strength.SUPPLY) if m in pins else sig
+                    if pins[m] is None:
+                        new_levels[m], new_strengths[m] = level, Strength.DRIVEN
+                    else:
+                        new_levels[m], new_strengths[m] = pins[m], Strength.SUPPLY
             else:
-                floating.append(members)
+                for m in members:
+                    floating[m] = True
 
         # capacitive clusters: floating groups additionally merged through caps
-        cluster_uf = _UnionFind([m for members in floating for m in members])
-        float_set = set(cluster_uf.parent)
-        for members in floating:
-            for m in members[1:]:
-                cluster_uf.union(members[0], m)
-        for c in caps:
-            if c.a in float_set and c.b in float_set:
-                cluster_uf.union(c.a, c.b)
-        clusters: dict[str, list[str]] = {}
-        for m in sorted(float_set):
-            clusters.setdefault(cluster_uf.find(m), []).append(m)
+        for a, b in caps:
+            if floating[a] and floating[b]:
+                _union(parent, a, b)
+        clusters: dict[int, list[int]] = {}
+        for m in range(count):
+            if floating[m]:
+                clusters.setdefault(_find(parent, m), []).append(m)
         for members in clusters.values():
             weight = 0.0
             charge = 0.0
             saw_x = False
             connected = False
             for m in members:
-                for other, farads in cap_neighbors[m]:
-                    if other in float_set:
+                for other, farads in cap_adj[m]:
+                    if floating[other]:
                         continue
-                    lvl = new_state[other].level
+                    lvl = new_levels[other]
                     connected = True
                     if isinstance(lvl, str):
                         saw_x = True
@@ -240,17 +278,19 @@ def _solve(flat: Netlist, pins: dict[str, float], cfg: SimConfig) -> _Solve:
                         weight += farads
                         charge += farads * lvl
             if saw_x:
-                sig = Signal(X, Strength.CHARGED)
+                level, strength = X, Strength.CHARGED
             elif connected and weight > 0:
-                sig = Signal(charge / weight, Strength.CHARGED)
+                level, strength = charge / weight, Strength.CHARGED
             else:
-                sig = Signal(Z, None)
+                level, strength = Z, None
             for m in members:
-                new_state[m] = sig
+                new_levels[m], new_strengths[m] = level, strength
 
-        if new_state == state:
-            return _Solve(state, pins, on, flat)
-        state = new_state
+        if new_levels == levels and new_strengths == strengths:
+            signals = {name: Signal(lvl, st)
+                       for name, lvl, st in zip(comp.names, levels, strengths)}
+            return _Solve(signals, levels, strengths, pins, on)
+        levels, strengths = new_levels, new_strengths
 
     raise NonConvergent(f"no fixpoint within {cfg.max_iterations} sweeps")
 
@@ -258,108 +298,84 @@ def _solve(flat: Netlist, pins: dict[str, float], cfg: SimConfig) -> _Solve:
 def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
                  cfg: SimConfig = SimConfig()) -> dict[str, Signal]:
     """Resolve every node of the netlist under the given input voltages."""
-    flat = flatten(n)
-    flat.validate()
-    pins = _pin_map(flat, inputs or {}, cfg)
-    return _solve(flat, pins, cfg).signals
+    comp = _compile(n, cfg)
+    return _solve(comp, _pin_map(comp, inputs or {}), cfg).signals
 
 
 # ---------------------------------------------------------------------------
 # first-order timing
 
-def _node_capacitance(flat: Netlist, cfg: SimConfig) -> dict[str, float]:
-    cap: dict[str, float] = {n: 0.0 for n in flat.node_ids()}
-    for d in flat.devices:
-        if isinstance(d, Capacitor):
-            cap[d.a] += d.farads
-            cap[d.b] += d.farads
-    for node in flat.probed():
-        cap[node] += cfg.c_out_load
-    return cap
+def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
+    """Settling time per node index for the given steady state."""
+    pins, strengths, node_cap = solve.pins, solve.strengths, comp.node_cap
+    adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
+    for k in solve.conducting:
+        d, g, s, _, _ = comp.fets[k]
+        r = comp.fet_r[k]
+        adj[d].append((s, r, g))
+        adj[s].append((d, r, g))
 
+    memo: dict[int, float] = {}
+    visiting: set[int] = set()
 
-def _arrivals(solve: _Solve, cfg: SimConfig) -> dict[str, float]:
-    """Settling time per node for the given steady state."""
-    flat = solve.netlist
-    caps = _node_capacitance(flat, cfg)
-    cap_neighbors: dict[str, list[str]] = {n: [] for n in flat.node_ids()}
-    for d in flat.devices:
-        if isinstance(d, Capacitor):
-            cap_neighbors[d.a].append(d.b)
-            cap_neighbors[d.b].append(d.a)
-
-    adj: dict[str, list[tuple[str, Fet]]] = {n: [] for n in flat.node_ids()}
-    for dev in solve.conducting:
-        adj[dev.fet.drain].append((dev.fet.source, dev))
-        adj[dev.fet.source].append((dev.fet.drain, dev))
-
-    memo: dict[str, float] = {}
-    visiting: set[str] = set()
-
-    def arrival(node: str) -> float:
-        if node in solve.pins:
+    def arrival(node: int) -> float:
+        if pins[node] is not None:
             return 0.0
         if node in memo:
             return memo[node]
         if node in visiting:
-            raise NoPath(f"timing cycle through node {node}")
+            raise NoPath(f"timing cycle through node {comp.names[node]}")
         visiting.add(node)
-        sig = solve.signals[node]
-        if sig.strength is Strength.DRIVEN:
+        strength = strengths[node]
+        if strength is Strength.DRIVEN:
             t = _driven_arrival(node)
-        elif sig.strength is Strength.CHARGED:
-            t = max((arrival(o) for o in cap_neighbors[node]
-                     if solve.signals[o].strength is not None
-                     and solve.signals[o].strength >= Strength.DRIVEN), default=0.0)
+        elif strength is Strength.CHARGED:
+            t = max((arrival(o) for o, _ in comp.cap_adj[node]
+                     if strengths[o] is not None and strengths[o] >= Strength.DRIVEN),
+                    default=0.0)
         else:
-            raise NoPath(f"node {node} is not driven")
+            raise NoPath(f"node {comp.names[node]} is not driven")
         visiting.discard(node)
         memo[node] = t
         return t
 
-    def _driven_arrival(node: str) -> float:
+    def _driven_arrival(node: int) -> float:
         # Dijkstra by accumulated on-resistance from the nearest pinned driver,
         # then Elmore over that path with gates adding their own arrivals.
-        dist: dict[str, float] = {node: 0.0}
-        prev: dict[str, tuple[str, Fet]] = {}
-        heap: list[tuple[float, str]] = [(0.0, node)]
+        dist: dict[int, float] = {node: 0.0}
+        prev: dict[int, tuple[int, float, int]] = {}
+        heap: list[tuple[float, int]] = [(0.0, node)]
         driver = None
         while heap:
             d, cur = heapq.heappop(heap)
             if d > dist.get(cur, math.inf):
                 continue
-            if cur in solve.pins:
+            if pins[cur] is not None:
                 driver = cur
                 break
-            for other, dev in adj[cur]:
-                r = cfg.r_on_per_tube / dev.fet.tubes
+            for other, r, gate in adj[cur]:
                 nd = d + r
                 if nd < dist.get(other, math.inf):
                     dist[other] = nd
-                    prev[other] = (cur, dev)
+                    prev[other] = (cur, r, gate)
                     heapq.heappush(heap, (nd, other))
         if driver is None:
-            raise NoPath(f"node {node} has no path to a driver")
+            raise NoPath(f"node {comp.names[node]} has no path to a driver")
         # walk driver -> node
-        path_nodes: list[str] = []
-        path_devs: list[Fet] = []
-        cur = driver
-        while cur != node:
-            nxt, dev = prev[cur]
-            path_nodes.append(nxt)
-            path_devs.append(dev)
-            cur = nxt
         elmore = 0.0
         cum_r = 0.0
         base = 0.0
-        for hop_node, dev in zip(path_nodes, path_devs):
-            cum_r += cfg.r_on_per_tube / dev.fet.tubes
-            elmore += cum_r * caps[hop_node]
-            base = max(base, arrival(dev.fet.gate))
+        cur = driver
+        while cur != node:
+            nxt, r, gate = prev[cur]
+            cum_r += r
+            elmore += cum_r * node_cap[nxt]
+            base = max(base, arrival(gate))
+            cur = nxt
         return base + elmore
 
-    return {n: arrival(n) for n in sorted(flat.node_ids())
-            if solve.signals[n].strength is not None or n in solve.pins}
+    return {i: arrival(i) for i in range(len(comp.names))
+            if strengths[i] is not None or pins[i] is not None}
 
 
 def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
@@ -371,25 +387,25 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
     and the slowest one wins; combinations that leave the output undriven
     are skipped, and NoPath is raised only if none drive it.
     """
-    flat = flatten(n)
-    flat.validate()
-    if output_node not in flat.node_ids():
+    comp = _compile(n, cfg)
+    out = comp.index.get(output_node)
+    if out is None:
         raise NoPath(f"unknown output node {output_node!r}")
     if inputs is not None:
-        solve = _solve(flat, _pin_map(flat, inputs, cfg), cfg)
-        arr = _arrivals(solve, cfg)
-        if output_node not in arr or solve.signals[output_node].strength is None:
+        solve = _solve(comp, _pin_map(comp, inputs), cfg)
+        arr = _arrivals(comp, solve)
+        if out not in arr or solve.strengths[out] is None:
             raise NoPath(f"output {output_node} is not driven")
-        return arr[output_node]
+        return arr[out]
     worst = None
-    for assign in _exhaustive_inputs(sorted(flat.inputs), cfg.vdd):
-        solve = _solve(flat, _pin_map(flat, assign, cfg), cfg)
-        if solve.signals[output_node].strength is None:
+    for assign in _exhaustive_inputs(sorted(comp.flat.inputs), cfg.vdd):
+        solve = _solve(comp, _pin_map(comp, assign), cfg)
+        if solve.strengths[out] is None:
             continue
         if not solve.signals[output_node].is_numeric():
             continue
-        arr = _arrivals(solve, cfg)
-        t = arr.get(output_node)
+        arr = _arrivals(comp, solve)
+        t = arr.get(out)
         if t is not None and (worst is None or t > worst):
             worst = t
     if worst is None:
@@ -430,25 +446,23 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("stimulus times must be strictly increasing")
 
-    flat = flatten(n)
-    flat.validate()
-    caps = _node_capacitance(flat, cfg)
+    comp = _compile(n, cfg)
     w = Waveform(edge_times=list(times))
 
     current: dict[str, float] = dict(stimulus[0][1])
-    solve = _solve(flat, _pin_map(flat, current, cfg), cfg)
-    w.initial_levels = {node: sig.level for node, sig in sorted(solve.signals.items())}
-    prev_levels = dict(w.initial_levels)
-    last_emit: dict[str, float] = {}
+    solve = _solve(comp, _pin_map(comp, current), cfg)
+    w.initial_levels = dict(zip(comp.names, solve.levels))
+    prev_levels = list(solve.levels)
+    last_emit: dict[int, float] = {}
 
     for t_edge, assigns in stimulus[1:]:
         current.update(assigns)
-        solve = _solve(flat, _pin_map(flat, current, cfg), cfg)
-        arr = _arrivals(solve, cfg)
+        solve = _solve(comp, _pin_map(comp, current), cfg)
+        arr = _arrivals(comp, solve)
         batch = []
-        for node in sorted(solve.signals):
-            new = solve.signals[node].level
-            old = prev_levels.get(node, Z)
+        for i, node in enumerate(comp.names):
+            new = solve.levels[i]
+            old = prev_levels[i]
             changed = (new != old) if (isinstance(new, str) or isinstance(old, str)) \
                 else abs(new - old) > 1e-12
             if not changed:
@@ -456,13 +470,13 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
             if isinstance(new, str) or isinstance(old, str):
                 energy = 0.0
             else:
-                energy = 0.5 * caps[node] * (new - old) ** 2
-            t = t_edge + arr.get(node, 0.0)
-            if node in last_emit and t <= last_emit[node]:
-                t = math.nextafter(last_emit[node], math.inf)
-            last_emit[node] = t
+                energy = 0.5 * comp.node_cap[i] * (new - old) ** 2
+            t = t_edge + arr.get(i, 0.0)
+            if i in last_emit and t <= last_emit[i]:
+                t = math.nextafter(last_emit[i], math.inf)
+            last_emit[i] = t
             batch.append(WaveEvent(t, node, old, new, energy))
-            prev_levels[node] = new
+            prev_levels[i] = new
         batch.sort(key=lambda e: (e.time, e.node))
         w.events.extend(batch)
     return w

@@ -7,6 +7,7 @@ add of three trits a + b + cin = 3*cout + sum, so the carry is itself a trit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -58,12 +59,15 @@ def voltage_to_trit(v: float, m: VoltageMap = VoltageMap(),
                     tol: float | None = None) -> Trit:
     """Snap a voltage to the nearest lattice level within tol (default vdd/10).
 
-    Raises Unresolvable when the voltage is further than tol from every level.
+    Raises Unresolvable when the voltage is further than tol from every level
+    or is not finite.
     """
     if tol is None:
         tol = m.vdd / 10.0
     if not 0 < tol < m.vdd / 4.0:
         raise OutOfRange(f"tolerance must be in (0, vdd/4), got {tol}")
+    if not math.isfinite(v):
+        raise Unresolvable(f"{v} V is not a finite voltage")
     best = min(range(3), key=lambda i: abs(v - m.levels()[i]))
     if abs(v - m.levels()[best]) > tol:
         raise Unresolvable(f"{v} V is more than {tol} V from every level of {m.levels()}")

@@ -273,6 +273,14 @@ def test_cli_rejects_non_finite_numbers(capsys, argv):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf"])
+def test_cli_simulate_rejects_bad_frequency(capsys, freq):
+    assert main(["simulate", "--design", "2", "--freq", freq]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--freq must be a finite frequency above 0 Hz" in captured.err
+
+
 # --- cli: sweep -------------------------------------------------------------
 
 def test_cli_sweep_temperature_notice(capsys):

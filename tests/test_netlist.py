@@ -117,6 +117,11 @@ X1 p q delay
     (".foo x\n.end\n", 1, 1, "unknown directive"),
     (".ends\n.end\n", 1, 1, "outside"),
     (".subckt s\n.end\n", 1, 1, "at least one port"),
+    ("V1 a nan\n.end\n", 1, 6, "finite"),
+    ("V1 a -inf\n.end\n", 1, 6, "finite"),
+    ("C1 a b nanf\n.end\n", 1, 8, "finite"),
+    ("C1 a b infp\n.end\n", 1, 8, "finite"),
+    ("C1 a b 1e999\n.end\n", 1, 8, "finite"),
 ])
 def test_syntax_error_positions(text, line, col, fragment):
     with pytest.raises(NetlistSyntaxError) as e:
@@ -124,6 +129,14 @@ def test_syntax_error_positions(text, line, col, fragment):
     assert e.value.line == line
     assert e.value.col == col
     assert fragment in str(e.value)
+
+
+def test_validate_rejects_non_finite_values_built_in_code():
+    with pytest.raises(NetlistSemanticError, match="positive"):
+        Netlist("hand", [Capacitor("C1", "a", "b", float("nan"))]).validate()
+    with pytest.raises(NetlistSemanticError, match="finite"):
+        Netlist("hand", [FixedSource("V1", "a", float("inf")),
+                         Capacitor("C1", "a", "b", 1e-15)]).validate()
 
 
 def test_syntax_error_column_tracks_indentation():

@@ -15,8 +15,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Functions that must call each rebound name through their module's globals
 # (or, for validate, as a method), or the traced run would not see the call.
 CALLERS = {
-    tritsim.sim.steady_state: ("flatten", "validate"),
-    tritsim.sim._conducting: ("threshold_voltage",),
+    tritsim.sim.steady_state: ("_compile",),
+    tritsim.sim.delay_estimate: ("_compile",),
+    tritsim.sim.transient: ("_compile",),
+    tritsim.sim._compile: ("flatten", "validate", "threshold_voltage"),
     tritsim.bench.run_sweep: ("build_design", "delay_estimate", "transient", "measure",
                               "benchmark_stimulus"),
 }

@@ -11,6 +11,7 @@ from conftest import sim_symbol
 from tritsim import (ConfigError, Measurement, NoPath, NonConvergent, SimConfig,
                      Strength, delay_estimate, measure, parse, steady_state, transient,
                      waveform_csv, waveform_vcd)
+from tritsim.sim import _trit_symbol
 
 CFG = SimConfig()
 
@@ -303,3 +304,7 @@ def test_steady_state_symbols_helper():
     sigs = steady_state(n, {"a": 0.0}, CFG)
     assert sim_symbol(sigs["y"], CFG) == "2"
     assert sim_symbol(sigs["a"], CFG) == "0"
+
+
+def test_non_finite_level_prints_as_x():
+    assert _trit_symbol(float("nan"), CFG) == "x"

@@ -58,6 +58,12 @@ def test_voltage_to_trit_tolerance():
     assert voltage_to_trit(0.60, m, 0.16) == Trit.ONE
 
 
+@pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf")])
+def test_voltage_to_trit_rejects_non_finite(v):
+    with pytest.raises(Unresolvable):
+        voltage_to_trit(v, VoltageMap(0.9))
+
+
 def test_voltage_tolerance_domain():
     m = VoltageMap(0.9)
     with pytest.raises(OutOfRange):
