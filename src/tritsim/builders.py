@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 
 from .cells import DesignVariant, _variant_of
 from .cnfet import Chirality, CnfetInstance, Polarity, is_semiconducting, threshold_voltage
@@ -47,12 +48,15 @@ def load_fixture(name: str) -> Netlist:
 
 @lru_cache(maxsize=None)
 def _chirality_table(limit: int = 140) -> list[tuple[float, Chirality]]:
+    """Semiconducting chiralities up to n1 = limit with their Vth, sorted by
+    Vth; the sort is stable, so equal Vths stay in (n1, n2) order."""
     out = []
     for n1 in range(1, limit + 1):
         for n2 in range(0, n1 + 1):
             c = Chirality(n1, n2)
             if is_semiconducting(c):
                 out.append((threshold_voltage(c), c))
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -61,16 +65,33 @@ def pick_chirality(lo: float, hi: float) -> Chirality:
     margin to both edges.  Deterministic: ties break to the smallest indices."""
     if not 0 <= lo < hi:
         raise ConfigError(f"empty threshold window ({lo}, {hi})")
-    best = None
-    for vth, c in _chirality_table():
-        if lo < vth < hi:
-            margin = min(vth - lo, hi - vth)
-            key = (-margin, c.n1, c.n2)
-            if best is None or key < best[0]:
-                best = (key, c)
-    if best is None:
+    table = _chirality_table()
+
+    def margin(i: int) -> float:
+        # <= 0 outside the window, > 0 inside it
+        return min(table[i][0] - lo, hi - table[i][0])
+
+    # Along the table vth - lo never falls and hi - vth never rises, so the
+    # entries with vth - lo <= hi - vth form a prefix, the margin rises up to
+    # its end and falls after it, and the entries of maximal margin are one
+    # run that touches the prefix's end.
+    a, b = 0, len(table)
+    while a < b:
+        mid = (a + b) // 2
+        if table[mid][0] - lo <= hi - table[mid][0]:
+            a = mid + 1
+        else:
+            b = mid
+    around = [i for i in (a - 1, a) if 0 <= i < len(table)]
+    best = max(margin(i) for i in around)
+    if not best > 0:
         raise ConfigError(f"no semiconducting chirality with Vth in ({lo}, {hi})")
-    return best[1]
+    first = last = next(i for i in around if margin(i) == best)
+    while first > 0 and margin(first - 1) == best:
+        first -= 1
+    while last + 1 < len(table) and margin(last + 1) == best:
+        last += 1
+    return min((table[i][1] for i in range(first, last + 1)), key=lambda c: (c.n1, c.n2))
 
 
 @dataclass(frozen=True)

@@ -241,23 +241,29 @@ def _parse_int(tok: str, lineno: int, col: int, what: str) -> int:
         raise NetlistSyntaxError(lineno, col, f"expected integer {what}, got {tok!r}") from None
 
 
-def _parse_float(tok: str, lineno: int, col: int, what: str) -> float:
+def _parse_float(tok: str, lineno: int, col: int, what: str, written: str | None = None) -> float:
+    """tok as a finite float; errors quote written, the token as it stands in
+    the file (tok by default)."""
+    shown = tok if written is None else written
     try:
         value = float(tok)
     except ValueError:
-        raise NetlistSyntaxError(lineno, col, f"expected number {what}, got {tok!r}") from None
+        raise NetlistSyntaxError(lineno, col, f"expected number {what}, got {shown!r}") from None
     if not math.isfinite(value):
-        raise NetlistSyntaxError(lineno, col, f"expected finite {what}, got {tok!r}")
+        raise NetlistSyntaxError(lineno, col, f"expected finite {what}, got {shown!r}")
     return value
 
 
 def _parse_cap_value(tok: str, lineno: int, col: int) -> float:
-    scale = 1.0
-    body = tok
-    if tok and tok[-1].lower() in _CAP_SCALE:
-        scale = _CAP_SCALE[tok[-1].lower()]
-        body = tok[:-1]
-    return _parse_float(body, lineno, col, "capacitance") * scale
+    scale = _CAP_SCALE.get(tok[-1:].lower())
+    if scale is not None:
+        try:
+            float(tok[:-1])
+        except ValueError:
+            scale = None    # 'inf' and 'nan' end in a scale letter but are read whole
+    if scale is None:
+        return _parse_float(tok, lineno, col, "capacitance")
+    return _parse_float(tok[:-1], lineno, col, "capacitance", tok) * scale
 
 
 def _parse_device(toks: list[tuple[str, int]], lineno: int) -> Device:

@@ -16,6 +16,11 @@ Each public call (steady_state, delay_estimate, transient) flattens and
 validates its netlist once and compiles it to integer node indices, sorted by
 node name, with per-FET threshold voltage and on-resistance, capacitor
 adjacency and per-node capacitance; every solve of that call reuses it.
+Inside a shared_point() scope, which bench.run_sweep opens around each sweep
+point, calls on the same Netlist object and SimConfig also share the compiled
+form, one solve per pin assignment and one arrival pass per solve, so a
+point's delay_estimate and transient solve each input triple once.  Outside
+the scope nothing is cached.
 Each sweep re-evaluates conduction from the previous state snapshot, so the
 result cannot depend on device declaration order.  A state that fails to
 repeat within max_iterations raises NonConvergent.
@@ -32,9 +37,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
 from .errors import ConfigError, NoPath, NonConvergent, Unresolvable
@@ -108,7 +116,44 @@ class _Compiled(NamedTuple):
     fixed: list[tuple[int, float]]                  # rails, then fixed sources
 
 
+class _Solve(NamedTuple):
+    signals: dict[str, Signal]
+    levels: list[float | str]          # per node index
+    strengths: list[Strength | None]   # per node index
+    pins: list[float | None]           # per node index
+    conducting: list[int]              # FET indices
+
+
+class _Shared(NamedTuple):
+    """What one sweep point's calls share; it lives only as long as the
+    scope that shared_point() opens.  Keys hold ids of objects the tables
+    keep alive, so an id cannot be reused while the scope lasts."""
+
+    compiled: dict[tuple[int, SimConfig], tuple[Netlist, _Compiled]]
+    solves: dict[tuple[int, tuple[float | None, ...]], tuple[_Compiled, _Solve]]
+    arrivals: dict[int, dict[int, float]]           # by id of a solve in solves
+
+
+_SHARED: ContextVar[_Shared | None] = ContextVar("tritsim_shared_point", default=None)
+
+
+@contextmanager
+def shared_point() -> Iterator[None]:
+    """Within the block, calls on the same Netlist object and SimConfig
+    compile it once, solve each pin assignment once and time each solve
+    once.  The netlist must not change inside the block.  Everything is
+    dropped on exit, also when the block raises."""
+    token = _SHARED.set(_Shared({}, {}, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
+    shared = _SHARED.get()
+    if shared is not None and (id(n), cfg) in shared.compiled:
+        return shared.compiled[id(n), cfg][1]
     flat = flatten(n)
     flat.validate()
     names = sorted(flat.node_ids())
@@ -140,15 +185,10 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             fixed.append((index[d.node], d.volts))
     for node in flat.probed():
         node_cap[index[node]] += cfg.c_out_load
-    return _Compiled(flat, names, index, fets, fet_r, caps, cap_adj, node_cap, fixed)
-
-
-class _Solve(NamedTuple):
-    signals: dict[str, Signal]
-    levels: list[float | str]          # per node index
-    strengths: list[Strength | None]   # per node index
-    pins: list[float | None]           # per node index
-    conducting: list[int]              # FET indices
+    comp = _Compiled(flat, names, index, fets, fet_r, caps, cap_adj, node_cap, fixed)
+    if shared is not None:
+        shared.compiled[id(n), cfg] = (n, comp)
+    return comp
 
 
 def _exhaustive_inputs(nodes: Sequence[str], vdd: float) -> list[dict[str, float]]:
@@ -295,6 +335,17 @@ def _solve(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
     raise NonConvergent(f"no fixpoint within {cfg.max_iterations} sweeps")
 
 
+def _shared_solve(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
+    """_solve, run once per pin assignment inside a shared_point() scope."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _solve(comp, pins, cfg)
+    key = (id(comp), tuple(pins))
+    if key not in shared.solves:
+        shared.solves[key] = (comp, _solve(comp, pins, cfg))
+    return shared.solves[key][1]
+
+
 def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
                  cfg: SimConfig = SimConfig()) -> dict[str, Signal]:
     """Resolve every node of the netlist under the given input voltages."""
@@ -378,6 +429,17 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
             if strengths[i] is not None or pins[i] is not None}
 
 
+def _shared_arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
+    """_arrivals, run once per solve inside a shared_point() scope; solve
+    must come from _shared_solve, whose table keeps it alive."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _arrivals(comp, solve)
+    if id(solve) not in shared.arrivals:
+        shared.arrivals[id(solve)] = _arrivals(comp, solve)
+    return shared.arrivals[id(solve)]
+
+
 def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
                    inputs: Mapping[str, float] | None = None) -> float:
     """Worst-case settling time of output_node.
@@ -392,19 +454,19 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
     if out is None:
         raise NoPath(f"unknown output node {output_node!r}")
     if inputs is not None:
-        solve = _solve(comp, _pin_map(comp, inputs), cfg)
-        arr = _arrivals(comp, solve)
+        solve = _shared_solve(comp, _pin_map(comp, inputs), cfg)
+        arr = _shared_arrivals(comp, solve)
         if out not in arr or solve.strengths[out] is None:
             raise NoPath(f"output {output_node} is not driven")
         return arr[out]
     worst = None
     for assign in _exhaustive_inputs(sorted(comp.flat.inputs), cfg.vdd):
-        solve = _solve(comp, _pin_map(comp, assign), cfg)
+        solve = _shared_solve(comp, _pin_map(comp, assign), cfg)
         if solve.strengths[out] is None:
             continue
         if not solve.signals[output_node].is_numeric():
             continue
-        arr = _arrivals(comp, solve)
+        arr = _shared_arrivals(comp, solve)
         t = arr.get(out)
         if t is not None and (worst is None or t > worst):
             worst = t
@@ -443,6 +505,8 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     if not stimulus:
         raise ConfigError("stimulus must contain at least one entry")
     times = [t for t, _ in stimulus]
+    if not all(map(math.isfinite, times)):
+        raise ConfigError("stimulus times must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("stimulus times must be strictly increasing")
 
@@ -450,15 +514,15 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     w = Waveform(edge_times=list(times))
 
     current: dict[str, float] = dict(stimulus[0][1])
-    solve = _solve(comp, _pin_map(comp, current), cfg)
+    solve = _shared_solve(comp, _pin_map(comp, current), cfg)
     w.initial_levels = dict(zip(comp.names, solve.levels))
     prev_levels = list(solve.levels)
     last_emit: dict[int, float] = {}
 
     for t_edge, assigns in stimulus[1:]:
         current.update(assigns)
-        solve = _solve(comp, _pin_map(comp, current), cfg)
-        arr = _arrivals(comp, solve)
+        solve = _shared_solve(comp, _pin_map(comp, current), cfg)
+        arr = _shared_arrivals(comp, solve)
         batch = []
         for i, node in enumerate(comp.names):
             new = solve.levels[i]
@@ -491,15 +555,19 @@ class Measurement(NamedTuple):
 def measure(w: Waveform, duration: float) -> Measurement:
     """Average switching power over the duration, worst event settling delay
     relative to its stimulus edge, and their product."""
-    if duration <= 0:
-        raise ConfigError("duration must be strictly positive")
+    if not math.isfinite(duration) or duration <= 0:
+        raise ConfigError("duration must be finite and strictly positive")
+    if not all(map(math.isfinite, w.edge_times)):
+        raise ConfigError("edge times must be finite")
     if not w.events:
         return Measurement(0.0, 0.0, 0.0)
     total = sum(e.energy for e in w.events)
+    edges = sorted(w.edge_times)
     worst = 0.0
     for e in w.events:
-        edge = max((t for t in w.edge_times if t <= e.time), default=0.0)
-        worst = max(worst, e.time - edge)
+        # the latest edge at or before the event, else 0.0
+        k = bisect_right(edges, e.time)
+        worst = max(worst, e.time - (edges[k - 1] if k else 0.0))
     power = total / duration
     return Measurement(power, worst, power * worst)
 

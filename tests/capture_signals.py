@@ -8,6 +8,8 @@ digests and compares.  Cases:
   every node's (name, repr(level), strength) from steady_state;
 - both variants x the same vdds: repr of delay_estimate(net, "sum") and of
   the transient events under the 27-entry benchmark stimulus;
+- run_sweep over the default grid of each axis (vdd, load, frequency), both
+  variants: repr of every point's delay, power and PDP;
 - the seeded generated corpus (tests/gen_netlists.py, the 100 netlists of
   random.Random(90210)): steady state under every input assignment,
   delay_estimate of every probed node and the exhaustive transient.  Library
@@ -27,8 +29,9 @@ import random
 from pathlib import Path
 
 from gen_netlists import random_netlist
-from tritsim import (BOTH_VARIANTS, BuildConfig, SimConfig, TritsimError, benchmark_stimulus,
-                     build_design, delay_estimate, steady_state, transient)
+from tritsim import (AXES, BOTH_VARIANTS, BuildConfig, SimConfig, SweepSpec, TritsimError,
+                     benchmark_stimulus, build_design, delay_estimate, run_sweep, steady_state,
+                     transient)
 from tritsim.sim import _exhaustive_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "signals.json"
@@ -73,6 +76,10 @@ def cases():
             yield f"{variant.value}@{vdd}:timing", "\n".join((
                 _attempt(delay_estimate, net, "sum", cfg),
                 _attempt(_events, net, benchmark_stimulus(vdd, PERIOD), cfg)))
+    for axis in AXES:
+        yield f"sweep:{axis}", "".join(
+            f"{p.variant} {p.value!r} {p.delay_s!r} {p.power_w!r} {p.pdp_j!r}\n"
+            for p in run_sweep(SweepSpec(axis=axis)))
     rng = random.Random(CORPUS_SEED)
     cfg = SimConfig()
     for i in range(CORPUS_SIZE):

@@ -6,12 +6,14 @@ the numbers means the electrical model changed.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from tritsim import (BOTH_VARIANTS, DEFAULT_VALUES, ConfigError, DesignVariant,
-                     SweepSpec, benchmark_stimulus, fixture_text, run_sweep,
-                     sweep_csv, truth_table_csv)
+from tritsim import (BOTH_VARIANTS, DEFAULT_VALUES, BuildConfig, ConfigError, DesignVariant,
+                     SimConfig, SweepSpec, bench, benchmark_stimulus, build_design,
+                     delay_estimate, fixture_text, run_sweep, sim, sweep_csv, transient,
+                     truth_table_csv)
 from tritsim.cli import main
 
 LOAD_POINT_CSV = (
@@ -131,6 +133,47 @@ def test_row_count_is_variants_times_values():
 def test_sweep_is_deterministic():
     spec = SweepSpec(axis="vdd", values=(1.0,))
     assert sweep_csv(run_sweep(spec)) == sweep_csv(run_sweep(spec))
+
+
+def _count_compiles_and_solves(monkeypatch) -> Counter:
+    """Counts of sim.flatten calls (one per compile) and of sim._solve calls."""
+    counts: Counter = Counter()
+    for name in ("flatten", "_solve"):
+        def counted(*args, _real=getattr(sim, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sim, name, counted)
+    return counts
+
+
+def test_sweep_point_compiles_once_and_solves_each_triple_once(monkeypatch):
+    counts = _count_compiles_and_solves(monkeypatch)
+    run_sweep(SweepSpec(values=(1e-15,), variants=(DesignVariant.DESIGN2,)))
+    assert counts == {"flatten": 1, "_solve": 27}
+
+
+def test_sharing_ends_with_the_sweep_point(monkeypatch):
+    net = build_design(DesignVariant.DESIGN2, BuildConfig())
+    cfg = SimConfig()
+    stimulus = benchmark_stimulus(cfg.vdd, 4e-9)
+    counts = _count_compiles_and_solves(monkeypatch)
+
+    def direct_pair():
+        counts.clear()
+        delay_estimate(net, "sum", cfg)
+        transient(net, stimulus, cfg)
+        return dict(counts)
+
+    run_sweep(SweepSpec(values=(1e-15,), variants=(DesignVariant.DESIGN2,)))
+    assert direct_pair() == {"flatten": 2, "_solve": 54}
+
+    def fails(*args):
+        raise RuntimeError("transient failed")
+
+    monkeypatch.setattr(bench, "transient", fails)
+    with pytest.raises(RuntimeError):
+        run_sweep(SweepSpec(values=(1e-15,), variants=(DesignVariant.DESIGN2,)))
+    assert direct_pair() == {"flatten": 2, "_solve": 54}
 
 
 # --- cli: truth-table -------------------------------------------------------

@@ -2,6 +2,7 @@
 model, across the validated supply envelope, plus fixture synchronization."""
 
 import itertools
+import random
 
 import pytest
 
@@ -64,7 +65,27 @@ def test_unknown_variant_rejected():
 
 # --- chirality selection ----------------------------------------------------
 
+def _table_scan():
+    """Every semiconducting chirality up to n1 = 140 with its Vth, in (n1, n2)
+    order."""
+    return [(threshold_voltage(c), c) for n1 in range(1, 141) for n2 in range(0, n1 + 1)
+            if is_semiconducting(c := Chirality(n1, n2))]
+
+
+def _brute_pick(table, lo, hi):
+    if not 0 <= lo < hi:
+        return None
+    best = None
+    for vth, c in table:
+        if lo < vth < hi:
+            key = (-min(vth - lo, hi - vth), c.n1, c.n2)
+            if best is None or key < best[0]:
+                best = (key, c)
+    return best and best[1]
+
+
 def test_pick_chirality_maximizes_margin():
+    table = _table_scan()
     lo, hi = 0.3, 0.45
     c = pick_chirality(lo, hi)
     assert is_semiconducting(c)
@@ -72,14 +93,32 @@ def test_pick_chirality_maximizes_margin():
     assert lo < vth < hi
     margin = min(vth - lo, hi - vth)
     # brute re-scan: no candidate does better
-    for n1 in range(1, 140):
-        for n2 in range(0, n1 + 1):
-            cand = Chirality(n1, n2)
-            if not is_semiconducting(cand):
-                continue
-            v = threshold_voltage(cand)
-            if lo < v < hi:
-                assert min(v - lo, hi - v) <= margin + 1e-15
+    for v, _ in table:
+        if lo < v < hi:
+            assert min(v - lo, hi - v) <= margin + 1e-15
+
+    # the exact pick of a full scan, tie-break included, over a dense set of
+    # windows: every detector window the builders ask for at vdd 0.6..1.05,
+    # windows whose ends or midpoint sit on a table Vth, and random ones
+    windows = [(a * vdd / 6, (a + 1) * vdd / 6)
+               for vdd in (0.6, 0.8, 0.9, 1.0, 1.05, *(0.6 + i * 0.005 for i in range(91)))
+               for a in range(6)]
+    vths = sorted({v for v, _ in table if v < 1.2})
+    for i in range(0, len(vths) - 2, 9):
+        v0, v1, v2 = vths[i:i + 3]
+        # (2*v0 - v1, v1) and v1 -+ 2**-5 have their midpoints exactly on v0, v1
+        windows += [(v0, v2), (v0, v1), (2 * v0 - v1, v1), (v0, 2 * v1 - v0),
+                    (v1 - 2 ** -5, v1 + 2 ** -5)]
+    rng = random.Random(4)
+    windows += [(lo, lo + rng.uniform(1e-4, 0.5))
+                for lo in (rng.uniform(0.0, 1.1) for _ in range(200))]
+    for lo, hi in windows:
+        want = _brute_pick(table, lo, hi)
+        if want is None:
+            with pytest.raises(ConfigError):
+                pick_chirality(lo, hi)
+        else:
+            assert pick_chirality(lo, hi) == want, (lo, hi)
 
 
 def test_pick_chirality_is_deterministic():

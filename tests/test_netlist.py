@@ -122,6 +122,10 @@ X1 p q delay
     ("C1 a b nanf\n.end\n", 1, 8, "finite"),
     ("C1 a b infp\n.end\n", 1, 8, "finite"),
     ("C1 a b 1e999\n.end\n", 1, 8, "finite"),
+    ("C1 a GND inf\n.end\n", 1, 10, "got 'inf'"),
+    ("C1 a GND nan\n.end\n", 1, 10, "got 'nan'"),
+    ("C1 a GND nanf\n.end\n", 1, 10, "got 'nanf'"),
+    ("C1 a GND 1xp\n.end\n", 1, 10, "got '1xp'"),
 ])
 def test_syntax_error_positions(text, line, col, fragment):
     with pytest.raises(NetlistSyntaxError) as e:

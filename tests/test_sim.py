@@ -5,12 +5,14 @@ settles at max(gate arrivals along its drive path) plus the Elmore sum of
 accumulated resistance (30 kOhm / tubes per device) times node capacitance.
 """
 
+import random
+
 import pytest
 
 from conftest import sim_symbol
 from tritsim import (ConfigError, Measurement, NoPath, NonConvergent, SimConfig,
-                     Strength, delay_estimate, measure, parse, steady_state, transient,
-                     waveform_csv, waveform_vcd)
+                     Strength, WaveEvent, Waveform, delay_estimate, measure, parse,
+                     steady_state, transient, waveform_csv, waveform_vcd)
 from tritsim.sim import _trit_symbol
 
 CFG = SimConfig()
@@ -236,6 +238,14 @@ def test_transient_validates_stimulus():
         transient(n, [(0.0, {"a": 0.0}), (0.0, {"a": 0.9})], CFG)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_transient_rejects_non_finite_times(bad):
+    n = net(".input a\nMn y a GND nfet 19 0 3\n")
+    for times in ((0.0, bad), (bad, 1e-9), (bad,)):
+        with pytest.raises(ConfigError, match="finite"):
+            transient(n, [(t, {"a": 0.9}) for t in times], CFG)
+
+
 def test_event_times_are_monotone_per_node():
     n = net(".input a\nMp x a VDD pfet 19 0 3\nMn x a GND nfet 19 0 3\nC1 x GND 1f\n")
     stim = [(k * 1e-12, {"a": 0.9 if k % 2 else 0.0}) for k in range(6)]
@@ -262,6 +272,37 @@ def test_measure_empty_and_invalid():
     with pytest.raises(ConfigError):
         measure(transient(net(".input a\nMn y a GND nfet 19 0 3\n"),
                           [(0.0, {"a": 0.9})], CFG), 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_measure_rejects_non_finite_numbers(bad):
+    w = Waveform([WaveEvent(1e-9, "y", 0.0, 0.9, 1e-16)], [0.0, 1e-9])
+    with pytest.raises(ConfigError, match="finite"):
+        measure(w, bad)
+    w.edge_times.append(bad)
+    with pytest.raises(ConfigError, match="finite"):
+        measure(w, 2e-9)
+
+
+def test_measure_matches_a_scan_over_any_edge_list():
+    """Each event's edge is the latest edge time at or before it (0.0 when
+    none is), whatever the order of edge_times or repeats in it."""
+    def scan(w, duration):
+        power = sum(e.energy for e in w.events) / duration
+        worst = 0.0
+        for e in w.events:
+            edge = max((t for t in w.edge_times if t <= e.time), default=0.0)
+            worst = max(worst, e.time - edge)
+        return Measurement(power, worst, power * worst)
+
+    rng = random.Random(7)
+    for _ in range(300):
+        edges = [rng.choice((0.0, -0.0, 1e-9, 2e-9, 3.5e-9, rng.uniform(-1e-9, 5e-9)))
+                 for _ in range(rng.randrange(6))]
+        events = [WaveEvent(rng.choice(edges + [rng.uniform(-2e-9, 6e-9)]), "y", 0.0, 0.9,
+                            rng.uniform(0, 1e-15)) for _ in range(rng.randrange(1, 6))]
+        w = Waveform(events, edges)
+        assert repr(measure(w, 5e-9)) == repr(scan(w, 5e-9))
 
 
 def test_waveform_csv_golden():
