@@ -5,8 +5,9 @@ A sweep point rebuilds the selected variant at the point's supply voltage
 time over every input combination, and measures average switching power by
 replaying the 27-entry exhaustive input sequence at the point's clock
 period.  The power-delay product multiplies those two numbers.  Both
-analyses of a point run inside one sim.shared_point() scope, so the point
-compiles its netlist once and solves each of the 27 input triples once.
+analyses of a point run inside one sim.shared_point() scope, so they share
+one compiled netlist and its solves: the point compiles once and solves
+each of the 27 input triples once.
 
 The device model has no temperature dependence, so a temperature axis is
 rejected up front instead of producing flat lines that look like data.

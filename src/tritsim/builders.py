@@ -24,6 +24,7 @@ multi-threshold design knob the cell library itself is built on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -114,8 +115,8 @@ class BuildConfig:
             raise ConfigError(f"builders are validated for vdd in [0.6, 1.05], got {self.vdd}")
         if self.tubes < 1:
             raise ConfigError("tubes must be >= 1")
-        if self.input_cap <= 0 or self.parasitic_cap <= 0:
-            raise ConfigError("capacitances must be strictly positive")
+        if not all(math.isfinite(c) and c > 0 for c in (self.input_cap, self.parasitic_cap)):
+            raise ConfigError("capacitances must be finite and strictly positive")
         v_lo = threshold_voltage(self.low_vth)
         v_hi = threshold_voltage(self.high_vth)
         if not 0 < v_lo < self.vdd / 2:

@@ -37,7 +37,7 @@ def _variants(arg: str):
 
 
 def _read_netlist(path: str):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return parse(fh.read())
 
 
@@ -62,6 +62,8 @@ def _parse_inputs(spec: str, vdd: float) -> dict[str, float]:
         value = value.strip()
         if not node or not value:
             raise ConfigError(f"malformed input assignment {item!r}, expected node=value")
+        if node in out:
+            raise ConfigError(f"input {node} is assigned twice")
         if value in ("0", "1", "2"):
             out[node] = levels[int(value)]
             continue

@@ -148,8 +148,9 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
                     f"({d.fet.chirality.n1}, {d.fet.chirality.n2})")
             referenced.update(_device_nodes(d))
         elif isinstance(d, Capacitor):
-            if not d.farads > 0:
-                raise NetlistSemanticError(f"device {d.name}: capacitance must be positive")
+            if not (math.isfinite(d.farads) and d.farads > 0):
+                raise NetlistSemanticError(
+                    f"device {d.name}: capacitance must be finite and positive")
             referenced.update(_device_nodes(d))
         elif isinstance(d, FixedSource):
             if not math.isfinite(d.volts):
@@ -313,9 +314,15 @@ def _parse_device(toks: list[tuple[str, int]], lineno: int) -> Device:
 
 
 def parse(text: str | bytes) -> Netlist:
-    """Parse .tnl text into a validated Netlist."""
+    """Parse .tnl text (bytes are read as UTF-8) into a validated Netlist."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            # the bad byte's line and column, counted as for decoded text
+            head = (text[:e.start].decode("utf-8") + "?").splitlines()
+            raise NetlistSyntaxError(len(head), len(head[-1]),
+                                     f"byte 0x{text[e.start]:02x} is not UTF-8 text") from None
     name = "netlist"
     name_seen = False
     devices: list[Device] = []

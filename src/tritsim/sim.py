@@ -15,12 +15,12 @@ exposes an unresolved gate net within its validated supply range.
 Each public call (steady_state, delay_estimate, transient) flattens and
 validates its netlist once and compiles it to integer node indices, sorted by
 node name, with per-FET threshold voltage and on-resistance, capacitor
-adjacency and per-node capacitance; every solve of that call reuses it.
+adjacency and per-node capacitance.  The compiled form memoizes its solves,
+one per pin assignment, and each solve keeps its arrival times once timed.
 Inside a shared_point() scope, which bench.run_sweep opens around each sweep
-point, calls on the same Netlist object and SimConfig also share the compiled
-form, one solve per pin assignment and one arrival pass per solve, so a
-point's delay_estimate and transient solve each input triple once.  Outside
-the scope nothing is cached.
+point, calls on the same Netlist object and SimConfig share the compiled form
+and so its solves: a point's delay_estimate and transient solve each input
+triple once.  Outside the scope the compiled form lives for one call.
 Each sweep re-evaluates conduction from the previous state snapshot, so the
 result cannot depend on device declaration order.  A state that fails to
 repeat within max_iterations raises NonConvergent.
@@ -68,9 +68,6 @@ class Signal:
     level: float | str
     strength: Strength | None
 
-    def is_numeric(self) -> bool:
-        return not isinstance(self.level, str)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -102,8 +99,9 @@ class SimConfig:
 
 class _Compiled(NamedTuple):
     """A flattened, validated netlist on integer node indices, built once per
-    public call.  Nodes are numbered in sorted name order, so the smallest
-    index is also the smallest name."""
+    public call (or per shared_point() scope) with the solves run on it.
+    Nodes are numbered in sorted name order, so the smallest index is also
+    the smallest name."""
 
     flat: Netlist
     names: list[str]
@@ -114,36 +112,32 @@ class _Compiled(NamedTuple):
     cap_adj: list[list[tuple[int, float]]]          # per node (neighbor, farads), device order
     node_cap: list[float]                           # per node, probes carry c_out_load
     fixed: list[tuple[int, float]]                  # rails, then fixed sources
+    solves: dict[str, _Solve]                       # by pin assignment, see _solved
 
 
-class _Solve(NamedTuple):
-    signals: dict[str, Signal]
+@dataclass
+class _Solve:
     levels: list[float | str]          # per node index
     strengths: list[Strength | None]   # per node index
     pins: list[float | None]           # per node index
     conducting: list[int]              # FET indices
+    arrivals: dict[int, float] | None = None   # per node index, see _timed
 
 
-class _Shared(NamedTuple):
-    """What one sweep point's calls share; it lives only as long as the
-    scope that shared_point() opens.  Keys hold ids of objects the tables
-    keep alive, so an id cannot be reused while the scope lasts."""
-
-    compiled: dict[tuple[int, SimConfig], tuple[Netlist, _Compiled]]
-    solves: dict[tuple[int, tuple[float | None, ...]], tuple[_Compiled, _Solve]]
-    arrivals: dict[int, dict[int, float]]           # by id of a solve in solves
-
-
-_SHARED: ContextVar[_Shared | None] = ContextVar("tritsim_shared_point", default=None)
+# The compiled forms of a shared_point() scope by (id of the Netlist, config);
+# each entry keeps its Netlist alive, so an id cannot be reused in the scope.
+_SHARED: ContextVar[dict[tuple[int, SimConfig], tuple[Netlist, _Compiled]] | None] = \
+    ContextVar("tritsim_shared_point", default=None)
 
 
 @contextmanager
 def shared_point() -> Iterator[None]:
     """Within the block, calls on the same Netlist object and SimConfig
-    compile it once, solve each pin assignment once and time each solve
-    once.  The netlist must not change inside the block.  Everything is
-    dropped on exit, also when the block raises."""
-    token = _SHARED.set(_Shared({}, {}, {}))
+    share one compiled form, so they compile it once, solve each pin
+    assignment once and time each solve once.  The netlist must not change
+    inside the block.  Everything is dropped on exit, also when the block
+    raises."""
+    token = _SHARED.set({})
     try:
         yield
     finally:
@@ -152,8 +146,8 @@ def shared_point() -> Iterator[None]:
 
 def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     shared = _SHARED.get()
-    if shared is not None and (id(n), cfg) in shared.compiled:
-        return shared.compiled[id(n), cfg][1]
+    if shared is not None and (id(n), cfg) in shared:
+        return shared[id(n), cfg][1]
     flat = flatten(n)
     flat.validate()
     names = sorted(flat.node_ids())
@@ -185,9 +179,9 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             fixed.append((index[d.node], d.volts))
     for node in flat.probed():
         node_cap[index[node]] += cfg.c_out_load
-    comp = _Compiled(flat, names, index, fets, fet_r, caps, cap_adj, node_cap, fixed)
+    comp = _Compiled(flat, names, index, fets, fet_r, caps, cap_adj, node_cap, fixed, {})
     if shared is not None:
-        shared.compiled[id(n), cfg] = (n, comp)
+        shared[id(n), cfg] = (n, comp)
     return comp
 
 
@@ -212,8 +206,9 @@ def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]
         i = comp.index.get(node)
         if i is None:
             raise ConfigError(f"input assignment to unknown node {node!r}")
-        if node in (VDD, GND):
-            raise ConfigError(f"cannot reassign rail {node}")
+        if pins[i] is not None:
+            what = "rail" if node in (VDD, GND) else "fixed-source node"
+            raise ConfigError(f"cannot reassign {what} {node}")
         volts = float(volts)
         if not math.isfinite(volts):
             raise ConfigError(f"input {node} must be a finite voltage, got {volts!r}")
@@ -327,30 +322,28 @@ def _solve(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
                 new_levels[m], new_strengths[m] = level, strength
 
         if new_levels == levels and new_strengths == strengths:
-            signals = {name: Signal(lvl, st)
-                       for name, lvl, st in zip(comp.names, levels, strengths)}
-            return _Solve(signals, levels, strengths, pins, on)
+            return _Solve(levels, strengths, pins, on)
         levels, strengths = new_levels, new_strengths
 
     raise NonConvergent(f"no fixpoint within {cfg.max_iterations} sweeps")
 
 
-def _shared_solve(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
-    """_solve, run once per pin assignment inside a shared_point() scope."""
-    shared = _SHARED.get()
-    if shared is None:
-        return _solve(comp, pins, cfg)
-    key = (id(comp), tuple(pins))
-    if key not in shared.solves:
-        shared.solves[key] = (comp, _solve(comp, pins, cfg))
-    return shared.solves[key][1]
+def _solved(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
+    """_solve, run once per pin assignment of the compiled form."""
+    key = str(pins)     # not tuple(pins): -0.0 == 0.0, but the levels keep the sign
+    solve = comp.solves.get(key)
+    if solve is None:
+        solve = comp.solves[key] = _solve(comp, pins, cfg)
+    return solve
 
 
 def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
                  cfg: SimConfig = SimConfig()) -> dict[str, Signal]:
     """Resolve every node of the netlist under the given input voltages."""
     comp = _compile(n, cfg)
-    return _solve(comp, _pin_map(comp, inputs or {}), cfg).signals
+    solve = _solved(comp, _pin_map(comp, inputs or {}), cfg)
+    return {name: Signal(lvl, st)
+            for name, lvl, st in zip(comp.names, solve.levels, solve.strengths)}
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +422,11 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
             if strengths[i] is not None or pins[i] is not None}
 
 
-def _shared_arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
-    """_arrivals, run once per solve inside a shared_point() scope; solve
-    must come from _shared_solve, whose table keeps it alive."""
-    shared = _SHARED.get()
-    if shared is None:
-        return _arrivals(comp, solve)
-    if id(solve) not in shared.arrivals:
-        shared.arrivals[id(solve)] = _arrivals(comp, solve)
-    return shared.arrivals[id(solve)]
+def _timed(comp: _Compiled, solve: _Solve) -> dict[int, float]:
+    """_arrivals, run once per solve."""
+    if solve.arrivals is None:
+        solve.arrivals = _arrivals(comp, solve)
+    return solve.arrivals
 
 
 def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
@@ -454,21 +443,17 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
     if out is None:
         raise NoPath(f"unknown output node {output_node!r}")
     if inputs is not None:
-        solve = _shared_solve(comp, _pin_map(comp, inputs), cfg)
-        arr = _shared_arrivals(comp, solve)
-        if out not in arr or solve.strengths[out] is None:
+        arr = _timed(comp, _solved(comp, _pin_map(comp, inputs), cfg))
+        if out not in arr:
             raise NoPath(f"output {output_node} is not driven")
         return arr[out]
     worst = None
     for assign in _exhaustive_inputs(sorted(comp.flat.inputs), cfg.vdd):
-        solve = _shared_solve(comp, _pin_map(comp, assign), cfg)
-        if solve.strengths[out] is None:
-            continue
-        if not solve.signals[output_node].is_numeric():
-            continue
-        arr = _shared_arrivals(comp, solve)
-        t = arr.get(out)
-        if t is not None and (worst is None or t > worst):
+        solve = _solved(comp, _pin_map(comp, assign), cfg)
+        if isinstance(solve.levels[out], str):
+            continue    # 'z' (undriven) or 'x'
+        t = _timed(comp, solve)[out]
+        if worst is None or t > worst:
             worst = t
     if worst is None:
         raise NoPath(f"output {output_node} is never driven")
@@ -514,15 +499,15 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     w = Waveform(edge_times=list(times))
 
     current: dict[str, float] = dict(stimulus[0][1])
-    solve = _shared_solve(comp, _pin_map(comp, current), cfg)
+    solve = _solved(comp, _pin_map(comp, current), cfg)
     w.initial_levels = dict(zip(comp.names, solve.levels))
     prev_levels = list(solve.levels)
     last_emit: dict[int, float] = {}
 
     for t_edge, assigns in stimulus[1:]:
         current.update(assigns)
-        solve = _shared_solve(comp, _pin_map(comp, current), cfg)
-        arr = _shared_arrivals(comp, solve)
+        solve = _solved(comp, _pin_map(comp, current), cfg)
+        arr = _timed(comp, solve)
         batch = []
         for i, node in enumerate(comp.names):
             new = solve.levels[i]

@@ -302,6 +302,27 @@ def test_cli_simulate_needs_exactly_one_source(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inputs,message", [
+    ("a=0,b=0,cin=0,half=0.1", "cannot reassign fixed-source node half"),
+    ("a=0,a=2,b=0,cin=0", "input a is assigned twice"),
+])
+def test_cli_simulate_rejects_conflicting_inputs(capsys, inputs, message):
+    assert main(["simulate", "--design", "2", "--inputs", inputs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["simulate"]])
+def test_cli_rejects_a_netlist_that_is_not_utf8(tmp_path, capsys, argv):
+    path = tmp_path / "bad.tnl"
+    path.write_bytes(b"* bad\n\xff\n.end\n")
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2, col 1: byte 0xff is not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--values", "nan"],
     ["sweep", "--values", "1e-15", "inf"],

@@ -54,6 +54,10 @@ def test_build_config_validates_scalars():
         BuildConfig(input_cap=0.0)
     with pytest.raises(ConfigError):
         BuildConfig(parasitic_cap=-1e-16)
+    for field in ("input_cap", "parasitic_cap"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                BuildConfig(**{field: bad})
 
 
 def test_unknown_variant_rejected():

@@ -52,6 +52,17 @@ def test_parse_accepts_bytes():
     assert n == parse(SAMPLE)
 
 
+@pytest.mark.parametrize("data,line,col", [
+    (b"\xff", 1, 1),
+    (b"* t\n\xff\n.end\n", 2, 1),
+    (b"* t\r\nC1 a\xc3\xa9 \xff\n.end\n", 2, 7),   # columns count characters
+])
+def test_parse_rejects_bytes_that_are_not_utf8(data, line, col):
+    with pytest.raises(NetlistSyntaxError, match="not UTF-8") as e:
+        parse(data)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_rail_and_keyword_case_folding():
     n = parse("* t\nM1 y a vdd PFET 19 0 1\nC1 y Gnd 1f\n.END\n")
     assert n.devices[0].fet.source == "VDD"
@@ -138,6 +149,9 @@ def test_syntax_error_positions(text, line, col, fragment):
 def test_validate_rejects_non_finite_values_built_in_code():
     with pytest.raises(NetlistSemanticError, match="positive"):
         Netlist("hand", [Capacitor("C1", "a", "b", float("nan"))]).validate()
+    for farads in (float("inf"), -float("inf")):
+        with pytest.raises(NetlistSemanticError, match="finite"):
+            Netlist("hand", [Capacitor("C1", "a", "b", farads)]).validate()
     with pytest.raises(NetlistSemanticError, match="finite"):
         Netlist("hand", [FixedSource("V1", "a", float("inf")),
                          Capacitor("C1", "a", "b", 1e-15)]).validate()

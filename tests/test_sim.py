@@ -11,9 +11,9 @@ import pytest
 
 from conftest import sim_symbol
 from tritsim import (ConfigError, Measurement, NoPath, NonConvergent, SimConfig,
-                     Strength, WaveEvent, Waveform, delay_estimate, measure, parse,
-                     steady_state, transient, waveform_csv, waveform_vcd)
-from tritsim.sim import _trit_symbol
+                     Strength, WaveEvent, Waveform, build_sti, delay_estimate, measure, parse,
+                     sim, steady_state, transient, waveform_csv, waveform_vcd)
+from tritsim.sim import _trit_symbol, shared_point
 
 CFG = SimConfig()
 
@@ -96,8 +96,11 @@ def test_input_validation():
     n = net(".input a\nMn y a GND nfet 19 0 1\n")
     with pytest.raises(ConfigError):
         steady_state(n, {"ghost": 0.9}, CFG)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="rail"):
         steady_state(n, {"a": 0.9, "GND": 0.3}, CFG)
+    with pytest.raises(ConfigError, match="fixed-source node h"):
+        steady_state(net(".input a\nV1 h 0.45\nMn h a GND nfet 19 0 1\n"),
+                     {"a": 0.9, "h": 0.1}, CFG)
     with pytest.raises(ConfigError):
         steady_state(n, {}, CFG)          # declared input left unassigned
     for volts in (float("nan"), float("inf"), -float("inf")):
@@ -244,6 +247,68 @@ def test_transient_rejects_non_finite_times(bad):
     for times in ((0.0, bad), (bad, 1e-9), (bad,)):
         with pytest.raises(ConfigError, match="finite"):
             transient(n, [(t, {"a": 0.9}) for t in times], CFG)
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, _real=sim._solve):
+        calls.append(args)
+        return _real(*args)
+    monkeypatch.setattr(sim, "_solve", counted)
+    return calls
+
+
+# an sti cell driven 0, 2, 0, 2; frozen from the solver that re-solved every edge
+STI_0202_EVENTS = [
+    (1e-09, "in", 0.0, 0.9, 0.0),
+    (1.0010000000000002e-09, "snti", 0.9, 0.0, 4.0500000000000005e-17),
+    (1.0010000000000002e-09, "sonx", "z", 0.9, 0.0),
+    (1.0010000000000002e-09, "spti", 0.9, 0.0, 4.0500000000000005e-17),
+    (1.002e-09, "sptib", 0.0, 0.9, 4.0500000000000005e-17),
+    (1.01e-09, "out", 0.9, 0.0, 4.0500000000000007e-16),
+    (2e-09, "in", 0.9, 0.0, 0.0),
+    (2e-09, "sonx", 0.9, "z", 0.0),
+    (2.001e-09, "snti", 0.0, 0.9, 4.0500000000000005e-17),
+    (2.001e-09, "spti", 0.0, 0.9, 4.0500000000000005e-17),
+    (2.0020000000000003e-09, "sptib", 0.9, 0.0, 4.0500000000000005e-17),
+    (2.0100000000000003e-09, "out", 0.0, 0.9, 4.0500000000000007e-16),
+    (3e-09, "in", 0.0, 0.9, 0.0),
+    (3.001e-09, "snti", 0.9, 0.0, 4.0500000000000005e-17),
+    (3.001e-09, "sonx", "z", 0.9, 0.0),
+    (3.001e-09, "spti", 0.9, 0.0, 4.0500000000000005e-17),
+    (3.002e-09, "sptib", 0.0, 0.9, 4.0500000000000005e-17),
+    (3.01e-09, "out", 0.9, 0.0, 4.0500000000000007e-16),
+]
+
+
+def test_transient_solves_a_revisited_assignment_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    stimulus = [(0.0, {"in": 0.0}), (1e-9, {"in": 0.9}), (2e-9, {"in": 0.0}),
+                (3e-9, {"in": 0.9})]
+    w = transient(build_sti(), stimulus, CFG)
+    assert len(calls) == 2
+    assert [tuple(e) for e in w.events] == STI_0202_EVENTS
+
+
+def test_transient_keeps_the_sign_of_a_revisited_zero_input():
+    n = net(".input a\nMp x a VDD pfet 19 0 3\nMn x a GND nfet 19 0 3\nC1 x GND 1f\n")
+    stimulus = [(0.0, {"a": 0.9}), (1e-9, {"a": -0.0}), (2e-9, {"a": 0.9}), (3e-9, {"a": 0.0})]
+    w = transient(n, stimulus, CFG)
+    assert [(e.node, repr(e.new)) for e in w.events if e.node == "a"] == [
+        ("a", "-0.0"), ("a", "0.9"), ("a", "0.0")]
+
+
+def test_steady_state_result_is_the_callers_own_inside_a_shared_point(monkeypatch):
+    n = build_sti()
+    calls = _count_solves(monkeypatch)
+    with shared_point():
+        first = steady_state(n, {"in": 0.9}, CFG)
+        want = dict(first)
+        first["out"] = "mutated"
+        del first["in"]
+        assert steady_state(n, {"in": 0.9}, CFG) == want
+    assert len(calls) == 1
 
 
 def test_event_times_are_monotone_per_node():
