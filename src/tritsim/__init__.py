@@ -1,8 +1,8 @@
 """Switch-level toolkit for ternary CNFET logic.
 
 Layers, bottom up: cnfet (device physics), trits (ternary arithmetic and
-voltage mapping), cells (ideal cell transfer functions and the two adder
-datasheets), netlist (.tnl text format), sim (steady state, timing, events),
+voltage mapping), cells (ideal cell transfer functions and the behavioral
+adder), netlist (.tnl text format), sim (steady state, timing, events),
 builders (structural netlists of the cells and adders), bench (benchmark
 sweeps).  The tritsim console script fronts all of it.
 """
@@ -11,7 +11,7 @@ from .bench import AXES, BOTH_VARIANTS, DEFAULT_VALUES, SweepPoint, SweepSpec, \
     benchmark_stimulus, run_sweep, sweep_csv
 from .builders import BuildConfig, FIXTURE_NAMES, build_design, build_nti, build_pti, \
     build_sti, build_tgate, fixture_text, load_fixture, pick_chirality
-from .cells import AdderDesign, DesignVariant, SelectorState, TernaryCellKind, adder_eval, \
+from .cells import DesignVariant, SelectorState, TernaryCellKind, adder_eval, \
     band_eval, carry_gen, cell_eval, datasheet_csv, datasheet_rows, selectors, \
     sum_node_voltage, tgate_eval
 from .cnfet import Chirality, CnfetInstance, DIAMETER_COEF_NM, DeviceParams, Polarity, \
@@ -31,7 +31,7 @@ from .trits import Trit, TritVector, VoltageMap, base3_value, decompose, from_in
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXES", "AdderDesign", "BOTH_VARIANTS", "BuildConfig", "Capacitor", "Chirality",
+    "AXES", "BOTH_VARIANTS", "BuildConfig", "Capacitor", "Chirality",
     "CnfetInstance", "ConfigError", "DEFAULT_VALUES", "DIAMETER_COEF_NM", "DesignVariant",
     "DeviceParams", "FIXTURE_NAMES", "Fet", "FixedSource", "GND", "Instance", "Measurement",
     "MetallicTube", "Netlist", "NetlistError", "NetlistSemanticError", "NetlistSyntaxError",

@@ -24,7 +24,6 @@ multi-threshold design knob the cell library itself is built on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -95,38 +94,28 @@ def pick_chirality(lo: float, hi: float) -> Chirality:
     return min((table[i][1] for i in range(first, last + 1)), key=lambda c: (c.n1, c.n2))
 
 
+# The two stock chirality classes every cell is wired from; the sum-node
+# detectors pick their own chiralities per vdd.  LOW_VTH (0.289 V) switches
+# below vdd/2 and HIGH_VTH (0.549 V) between vdd/2 and vdd across the whole
+# validated supply envelope.
+LOW_VTH = Chirality(19, 0)
+HIGH_VTH = Chirality(10, 0)
+TUBES = 3                   # parallel tubes per device
+INPUT_CAP = 1e-15           # each averaging capacitor of the adder front end
+PARASITIC_CAP = 1e-16       # on each internal cell node
+
+
 @dataclass(frozen=True)
 class BuildConfig:
-    """Knobs for the structural builders.
-
-    low_vth / high_vth are the two stock chirality classes every cell is
-    wired from; the sum-node detectors pick their own chiralities per vdd.
+    """The supply voltage the builders target: it sets the half rail and the
+    detector chiralities.  The builders are validated for vdd in [0.6, 1.05].
     """
 
     vdd: float = 0.9
-    low_vth: Chirality = Chirality(19, 0)
-    high_vth: Chirality = Chirality(10, 0)
-    tubes: int = 3
-    input_cap: float = 1e-15
-    parasitic_cap: float = 1e-16
 
     def __post_init__(self):
         if not 0.6 <= self.vdd <= 1.05:
             raise ConfigError(f"builders are validated for vdd in [0.6, 1.05], got {self.vdd}")
-        if self.tubes < 1:
-            raise ConfigError("tubes must be >= 1")
-        if not all(math.isfinite(c) and c > 0 for c in (self.input_cap, self.parasitic_cap)):
-            raise ConfigError("capacitances must be finite and strictly positive")
-        v_lo = threshold_voltage(self.low_vth)
-        v_hi = threshold_voltage(self.high_vth)
-        if not 0 < v_lo < self.vdd / 2:
-            raise ConfigError(
-                f"low Vth class must switch below vdd/2; ({self.low_vth.n1},"
-                f"{self.low_vth.n2}) gives {v_lo:.4f} V at vdd={self.vdd}")
-        if not self.vdd / 2 < v_hi < self.vdd:
-            raise ConfigError(
-                f"high Vth class must switch between vdd/2 and vdd; ({self.high_vth.n1},"
-                f"{self.high_vth.n2}) gives {v_hi:.4f} V at vdd={self.vdd}")
 
 
 class _Builder:
@@ -136,9 +125,9 @@ class _Builder:
         self.net = Netlist(name, [])
 
     def fet(self, name: str, drain: str, gate: str, source: str,
-            polarity: Polarity, chirality: Chirality, tubes: int):
+            polarity: Polarity, chirality: Chirality):
         self.net.devices.append(
-            Fet(name, CnfetInstance(polarity, chirality, tubes, drain, gate, source)))
+            Fet(name, CnfetInstance(polarity, chirality, TUBES, drain, gate, source)))
 
     def cap(self, name: str, a: str, b: str, farads: float):
         self.net.devices.append(Capacitor(name, a, b, farads))
@@ -152,23 +141,20 @@ class _Builder:
     def mark_inputs(self, *nodes: str):
         self.net.inputs = self.net.inputs | frozenset(nodes)
 
-    def inverter(self, prefix: str, inp: str, out: str, nch: Chirality,
-                 pch: Chirality, tubes: int):
-        self.fet(f"M{prefix}p", out, inp, "VDD", Polarity.PFET, pch, tubes)
-        self.fet(f"M{prefix}n", out, inp, "GND", Polarity.NFET, nch, tubes)
+    def inverter(self, prefix: str, inp: str, out: str, cls: Chirality):
+        self.fet(f"M{prefix}p", out, inp, "VDD", Polarity.PFET, cls)
+        self.fet(f"M{prefix}n", out, inp, "GND", Polarity.NFET, cls)
 
-    def nor2(self, prefix: str, in_a: str, in_b: str, out: str,
-             cls: Chirality, tubes: int):
+    def nor2(self, prefix: str, in_a: str, in_b: str, out: str, cls: Chirality):
         mid = f"{prefix}x"
-        self.fet(f"M{prefix}p1", mid, in_a, "VDD", Polarity.PFET, cls, tubes)
-        self.fet(f"M{prefix}p2", out, in_b, mid, Polarity.PFET, cls, tubes)
-        self.fet(f"M{prefix}n1", out, in_a, "GND", Polarity.NFET, cls, tubes)
-        self.fet(f"M{prefix}n2", out, in_b, "GND", Polarity.NFET, cls, tubes)
+        self.fet(f"M{prefix}p1", mid, in_a, "VDD", Polarity.PFET, cls)
+        self.fet(f"M{prefix}p2", out, in_b, mid, Polarity.PFET, cls)
+        self.fet(f"M{prefix}n1", out, in_a, "GND", Polarity.NFET, cls)
+        self.fet(f"M{prefix}n2", out, in_b, "GND", Polarity.NFET, cls)
 
-    def tgate(self, prefix: str, a: str, b: str, ctrl: str, ctrl_b: str,
-              cls: Chirality, tubes: int):
-        self.fet(f"M{prefix}tn", a, ctrl, b, Polarity.NFET, cls, tubes)
-        self.fet(f"M{prefix}tp", a, ctrl_b, b, Polarity.PFET, cls, tubes)
+    def tgate(self, prefix: str, a: str, b: str, ctrl: str, ctrl_b: str, cls: Chirality):
+        self.fet(f"M{prefix}tn", a, ctrl, b, Polarity.NFET, cls)
+        self.fet(f"M{prefix}tp", a, ctrl_b, b, Polarity.PFET, cls)
 
     def finish(self) -> Netlist:
         self.net.validate()
@@ -178,68 +164,66 @@ class _Builder:
 # ---------------------------------------------------------------------------
 # standard cells
 
-def build_nti(cfg: BuildConfig = BuildConfig()) -> Netlist:
+def build_nti() -> Netlist:
     """Negative ternary inverter: low-Vth pulldown, high-Vth pullup."""
     b = _Builder("nti")
-    b.fet("Mp", "out", "in", "VDD", Polarity.PFET, cfg.high_vth, cfg.tubes)
-    b.fet("Mn", "out", "in", "GND", Polarity.NFET, cfg.low_vth, cfg.tubes)
+    b.fet("Mp", "out", "in", "VDD", Polarity.PFET, HIGH_VTH)
+    b.fet("Mn", "out", "in", "GND", Polarity.NFET, LOW_VTH)
     b.mark_inputs("in")
     b.probe("out")
     return b.finish()
 
 
-def build_pti(cfg: BuildConfig = BuildConfig()) -> Netlist:
+def build_pti() -> Netlist:
     """Positive ternary inverter: high-Vth pulldown, low-Vth pullup."""
     b = _Builder("pti")
-    b.fet("Mp", "out", "in", "VDD", Polarity.PFET, cfg.low_vth, cfg.tubes)
-    b.fet("Mn", "out", "in", "GND", Polarity.NFET, cfg.high_vth, cfg.tubes)
+    b.fet("Mp", "out", "in", "VDD", Polarity.PFET, LOW_VTH)
+    b.fet("Mn", "out", "in", "GND", Polarity.NFET, HIGH_VTH)
     b.mark_inputs("in")
     b.probe("out")
     return b.finish()
 
 
-def build_tgate(cfg: BuildConfig = BuildConfig()) -> Netlist:
+def build_tgate() -> Netlist:
     """Transmission gate: parallel low-Vth pair, complementary controls c/cb."""
     b = _Builder("tgate")
-    b.tgate("", "out", "in", "c", "cb", cfg.low_vth, cfg.tubes)
+    b.tgate("", "out", "in", "c", "cb", LOW_VTH)
     b.mark_inputs("in", "c", "cb")
     b.probe("out")
     return b.finish()
 
 
-def _sti_stage(b: _Builder, prefix: str, inp: str, out: str, half: str,
-               cfg: BuildConfig):
+def _sti_stage(b: _Builder, prefix: str, inp: str, out: str, half: str):
     """Standard ternary inverter on a full-swing trit node.
 
     Rails via the high-Vth class; the middle level comes from the half rail
     through a transmission gate enabled by a mid-level detector built out of
     an NTI/PTI pair.  16 transistors.
     """
-    t = cfg.tubes
     nti = f"{prefix}nti"
     pti = f"{prefix}pti"
     ptib = f"{prefix}ptib"
     one = f"{prefix}one"
     oneb = f"{prefix}oneb"
-    b.fet(f"M{prefix}up", out, inp, "VDD", Polarity.PFET, cfg.high_vth, t)
-    b.fet(f"M{prefix}dn", out, inp, "GND", Polarity.NFET, cfg.high_vth, t)
-    b.fet(f"M{prefix}ntip", nti, inp, "VDD", Polarity.PFET, cfg.high_vth, t)
-    b.fet(f"M{prefix}ntin", nti, inp, "GND", Polarity.NFET, cfg.low_vth, t)
-    b.fet(f"M{prefix}ptip", pti, inp, "VDD", Polarity.PFET, cfg.low_vth, t)
-    b.fet(f"M{prefix}ptin", pti, inp, "GND", Polarity.NFET, cfg.high_vth, t)
-    b.inverter(f"{prefix}pb", pti, ptib, cfg.low_vth, cfg.low_vth, t)
-    b.nor2(f"{prefix}on", nti, ptib, one, cfg.low_vth, t)
-    b.inverter(f"{prefix}ob", one, oneb, cfg.low_vth, cfg.low_vth, t)
-    b.tgate(f"{prefix}h", out, half, one, oneb, cfg.low_vth, t)
+    b.fet(f"M{prefix}up", out, inp, "VDD", Polarity.PFET, HIGH_VTH)
+    b.fet(f"M{prefix}dn", out, inp, "GND", Polarity.NFET, HIGH_VTH)
+    b.fet(f"M{prefix}ntip", nti, inp, "VDD", Polarity.PFET, HIGH_VTH)
+    b.fet(f"M{prefix}ntin", nti, inp, "GND", Polarity.NFET, LOW_VTH)
+    b.fet(f"M{prefix}ptip", pti, inp, "VDD", Polarity.PFET, LOW_VTH)
+    b.fet(f"M{prefix}ptin", pti, inp, "GND", Polarity.NFET, HIGH_VTH)
+    b.inverter(f"{prefix}pb", pti, ptib, LOW_VTH)
+    b.nor2(f"{prefix}on", nti, ptib, one, LOW_VTH)
+    b.inverter(f"{prefix}ob", one, oneb, LOW_VTH)
+    b.tgate(f"{prefix}h", out, half, one, oneb, LOW_VTH)
     for node in (nti, pti, ptib, one, oneb):
-        b.cap(f"Cp{node}", node, "GND", cfg.parasitic_cap)
+        b.cap(f"Cp{node}", node, "GND", PARASITIC_CAP)
 
 
 def build_sti(cfg: BuildConfig = BuildConfig()) -> Netlist:
     """Standard ternary inverter cell with its own half rail."""
     b = _Builder("sti")
     b.source("Vhalf", "half", cfg.vdd / 2)
-    _sti_stage(b, "s", "in", "out", "half", cfg)
+    _sti_stage(b, "s", "in", "out", "half")
     b.mark_inputs("in")
     b.probe("out")
     return b.finish()
@@ -264,64 +248,63 @@ def _detector(cfg: BuildConfig, kind: str, k: int) -> Chirality:
 
 
 def _common_front_end(b: _Builder, cfg: BuildConfig):
-    t = cfg.tubes
-    lo, hi = cfg.low_vth, cfg.high_vth
+    lo, hi = LOW_VTH, HIGH_VTH
 
     # capacitive averaging node
-    b.cap("Cina", "a", "vsum", cfg.input_cap)
-    b.cap("Cinb", "b", "vsum", cfg.input_cap)
-    b.cap("Cinc", "cin", "vsum", cfg.input_cap)
+    b.cap("Cina", "a", "vsum", INPUT_CAP)
+    b.cap("Cinb", "b", "vsum", INPUT_CAP)
+    b.cap("Cinc", "cin", "vsum", INPUT_CAP)
     b.source("Vhalf", "half", cfg.vdd / 2)
 
     # low-band detector inverter: s high iff sigma <= 2 (2.5 band edge)
-    b.fet("Msp", "s", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 2), t)
-    b.fet("Msn", "s", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 3), t)
-    b.inverter("sb", "s", "sbar", lo, lo, t)
+    b.fet("Msp", "s", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 2))
+    b.fet("Msn", "s", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 3))
+    b.inverter("sb", "s", "sbar", lo)
 
     # f low iff every input is 2 (5.5 band edge, input-referenced)
-    b.fet("Mfa", "f", "a", "VDD", Polarity.PFET, lo, t)
-    b.fet("Mfb", "f", "b", "VDD", Polarity.PFET, lo, t)
-    b.fet("Mfc", "f", "cin", "VDD", Polarity.PFET, lo, t)
-    b.fet("Mfd", "f", "a", "ft1", Polarity.NFET, hi, t)
-    b.fet("Mfe", "ft1", "b", "ft2", Polarity.NFET, hi, t)
-    b.fet("Mff", "ft2", "cin", "GND", Polarity.NFET, hi, t)
-    b.inverter("fb", "f", "fbar", lo, lo, t)
+    b.fet("Mfa", "f", "a", "VDD", Polarity.PFET, lo)
+    b.fet("Mfb", "f", "b", "VDD", Polarity.PFET, lo)
+    b.fet("Mfc", "f", "cin", "VDD", Polarity.PFET, lo)
+    b.fet("Mfd", "f", "a", "ft1", Polarity.NFET, hi)
+    b.fet("Mfe", "ft1", "b", "ft2", Polarity.NFET, hi)
+    b.fet("Mff", "ft2", "cin", "GND", Polarity.NFET, hi)
+    b.inverter("fb", "f", "fbar", lo)
 
     # mid-band select m = (not s) and f
-    b.nor2("m", "s", "fbar", "m", lo, t)
-    b.inverter("mb", "m", "mbar", lo, lo, t)
+    b.nor2("m", "s", "fbar", "m", lo)
+    b.inverter("mb", "m", "mbar", lo)
 
     # ternary carry output: 2 on the high band, half on the mid band,
     # 0 on the low band
-    b.fet("Mcp", "cout", "f", "VDD", Polarity.PFET, lo, t)
-    b.fet("Mcn", "cout", "s", "GND", Polarity.NFET, lo, t)
-    b.tgate("c", "cout", "half", "m", "mbar", lo, t)
+    b.fet("Mcp", "cout", "f", "VDD", Polarity.PFET, lo)
+    b.fet("Mcn", "cout", "s", "GND", Polarity.NFET, lo)
+    b.tgate("c", "cout", "half", "m", "mbar", lo)
 
     # single-level decoders for the band cells
-    b.fet("Mz0p", "z0", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 0), t)
-    b.fet("Mz0n", "z0", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 1), t)
-    b.fet("Mz1p", "z1", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 1), t)
-    b.fet("Mz1n", "z1", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 2), t)
-    b.inverter("z1b", "z1", "z1b", lo, lo, t)
-    b.nor2("e1", "z0", "z1b", "e1", lo, t)   # sigma == 1
-    b.inverter("e1b", "e1", "e1b", lo, lo, t)
-    b.fet("Mz3p", "z3", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 3), t)
-    b.fet("Mz3n", "z3", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 4), t)
-    b.fet("Mz4p", "z4", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 4), t)
-    b.fet("Mz4n", "z4", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 5), t)
-    b.inverter("z4b", "z4", "z4b", lo, lo, t)
-    b.nor2("e4", "z3", "z4b", "e4", lo, t)   # sigma == 4
-    b.inverter("e4b", "e4", "e4b", lo, lo, t)
+    b.fet("Mz0p", "z0", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 0))
+    b.fet("Mz0n", "z0", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 1))
+    b.fet("Mz1p", "z1", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 1))
+    b.fet("Mz1n", "z1", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 2))
+    b.inverter("z1b", "z1", "z1b", lo)
+    b.nor2("e1", "z0", "z1b", "e1", lo)   # sigma == 1
+    b.inverter("e1b", "e1", "e1b", lo)
+    b.fet("Mz3p", "z3", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 3))
+    b.fet("Mz3n", "z3", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 4))
+    b.fet("Mz4p", "z4", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 4))
+    b.fet("Mz4n", "z4", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 5))
+    b.inverter("z4b", "z4", "z4b", lo)
+    b.nor2("e4", "z3", "z4b", "e4", lo)   # sigma == 4
+    b.inverter("e4b", "e4", "e4b", lo)
 
     # sum output routing: low band through tg0, mid band through tg1,
     # high band clamped low
-    b.fet("Mspd", "sum", "fbar", "GND", Polarity.NFET, lo, t)
-    b.tgate("g0", "sum", "out0", "s", "sbar", lo, t)
-    b.tgate("g1", "sum", "out1", "m", "mbar", lo, t)
+    b.fet("Mspd", "sum", "fbar", "GND", Polarity.NFET, lo)
+    b.tgate("g0", "sum", "out0", "s", "sbar", lo)
+    b.tgate("g1", "sum", "out1", "m", "mbar", lo)
 
     for node in ("s", "sbar", "f", "fbar", "m", "mbar", "z0", "z1", "z1b",
                  "e1", "e1b", "z3", "z4", "z4b", "e4", "e4b", "out0", "out1"):
-        b.cap(f"Cp{node}", node, "GND", cfg.parasitic_cap)
+        b.cap(f"Cp{node}", node, "GND", PARASITIC_CAP)
 
     b.mark_inputs("a", "b", "cin")
 
@@ -335,31 +318,30 @@ def build_design(variant, cfg: BuildConfig = BuildConfig()) -> Netlist:
     outputs.  Transistor and capacitor totals are available via stats().
     """
     v = _variant_of(variant)
-    t = cfg.tubes
-    lo = cfg.low_vth
+    lo = LOW_VTH
     b = _Builder(v.value)
     _common_front_end(b, cfg)
 
     if v is DesignVariant.DESIGN2:
         # shifted buffers: full-swing rails gated by the decoded levels
-        b.fet("Mb0p", "out0", "z1", "VDD", Polarity.PFET, lo, t)   # sigma >= 2
-        b.fet("Mb0n", "out0", "z0", "GND", Polarity.NFET, lo, t)   # sigma == 0
-        b.tgate("b0", "out0", "half", "e1", "e1b", lo, t)          # sigma == 1
-        b.fet("Mb1p", "out1", "z4", "VDD", Polarity.PFET, lo, t)   # sigma >= 5
-        b.fet("Mb1n", "out1", "z3", "GND", Polarity.NFET, lo, t)   # sigma <= 3
-        b.tgate("b1", "out1", "half", "e4", "e4b", lo, t)          # sigma == 4
+        b.fet("Mb0p", "out0", "z1", "VDD", Polarity.PFET, lo)   # sigma >= 2
+        b.fet("Mb0n", "out0", "z0", "GND", Polarity.NFET, lo)   # sigma == 0
+        b.tgate("b0", "out0", "half", "e1", "e1b", lo)          # sigma == 1
+        b.fet("Mb1p", "out1", "z4", "VDD", Polarity.PFET, lo)   # sigma >= 5
+        b.fet("Mb1n", "out1", "z3", "GND", Polarity.NFET, lo)   # sigma <= 3
+        b.tgate("b1", "out1", "half", "e4", "e4b", lo)          # sigma == 4
     else:
         # shifted inverters straight off the sum node, then STI restores
-        b.fet("Mi0p", "i0", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 0), t)
-        b.fet("Mi0n", "i0", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 2), t)
-        b.tgate("i0", "i0", "half", "e1", "e1b", lo, t)
-        _sti_stage(b, "sa", "i0", "out0", "half", cfg)
-        b.fet("Mi1p", "i1", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 3), t)
-        b.fet("Mi1n", "i1", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 5), t)
-        b.tgate("i1", "i1", "half", "e4", "e4b", lo, t)
-        _sti_stage(b, "sb", "i1", "out1", "half", cfg)
-        b.cap("Cpi0", "i0", "GND", cfg.parasitic_cap)
-        b.cap("Cpi1", "i1", "GND", cfg.parasitic_cap)
+        b.fet("Mi0p", "i0", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 0))
+        b.fet("Mi0n", "i0", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 2))
+        b.tgate("i0", "i0", "half", "e1", "e1b", lo)
+        _sti_stage(b, "sa", "i0", "out0", "half")
+        b.fet("Mi1p", "i1", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 3))
+        b.fet("Mi1n", "i1", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 5))
+        b.tgate("i1", "i1", "half", "e4", "e4b", lo)
+        _sti_stage(b, "sb", "i1", "out1", "half")
+        b.cap("Cpi0", "i0", "GND", PARASITIC_CAP)
+        b.cap("Cpi1", "i1", "GND", PARASITIC_CAP)
 
     b.probe("sum")
     b.probe("cout")

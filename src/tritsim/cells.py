@@ -132,30 +132,6 @@ def _variant_of(design) -> DesignVariant:
     raise OutOfRange(f"unknown design variant {design!r}")
 
 
-@dataclass(frozen=True)
-class AdderDesign:
-    """Datasheet facts for the two published adder variants.
-
-    Device counts are the published totals.  The sum path of the first
-    design runs through a transmission gate plus two cascaded inverter
-    stages; the second replaces the inverter pair with a single buffer
-    stage, which is where its delay advantage comes from.
-    """
-
-    variant: DesignVariant
-    device_count: int
-    input_cap_count: int
-    sum_path_stages: int
-
-    @staticmethod
-    def design1() -> "AdderDesign":
-        return AdderDesign(DesignVariant.DESIGN1, 55, 3, 3)
-
-    @staticmethod
-    def design2() -> "AdderDesign":
-        return AdderDesign(DesignVariant.DESIGN2, 43, 3, 2)
-
-
 def adder_eval(design, a, b, cin, m: VoltageMap = VoltageMap()) -> tuple[Trit, Trit]:
     """Behavioral one-trit add routed the way the hardware routes it:
     averaging node, carry bands, selectors, band cell.  Both variants share

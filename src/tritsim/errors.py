@@ -38,7 +38,8 @@ class ConfigError(TritsimError):
 
 
 class NonConvergent(TritsimError):
-    """Relaxation did not reach a fixpoint within the iteration budget."""
+    """Relaxation entered a limit cycle: a conducting set repeated before the
+    state reached a fixpoint, so it never will."""
 
 
 class NoPath(TritsimError):

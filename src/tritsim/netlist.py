@@ -323,6 +323,7 @@ def parse(text: str | bytes) -> Netlist:
             head = (text[:e.start].decode("utf-8") + "?").splitlines()
             raise NetlistSyntaxError(len(head), len(head[-1]),
                                      f"byte 0x{text[e.start]:02x} is not UTF-8 text") from None
+    text = text.removeprefix("\ufeff")     # one UTF-8 byte-order mark
     name = "netlist"
     name_seen = False
     devices: list[Device] = []

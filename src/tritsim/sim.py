@@ -22,11 +22,14 @@ point, calls on the same Netlist object and SimConfig share the compiled form
 and so its solves: a point's delay_estimate and transient solve each input
 triple once.  Outside the scope the compiled form lives for one call.
 Each sweep re-evaluates conduction from the previous state snapshot, so the
-result cannot depend on device declaration order.  A state that fails to
-repeat within max_iterations raises NonConvergent.
+result cannot depend on device declaration order.  A sweep's new state
+depends only on its conducting set and the pins, so a conducting set that
+comes back before the state repeats is a limit cycle: the solve raises
+NonConvergent, naming the period and the nodes that keep changing.  There
+are finitely many conducting sets, so every solve ends.
 
 Timing is first-order RC: each driven node's stage delay is the Elmore sum
-over its drive path of accumulated on-resistance (r_on_per_tube / tubes per
+over its drive path of accumulated on-resistance (R_ON_PER_TUBE / tubes per
 device) times node capacitance, and a stage starts when the latest of its
 gate signals and its path source settles.  Charge-shared nodes track their
 neighbors with no delay of their own.  Event energy is 0.5 * C * dV**2.
@@ -37,6 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -69,29 +73,28 @@ class Signal:
     strength: Strength | None
 
 
+# On-resistance of one conducting tube; a device of N parallel tubes has
+# R_ON_PER_TUBE / N.  A model constant, not a published value.
+R_ON_PER_TUBE = 30e3
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """The operating point: supply voltage and the load on each probed node."""
+
     vdd: float = 0.9
-    max_iterations: int = 64
-    r_on_per_tube: float = 30e3
     c_out_load: float = 1e-15
-    level_tolerance: float | None = None
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.vdd, self.r_on_per_tube, self.c_out_load))):
-            raise ConfigError("vdd, r_on_per_tube and c_out_load must be finite")
+        if not all(map(math.isfinite, (self.vdd, self.c_out_load))):
+            raise ConfigError("vdd and c_out_load must be finite")
         if self.vdd <= 0:
             raise ConfigError("vdd must be strictly positive")
-        if self.max_iterations < 8:
-            raise ConfigError("max_iterations must be >= 8")
-        if self.r_on_per_tube <= 0 or self.c_out_load < 0:
-            raise ConfigError("r_on_per_tube must be positive and c_out_load non-negative")
-        tol = self.tol()
-        if not 0 < tol < self.vdd / 4:
-            raise ConfigError("level_tolerance must be in (0, vdd/4)")
+        if self.c_out_load < 0:
+            raise ConfigError("c_out_load must be non-negative")
 
     def tol(self) -> float:
-        return self.level_tolerance if self.level_tolerance is not None else self.vdd / 10
+        return self.vdd / 10
 
     def vmap(self) -> VoltageMap:
         return VoltageMap(self.vdd)
@@ -167,7 +170,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             f = d.fet
             fets.append((index[f.drain], index[f.gate], index[f.source],
                          f.polarity is Polarity.NFET, threshold_voltage(f.chirality)))
-            fet_r.append(cfg.r_on_per_tube / f.tubes)
+            fet_r.append(R_ON_PER_TUBE / f.tubes)
         elif isinstance(d, Capacitor):
             a, b = index[d.a], index[d.b]
             caps.append((a, b))
@@ -256,13 +259,16 @@ def _conducting(fets: list[tuple[int, int, int, bool, float]],
     return on
 
 
-def _solve(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
+def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     count = len(comp.names)
     fets, caps, cap_adj = comp.fets, comp.caps, comp.cap_adj
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
 
-    for _ in range(cfg.max_iterations):
+    # conducting set -> sweep it was seen at; packed, since a deep netlist
+    # keeps one set per sweep and tuples of ints would take several times more
+    seen: dict[bytes, int] = {}
+    for sweep in itertools.count():
         on = _conducting(fets, levels)
         parent = list(range(count))
         for k in on:
@@ -323,17 +329,24 @@ def _solve(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
 
         if new_levels == levels and new_strengths == strengths:
             return _Solve(levels, strengths, pins, on)
+        first = seen.setdefault(array("q", on).tobytes(), sweep)
+        if first != sweep:
+            changing = [comp.names[i] for i in range(count)
+                        if (new_levels[i], new_strengths[i]) != (levels[i], strengths[i])]
+            shown = ", ".join(changing[:8])
+            if len(changing) > 8:
+                shown += f" and {len(changing) - 8} more"
+            raise NonConvergent(f"no fixpoint: limit cycle of period {sweep - first} "
+                                f"sweeps, changing {shown}")
         levels, strengths = new_levels, new_strengths
 
-    raise NonConvergent(f"no fixpoint within {cfg.max_iterations} sweeps")
 
-
-def _solved(comp: _Compiled, pins: list[float | None], cfg: SimConfig) -> _Solve:
+def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
     """_solve, run once per pin assignment of the compiled form."""
     key = str(pins)     # not tuple(pins): -0.0 == 0.0, but the levels keep the sign
     solve = comp.solves.get(key)
     if solve is None:
-        solve = comp.solves[key] = _solve(comp, pins, cfg)
+        solve = comp.solves[key] = _solve(comp, pins)
     return solve
 
 
@@ -341,7 +354,7 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
                  cfg: SimConfig = SimConfig()) -> dict[str, Signal]:
     """Resolve every node of the netlist under the given input voltages."""
     comp = _compile(n, cfg)
-    solve = _solved(comp, _pin_map(comp, inputs or {}), cfg)
+    solve = _solved(comp, _pin_map(comp, inputs or {}))
     return {name: Signal(lvl, st)
             for name, lvl, st in zip(comp.names, solve.levels, solve.strengths)}
 
@@ -350,7 +363,13 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
 # first-order timing
 
 def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
-    """Settling time per node index for the given steady state."""
+    """Settling time per node index for the given steady state.
+
+    A node's arrival needs the arrivals of other nodes: the gates along its
+    drive path, or a charged node's drivers.  An explicit stack visits them
+    depth first, in the order a recursive walk would, so a deep netlist
+    cannot exhaust the interpreter's stack.
+    """
     pins, strengths, node_cap = solve.pins, solve.strengths, comp.node_cap
     adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
     for k in solve.conducting:
@@ -362,30 +381,57 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
     memo: dict[int, float] = {}
     visiting: set[int] = set()
 
+    def frame(node: int) -> tuple[int, list[int], float, list[float]]:
+        # (node, the nodes it waits on, its own delay, their arrivals so far)
+        visiting.add(node)
+        strength = strengths[node]
+        if strength is Strength.DRIVEN:
+            # Elmore over the drive path, from the driver to node
+            path = drive_path(node)
+            elmore = 0.0
+            cum_r = 0.0
+            for nxt, r, _ in path:
+                cum_r += r
+                elmore += cum_r * node_cap[nxt]
+            return node, [gate for _, _, gate in path], elmore, []
+        if strength is Strength.CHARGED:
+            return node, [o for o, _ in comp.cap_adj[node]
+                          if strengths[o] is not None and strengths[o] >= Strength.DRIVEN], \
+                0.0, []
+        raise NoPath(f"node {comp.names[node]} is not driven")
+
     def arrival(node: int) -> float:
         if pins[node] is not None:
             return 0.0
         if node in memo:
             return memo[node]
-        if node in visiting:
-            raise NoPath(f"timing cycle through node {comp.names[node]}")
-        visiting.add(node)
-        strength = strengths[node]
-        if strength is Strength.DRIVEN:
-            t = _driven_arrival(node)
-        elif strength is Strength.CHARGED:
-            t = max((arrival(o) for o, _ in comp.cap_adj[node]
-                     if strengths[o] is not None and strengths[o] >= Strength.DRIVEN),
-                    default=0.0)
-        else:
-            raise NoPath(f"node {comp.names[node]} is not driven")
-        visiting.discard(node)
-        memo[node] = t
-        return t
+        stack = [frame(node)]
+        while True:
+            node, waits, delay, times = stack[-1]
+            while len(times) < len(waits):
+                other = waits[len(times)]
+                if pins[other] is not None:
+                    times.append(0.0)
+                elif other in memo:
+                    times.append(memo[other])
+                elif other in visiting:
+                    raise NoPath(f"timing cycle through node {comp.names[other]}")
+                else:
+                    stack.append(frame(other))
+                    break
+            else:
+                # a node settles its own delay after the last node it waits on
+                t = memo[node] = max(times, default=0.0) + delay
+                visiting.discard(node)
+                stack.pop()
+                if not stack:
+                    return t
+                stack[-1][3].append(t)
 
-    def _driven_arrival(node: int) -> float:
-        # Dijkstra by accumulated on-resistance from the nearest pinned driver,
-        # then Elmore over that path with gates adding their own arrivals.
+    def drive_path(node: int) -> list[tuple[int, float, int]]:
+        # Dijkstra by accumulated on-resistance from the nearest pinned
+        # driver; the path's steps run from the driver to node, each as
+        # (node reached, on-resistance, gate of the conducting FET).
         dist: dict[int, float] = {node: 0.0}
         prev: dict[int, tuple[int, float, int]] = {}
         heap: list[tuple[float, int]] = [(0.0, node)]
@@ -405,18 +451,12 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
                     heapq.heappush(heap, (nd, other))
         if driver is None:
             raise NoPath(f"node {comp.names[node]} has no path to a driver")
-        # walk driver -> node
-        elmore = 0.0
-        cum_r = 0.0
-        base = 0.0
+        path = []
         cur = driver
         while cur != node:
-            nxt, r, gate = prev[cur]
-            cum_r += r
-            elmore += cum_r * node_cap[nxt]
-            base = max(base, arrival(gate))
-            cur = nxt
-        return base + elmore
+            path.append(prev[cur])
+            cur = path[-1][0]
+        return path
 
     return {i: arrival(i) for i in range(len(comp.names))
             if strengths[i] is not None or pins[i] is not None}
@@ -443,13 +483,13 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
     if out is None:
         raise NoPath(f"unknown output node {output_node!r}")
     if inputs is not None:
-        arr = _timed(comp, _solved(comp, _pin_map(comp, inputs), cfg))
+        arr = _timed(comp, _solved(comp, _pin_map(comp, inputs)))
         if out not in arr:
             raise NoPath(f"output {output_node} is not driven")
         return arr[out]
     worst = None
     for assign in _exhaustive_inputs(sorted(comp.flat.inputs), cfg.vdd):
-        solve = _solved(comp, _pin_map(comp, assign), cfg)
+        solve = _solved(comp, _pin_map(comp, assign))
         if isinstance(solve.levels[out], str):
             continue    # 'z' (undriven) or 'x'
         t = _timed(comp, solve)[out]
@@ -499,14 +539,14 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     w = Waveform(edge_times=list(times))
 
     current: dict[str, float] = dict(stimulus[0][1])
-    solve = _solved(comp, _pin_map(comp, current), cfg)
+    solve = _solved(comp, _pin_map(comp, current))
     w.initial_levels = dict(zip(comp.names, solve.levels))
     prev_levels = list(solve.levels)
     last_emit: dict[int, float] = {}
 
     for t_edge, assigns in stimulus[1:]:
         current.update(assigns)
-        solve = _solved(comp, _pin_map(comp, current), cfg)
+        solve = _solved(comp, _pin_map(comp, current))
         arr = _timed(comp, solve)
         batch = []
         for i, node in enumerate(comp.names):

@@ -288,6 +288,36 @@ def test_cli_simulate_netlist_file(tmp_path, capsys):
     assert any(line.startswith("out,0.0,") for line in lines)
 
 
+RING = """\
+* ring
+.input a
+C0 a n0 1f
+M0p n1 n0 VDD pfet 19 0 1
+M0n n1 n0 GND nfet 19 0 1
+M1p n2 n1 VDD pfet 19 0 1
+M1n n2 n1 GND nfet 19 0 1
+M2p n0 n2 VDD pfet 19 0 1
+M2n n0 n2 GND nfet 19 0 1
+.end
+"""
+
+
+def test_cli_simulate_limit_cycle_exits_3(tmp_path, capsys):
+    path = tmp_path / "ring.tnl"
+    path.write_text(RING)
+    assert main(["simulate", str(path), "--inputs", "a=0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no fixpoint: limit cycle of period 6 sweeps, changing n0\n"
+
+
+def test_cli_verify_reads_a_netlist_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "design2.tnl"
+    path.write_bytes(b"\xef\xbb\xbf" + fixture_text("design2.tnl").encode())
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 27 rows match\n"
+
+
 def test_cli_simulate_bad_input_name(capsys):
     assert main(["simulate", "--design", "1", "--inputs", "bogus=0.0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -52,6 +52,15 @@ def test_parse_accepts_bytes():
     assert n == parse(SAMPLE)
 
 
+def test_parse_drops_one_leading_byte_order_mark():
+    want = parse("* bom\n.end\n")
+    assert want.name == "bom"
+    assert parse(b"\xef\xbb\xbf* bom\n.end\n") == want
+    assert parse("\ufeff* bom\n.end\n") == want
+    with pytest.raises(NetlistSyntaxError, match="unknown card"):
+        parse("\ufeff\ufeff* bom\n.end\n")
+
+
 @pytest.mark.parametrize("data,line,col", [
     (b"\xff", 1, 1),
     (b"* t\n\xff\n.end\n", 2, 1),

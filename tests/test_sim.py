@@ -5,14 +5,18 @@ settles at max(gate arrivals along its drive path) plus the Elmore sum of
 accumulated resistance (30 kOhm / tubes per device) times node capacitance.
 """
 
+import dataclasses
+import inspect
 import random
+import sys
 
 import pytest
 
 from conftest import sim_symbol
 from tritsim import (ConfigError, Measurement, NoPath, NonConvergent, SimConfig,
-                     Strength, WaveEvent, Waveform, build_sti, delay_estimate, measure, parse,
-                     sim, steady_state, transient, waveform_csv, waveform_vcd)
+                     Strength, WaveEvent, Waveform, build_design, build_sti, delay_estimate,
+                     measure, parse, serialize, sim, steady_state, transient, waveform_csv,
+                     waveform_vcd)
 from tritsim.sim import _trit_symbol, shared_point
 
 CFG = SimConfig()
@@ -109,29 +113,29 @@ def test_input_validation():
 
 
 def test_sim_config_validation():
+    assert [f.name for f in dataclasses.fields(SimConfig)] == ["vdd", "c_out_load"]
     with pytest.raises(ConfigError):
         SimConfig(vdd=0.0)
     with pytest.raises(ConfigError):
-        SimConfig(max_iterations=4)
-    with pytest.raises(ConfigError):
-        SimConfig(r_on_per_tube=0.0)
-    with pytest.raises(ConfigError):
-        SimConfig(level_tolerance=0.5)
-    for field in ("vdd", "r_on_per_tube", "c_out_load"):
+        SimConfig(c_out_load=-1e-15)
+    for field in ("vdd", "c_out_load"):
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigError, match="finite"):
                 SimConfig(**{field: bad})
-    assert SimConfig(level_tolerance=0.05).tol() == 0.05
     assert SimConfig().tol() == pytest.approx(0.09)
 
 
-def _inverter_chain(depth: int) -> str:
+def _inverter_chain(depth: int, cap: str | None = None,
+                    names: list[str] | None = None) -> str:
+    """depth inverters from input a; stage k drives names[k], n{k} by default."""
     lines = [".input a"]
     prev = "a"
     for k in range(depth):
-        out = f"n{k}"
+        out = names[k] if names else f"n{k}"
         lines.append(f"M{k}p {out} {prev} VDD pfet 19 0 1")
         lines.append(f"M{k}n {out} {prev} GND nfet 19 0 1")
+        if cap:
+            lines.append(f"C{k} {out} GND {cap}")
         prev = out
     return "\n".join(lines) + "\n"
 
@@ -140,8 +144,60 @@ def test_deep_chain_needs_iterations():
     n = net(_inverter_chain(10))
     sigs = steady_state(n, {"a": 0.0}, SimConfig())
     assert sigs["n9"].level == 0.0          # ten inversions of a low input
-    with pytest.raises(NonConvergent):
-        steady_state(n, {"a": 0.0}, SimConfig(max_iterations=8))
+
+
+def test_chain_deeper_than_any_sweep_budget_settles():
+    # one stage settles per sweep, so this needs over 200 sweeps
+    sigs = steady_state(net(_inverter_chain(200)), {"a": 0.0}, CFG)
+    assert sigs["n199"].level == 0.0
+    assert sigs["n198"].level == pytest.approx(0.9)
+
+
+# three inverters in a ring, kicked through a capacitor from the input
+RING = (".input a\nC0 a n0 1f\n"
+        "M0p n1 n0 VDD pfet 19 0 1\nM0n n1 n0 GND nfet 19 0 1\n"
+        "M1p n2 n1 VDD pfet 19 0 1\nM1n n2 n1 GND nfet 19 0 1\n"
+        "M2p n0 n2 VDD pfet 19 0 1\nM2n n0 n2 GND nfet 19 0 1\n")
+
+
+def test_ring_oscillator_reports_its_limit_cycle():
+    with pytest.raises(NonConvergent) as e:
+        steady_state(net(RING), {"a": 0.0}, CFG)
+    assert str(e.value) == "no fixpoint: limit cycle of period 6 sweeps, changing n0"
+
+
+def _ripple(width: int) -> str:
+    """A width-trit ripple adder of design2 cells, one subcircuit per trit."""
+    cell = [line for line in serialize(build_design(2)).splitlines()[1:]
+            if not line.startswith((".input", ".probe", ".end"))]
+    return "\n".join([f"* ripple{width}",
+                      *(f".input {p}{i}" for p in "ab" for i in range(width)), ".input c0",
+                      ".subckt add a b cin sum cout", *cell, ".ends",
+                      *(f"X{i} a{i} b{i} c{i} s{i} c{i + 1} add" for i in range(width)),
+                      ".end"]) + "\n"
+
+
+def test_unsettled_ripple_add_reports_its_period():
+    # 0 + 4 + carry 2 on two trits: a0 a1 = 0 0, b0 b1 = 1 1
+    inputs = {"a0": 0.0, "a1": 0.0, "b0": 0.45, "b1": 0.45, "c0": 0.9}
+    with pytest.raises(NonConvergent, match="limit cycle of period 7 sweeps, changing X0.e1, "):
+        steady_state(parse(_ripple(2)), inputs, CFG)
+
+
+def test_deep_chain_timing_does_not_recurse():
+    # The last stage drives the smallest node name, so it is timed first,
+    # before any stage it waits on; a recursive walk would need about two
+    # frames a stage.
+    depth = 50
+    names = [f"m{depth - k:03d}" for k in range(depth)]
+    n = net(_inverter_chain(depth, cap="1f", names=names))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + depth)
+    try:
+        t = delay_estimate(n, names[-1], CFG, {"a": 0.0})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t == pytest.approx(depth * 30e3 * 1e-15)    # 30 kOhm into 1 fF a stage
 
 
 def test_sweep_order_independence():
