@@ -4,10 +4,10 @@ A sweep point rebuilds the selected variant at the point's supply voltage
 (detector thresholds retune with vdd), estimates worst-case sum settling
 time over every input combination, and measures average switching power by
 replaying the 27-entry exhaustive input sequence at the point's clock
-period.  The power-delay product multiplies those two numbers.  Both
-analyses of a point run inside one sim.shared_point() scope, so they share
-one compiled netlist and its solves: the point compiles once and solves
-each of the 27 input triples once.
+period.  The power-delay product multiplies those two numbers.  The
+transient is the next call on the netlist after the delay estimate, so it
+finds the compiled form and the solves the estimate left there: a point
+compiles once and solves each of the 27 input triples once.
 
 The device model has no temperature dependence, so a temperature axis is
 rejected up front instead of producing flat lines that look like data.
@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 from .builders import BuildConfig, build_design
 from .cells import DesignVariant
 from .errors import ConfigError
-from .sim import SimConfig, _exhaustive_inputs, delay_estimate, measure, shared_point, transient
+from .sim import SimConfig, _exhaustive_inputs, delay_estimate, measure, transient
 
 AXES = ("vdd", "load", "frequency")
 
@@ -98,9 +98,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
             net = build_design(variant, BuildConfig(vdd=vdd))
             cfg = SimConfig(vdd=vdd, c_out_load=load)
             period = 1.0 / freq
-            with shared_point():
-                delay = delay_estimate(net, "sum", cfg)
-                wave = transient(net, benchmark_stimulus(vdd, period), cfg)
+            delay = delay_estimate(net, "sum", cfg)
+            wave = transient(net, benchmark_stimulus(vdd, period), cfg)
             power = measure(wave, 27 * period).avg_power
             points.append(SweepPoint(variant.value, spec.axis, value, delay, power,
                                      delay * power))

@@ -84,10 +84,14 @@ class Subckt:
 
 @dataclass
 class Netlist:
+    """A top-level netlist.  `_compiled` holds the simulator's compiled form,
+    outside init, repr and equality; an in-place change recompiles it."""
+
     name: str = "netlist"
     devices: list[Device] = field(default_factory=list)
     inputs: frozenset[str] = frozenset()
     subckts: dict[str, Subckt] = field(default_factory=dict)
+    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def node_ids(self) -> set[str]:
         ids = set(self.inputs)

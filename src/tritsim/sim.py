@@ -12,15 +12,15 @@ non-pinned members; 'x' is reported per node, never raised.  A gate reading
 'x' or 'z' is treated as non-conducting; the bundled cell library never
 exposes an unresolved gate net within its validated supply range.
 
-Each public call (steady_state, delay_estimate, transient) flattens and
-validates its netlist once and compiles it to integer node indices, sorted by
+The public calls (steady_state, delay_estimate, transient) run on the
+netlist flattened, validated and compiled to integer node indices, sorted by
 node name, with per-FET threshold voltage and on-resistance, capacitor
-adjacency and per-node capacitance.  The compiled form memoizes its solves,
-one per pin assignment, and each solve keeps its arrival times once timed.
-Inside a shared_point() scope, which bench.run_sweep opens around each sweep
-point, calls on the same Netlist object and SimConfig share the compiled form
-and so its solves: a point's delay_estimate and transient solve each input
-triple once.  Outside the scope the compiled form lives for one call.
+adjacency and per-node capacitance.  A Netlist keeps one compiled form, for
+the contents and SimConfig of its last call; an in-place change recompiles.
+The compiled form memoizes its solves by pin assignment, each timed at most
+once, and keeps a solve through the next call on the netlist: delay_estimate
+then transient, or steady_state then delay_estimate, solve each assignment
+once, and at most two calls' solves are held.
 Each sweep re-evaluates conduction from the previous state snapshot, so the
 result cannot depend on device declaration order.  A sweep's new state
 depends only on its conducting set and the pins, so a conducting set that
@@ -40,13 +40,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from array import array
 from bisect import bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
 from .errors import ConfigError, NoPath, NonConvergent, Unresolvable
@@ -100,13 +99,16 @@ class SimConfig:
         return VoltageMap(self.vdd)
 
 
-class _Compiled(NamedTuple):
-    """A flattened, validated netlist on integer node indices, built once per
-    public call (or per shared_point() scope) with the solves run on it.
-    Nodes are numbered in sorted name order, so the smallest index is also
-    the smallest name."""
+@dataclass
+class _Compiled:
+    """A flattened, validated netlist on integer node indices, with the
+    solves run on it; see _compile.  It holds no reference to the Netlist, so
+    a dropped netlist is freed at once.  Nodes are numbered in sorted name
+    order, so the smallest index is also the smallest name."""
 
-    flat: Netlist
+    cfg: SimConfig
+    contents: tuple                                 # see _compile
+    inputs: list[str]                               # declared inputs, sorted
     names: list[str]
     index: dict[str, int]
     fets: list[tuple[int, int, int, bool, float]]   # drain, gate, source, is_nfet, vth
@@ -115,7 +117,8 @@ class _Compiled(NamedTuple):
     cap_adj: list[list[tuple[int, float]]]          # per node (neighbor, farads), device order
     node_cap: list[float]                           # per node, probes carry c_out_load
     fixed: list[tuple[int, float]]                  # rails, then fixed sources
-    solves: dict[str, _Solve]                       # by pin assignment, see _solved
+    solves: dict[str, _Solve] = field(default_factory=dict)  # this call's, see _solved
+    kept: dict[str, _Solve] = field(default_factory=dict)    # the previous call's
 
 
 @dataclass
@@ -127,30 +130,18 @@ class _Solve:
     arrivals: dict[int, float] | None = None   # per node index, see _timed
 
 
-# The compiled forms of a shared_point() scope by (id of the Netlist, config);
-# each entry keeps its Netlist alive, so an id cannot be reused in the scope.
-_SHARED: ContextVar[dict[tuple[int, SimConfig], tuple[Netlist, _Compiled]] | None] = \
-    ContextVar("tritsim_shared_point", default=None)
-
-
-@contextmanager
-def shared_point() -> Iterator[None]:
-    """Within the block, calls on the same Netlist object and SimConfig
-    share one compiled form, so they compile it once, solve each pin
-    assignment once and time each solve once.  The netlist must not change
-    inside the block.  Everything is dropped on exit, also when the block
-    raises."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
 def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
-    shared = _SHARED.get()
-    if shared is not None and (id(n), cfg) in shared:
-        return shared[id(n), cfg][1]
+    """n's compiled form under cfg, compiled again only when cfg or n's
+    contents differ from the last call on n.  Each call opens a new
+    generation of the solve memo (see _solved)."""
+    # Compared by identity: devices and Subckt are frozen, so the same objects
+    # hold the same contents, and equality would take a -0.0 V source for 0.0 V.
+    contents = (n.inputs, *n.subckts, *n.subckts.values(), *n.devices)
+    comp = n._compiled
+    if (isinstance(comp, _Compiled) and comp.cfg == cfg and len(comp.contents) == len(contents)
+            and all(map(operator.is_, comp.contents, contents))):
+        comp.kept, comp.solves = comp.solves, {}
+        return comp
     flat = flatten(n)
     flat.validate()
     names = sorted(flat.node_ids())
@@ -182,9 +173,8 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             fixed.append((index[d.node], d.volts))
     for node in flat.probed():
         node_cap[index[node]] += cfg.c_out_load
-    comp = _Compiled(flat, names, index, fets, fet_r, caps, cap_adj, node_cap, fixed, {})
-    if shared is not None:
-        shared[id(n), cfg] = (n, comp)
+    comp = n._compiled = _Compiled(cfg, contents, sorted(flat.inputs), names, index, fets,
+                                   fet_r, caps, cap_adj, node_cap, fixed)
     return comp
 
 
@@ -216,7 +206,7 @@ def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]
         if not math.isfinite(volts):
             raise ConfigError(f"input {node} must be a finite voltage, got {volts!r}")
         pins[i] = volts
-    missing = sorted(n for n in comp.flat.inputs if pins[comp.index[n]] is None)
+    missing = [n for n in comp.inputs if pins[comp.index[n]] is None]
     if missing:
         raise ConfigError(f"unassigned input nodes: {', '.join(missing)}")
     return pins
@@ -342,11 +332,12 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
-    """_solve, run once per pin assignment of the compiled form."""
+    """_solve, run once per pin assignment for as long as the compiled form
+    keeps the solve: through this call and the next one on the netlist."""
     key = str(pins)     # not tuple(pins): -0.0 == 0.0, but the levels keep the sign
     solve = comp.solves.get(key)
     if solve is None:
-        solve = comp.solves[key] = _solve(comp, pins)
+        solve = comp.solves[key] = comp.kept.get(key) or _solve(comp, pins)
     return solve
 
 
@@ -488,7 +479,7 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
             raise NoPath(f"output {output_node} is not driven")
         return arr[out]
     worst = None
-    for assign in _exhaustive_inputs(sorted(comp.flat.inputs), cfg.vdd):
+    for assign in _exhaustive_inputs(comp.inputs, cfg.vdd):
         solve = _solved(comp, _pin_map(comp, assign))
         if isinstance(solve.levels[out], str):
             continue    # 'z' (undriven) or 'x'

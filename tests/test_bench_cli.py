@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from tritsim import (BOTH_VARIANTS, DEFAULT_VALUES, BuildConfig, ConfigError, DesignVariant,
-                     SimConfig, SweepSpec, bench, benchmark_stimulus, build_design,
+                     SimConfig, SweepSpec, benchmark_stimulus, build_design,
                      delay_estimate, fixture_text, run_sweep, sim, sweep_csv, transient,
                      truth_table_csv)
 from tritsim.cli import main
@@ -152,28 +152,15 @@ def test_sweep_point_compiles_once_and_solves_each_triple_once(monkeypatch):
     assert counts == {"flatten": 1, "_solve": 27}
 
 
-def test_sharing_ends_with_the_sweep_point(monkeypatch):
+def test_direct_pair_compiles_once_and_solves_each_triple_once(monkeypatch):
+    # the transient is the next call on the netlist after the delay estimate,
+    # so it finds the compiled form and the estimate's 27 solves
     net = build_design(DesignVariant.DESIGN2, BuildConfig())
     cfg = SimConfig()
-    stimulus = benchmark_stimulus(cfg.vdd, 4e-9)
     counts = _count_compiles_and_solves(monkeypatch)
-
-    def direct_pair():
-        counts.clear()
-        delay_estimate(net, "sum", cfg)
-        transient(net, stimulus, cfg)
-        return dict(counts)
-
-    run_sweep(SweepSpec(values=(1e-15,), variants=(DesignVariant.DESIGN2,)))
-    assert direct_pair() == {"flatten": 2, "_solve": 54}
-
-    def fails(*args):
-        raise RuntimeError("transient failed")
-
-    monkeypatch.setattr(bench, "transient", fails)
-    with pytest.raises(RuntimeError):
-        run_sweep(SweepSpec(values=(1e-15,), variants=(DesignVariant.DESIGN2,)))
-    assert direct_pair() == {"flatten": 2, "_solve": 54}
+    delay_estimate(net, "sum", cfg)
+    transient(net, benchmark_stimulus(cfg.vdd, 4e-9), cfg)
+    assert counts == {"flatten": 1, "_solve": 27}
 
 
 # --- cli: truth-table -------------------------------------------------------
@@ -181,6 +168,12 @@ def test_sharing_ends_with_the_sweep_point(monkeypatch):
 def test_cli_truth_table_arithmetic(capsys):
     assert main(["truth-table"]) == 0
     assert capsys.readouterr().out == truth_table_csv()
+
+
+def test_cli_truth_table_compiles_each_design_once(monkeypatch, capsys):
+    counts = _count_compiles_and_solves(monkeypatch)
+    assert main(["truth-table", "--design", "both"]) == 0
+    assert counts == {"flatten": 2, "_solve": 54}
 
 
 def test_cli_truth_table_simulated_both(capsys):

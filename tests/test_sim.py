@@ -6,18 +6,21 @@ accumulated resistance (30 kOhm / tubes per device) times node capacitance.
 """
 
 import dataclasses
+import gc
 import inspect
 import random
 import sys
+import weakref
 
 import pytest
 
 from conftest import sim_symbol
-from tritsim import (ConfigError, Measurement, NoPath, NonConvergent, SimConfig,
-                     Strength, WaveEvent, Waveform, build_design, build_sti, delay_estimate,
-                     measure, parse, serialize, sim, steady_state, transient, waveform_csv,
-                     waveform_vcd)
-from tritsim.sim import _trit_symbol, shared_point
+from tritsim import (Capacitor, Chirality, CnfetInstance, ConfigError, Fet, Instance,
+                     Measurement, Netlist, NoPath, NonConvergent, Polarity, Signal, SimConfig,
+                     Strength, Subckt, WaveEvent, Waveform, build_design, build_sti,
+                     delay_estimate, measure, parse, serialize, sim, steady_state, transient,
+                     waveform_csv, waveform_vcd)
+from tritsim.sim import _trit_symbol
 
 CFG = SimConfig()
 
@@ -355,16 +358,93 @@ def test_transient_keeps_the_sign_of_a_revisited_zero_input():
         ("a", "-0.0"), ("a", "0.9"), ("a", "0.0")]
 
 
-def test_steady_state_result_is_the_callers_own_inside_a_shared_point(monkeypatch):
+def test_steady_state_result_is_the_callers_own(monkeypatch):
     n = build_sti()
     calls = _count_solves(monkeypatch)
-    with shared_point():
-        first = steady_state(n, {"in": 0.9}, CFG)
-        want = dict(first)
-        first["out"] = "mutated"
-        del first["in"]
-        assert steady_state(n, {"in": 0.9}, CFG) == want
+    first = steady_state(n, {"in": 0.9}, CFG)
+    want = dict(first)
+    first["out"] = "mutated"
+    del first["in"]
+    assert steady_state(n, {"in": 0.9}, CFG) == want
     assert len(calls) == 1
+
+
+def test_a_solve_is_kept_through_the_next_call_only(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    n = build_sti()
+    for volts in (0.0, 0.45, 0.9, 0.0):
+        steady_state(n, {"in": volts}, CFG)
+    assert [pins[comp.index["in"]] for comp, pins in calls] == [0.0, 0.45, 0.9, 0.0]
+    calls.clear()
+    n = build_sti()
+    steady_state(n, {"in": 0.0}, CFG)
+    delay_estimate(n, "out", CFG, {"in": 0.0})
+    assert len(calls) == 1
+
+
+def test_a_netlist_changed_in_place_is_compiled_again(monkeypatch):
+    compiles = []
+
+    def counted(n, _real=sim.flatten):
+        compiles.append(n.name)
+        return _real(n)
+    monkeypatch.setattr(sim, "flatten", counted)
+    inv = (Fet("Mp", CnfetInstance(Polarity.PFET, Chirality(19, 0), 3, "y", "a", "VDD")),
+           Fet("Mn", CnfetInstance(Polarity.NFET, Chirality(19, 0), 3, "y", "a", "GND")))
+    n = Netlist("hand", [Instance("X1", ("a", "x"), "cell"),
+                         Fet("Mb", CnfetInstance(Polarity.NFET, Chirality(19, 0), 3,
+                                                 "x", "b", "GND"))],
+                frozenset({"a"}), {"cell": Subckt("cell", ("a", "y"), inv)})
+    low = {"a": 0.0}
+    assert delay_estimate(n, "x", CFG, low) == 0.0
+    assert steady_state(n, low, CFG)["x"].level == 0.9
+    assert len(compiles) == 1
+
+    n.devices.append(Capacitor("C1", "x", "GND", 1e-15))
+    assert delay_estimate(n, "x", CFG, low) == pytest.approx(1e-11)
+    n.inputs = frozenset({"a", "b"})
+    with pytest.raises(ConfigError, match="unassigned input nodes: b"):
+        steady_state(n, low, CFG)
+    n.subckts["cell"] = Subckt("cell", ("a", "y"), inv[1:])   # pull-down only
+    assert steady_state(n, {"a": 0.0, "b": 0.0}, CFG)["x"] == Signal(0.0, Strength.CHARGED)
+    assert len(compiles) == 4
+
+
+def test_a_call_that_raises_leaves_later_results_identical():
+    text = _ripple(2)
+    good = {"a0": 0.9, "a1": 0.0, "b0": 0.45, "b1": 0.0, "c0": 0.0}
+    cycling = {"a0": 0.0, "a1": 0.0, "b0": 0.45, "b1": 0.45, "c0": 0.9}
+
+    def results(n):
+        return steady_state(n, good, CFG), delay_estimate(n, "c2", CFG, good)
+
+    want = results(parse(text))
+    n = parse(text)
+    results(n)
+    failing = [(NonConvergent, lambda: steady_state(n, cycling, CFG)),
+               (NonConvergent, lambda: delay_estimate(n, "c2", CFG, cycling)),
+               (ConfigError, lambda: steady_state(n, {"ghost": 0.0}, CFG)),
+               (NoPath, lambda: delay_estimate(n, "ghost", CFG)),
+               (ConfigError, lambda: transient(n, [(0.0, good), (0.0, good)], CFG))]
+    for error, call in failing:
+        with pytest.raises(error):
+            call()
+        assert results(n) == want
+
+
+def test_a_simulated_netlist_is_freed_without_the_cycle_collector():
+    # a netlist without subckts is its own flattened form, which the
+    # compiled form it keeps must not hold
+    for build, out in ((lambda: build_design(2), "sum"), (lambda: parse(_ripple(1)), "c1")):
+        n = build()
+        delay_estimate(n, out, CFG)
+        ref = weakref.ref(n)
+        gc.disable()
+        try:
+            del n
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_event_times_are_monotone_per_node():
