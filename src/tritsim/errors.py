@@ -39,7 +39,16 @@ class ConfigError(TritsimError):
 
 class NonConvergent(TritsimError):
     """Relaxation entered a limit cycle: a conducting set repeated before the
-    state reached a fixpoint, so it never will."""
+    state reached a fixpoint, so it never will.  Carries the cycle's period
+    in sweeps and the nodes that change between two of its states."""
+
+    def __init__(self, period: int, changing: tuple[str, ...]):
+        shown = ", ".join(changing[:8])
+        if len(changing) > 8:
+            shown += f" and {len(changing) - 8} more"
+        super().__init__(f"no fixpoint: limit cycle of period {period} sweeps, changing {shown}")
+        self.period = period
+        self.changing = changing
 
 
 class NoPath(TritsimError):

@@ -150,7 +150,6 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     fet_r: list[float] = []
     caps: list[tuple[int, int]] = []
     cap_adj: list[list[tuple[int, float]]] = [[] for _ in names]
-    node_cap = [0.0] * len(names)
     fixed: list[tuple[int, float]] = []
     if VDD in index:
         fixed.append((index[VDD], cfg.vdd))
@@ -167,12 +166,12 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             caps.append((a, b))
             cap_adj[a].append((b, d.farads))
             cap_adj[b].append((a, d.farads))
-            node_cap[a] += d.farads
-            node_cap[b] += d.farads
         elif isinstance(d, FixedSource):
             fixed.append((index[d.node], d.volts))
+    terms = [[farads for _, farads in adj] for adj in cap_adj]
     for node in flat.probed():
-        node_cap[index[node]] += cfg.c_out_load
+        terms[index[node]].append(cfg.c_out_load)
+    node_cap = list(map(math.fsum, terms))      # exact, so device order cannot matter
     comp = n._compiled = _Compiled(cfg, contents, sorted(flat.inputs), names, index, fets,
                                    fet_r, caps, cap_adj, node_cap, fixed)
     return comp
@@ -321,13 +320,9 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
             return _Solve(levels, strengths, pins, on)
         first = seen.setdefault(array("q", on).tobytes(), sweep)
         if first != sweep:
-            changing = [comp.names[i] for i in range(count)
-                        if (new_levels[i], new_strengths[i]) != (levels[i], strengths[i])]
-            shown = ", ".join(changing[:8])
-            if len(changing) > 8:
-                shown += f" and {len(changing) - 8} more"
-            raise NonConvergent(f"no fixpoint: limit cycle of period {sweep - first} "
-                                f"sweeps, changing {shown}")
+            raise NonConvergent(sweep - first, tuple(
+                comp.names[i] for i in range(count)
+                if (new_levels[i], new_strengths[i]) != (levels[i], strengths[i])))
         levels, strengths = new_levels, new_strengths
 
 

@@ -64,6 +64,15 @@ def _events(net, stimulus, cfg):
     return transient(net, stimulus, cfg).events
 
 
+def corpus_text(net, cfg) -> str:
+    """A corpus case: every steady state, every probe's delay, the transient."""
+    assigns = _exhaustive_inputs(sorted(net.inputs), cfg.vdd)
+    parts = [_steady_text(net, assign, cfg) for assign in assigns]
+    parts += [_attempt(delay_estimate, net, node, cfg) for node in net.probed()]
+    parts.append(_attempt(_events, net, [(k * PERIOD, a) for k, a in enumerate(assigns)], cfg))
+    return "\n".join(parts)
+
+
 def cases():
     """(case name, canonical text) pairs, in a fixed order."""
     for variant in BOTH_VARIANTS:
@@ -84,12 +93,7 @@ def cases():
     cfg = SimConfig()
     for i in range(CORPUS_SIZE):
         net = random_netlist(rng, i)
-        assigns = _exhaustive_inputs(sorted(net.inputs), cfg.vdd)
-        parts = [_steady_text(net, assign, cfg) for assign in assigns]
-        parts += [_attempt(delay_estimate, net, node, cfg) for node in net.probed()]
-        parts.append(_attempt(_events, net, [(k * PERIOD, a) for k, a in enumerate(assigns)],
-                              cfg))
-        yield net.name, "\n".join(parts)
+        yield net.name, corpus_text(net, cfg)
 
 
 def digests() -> dict[str, str]:

@@ -167,6 +167,7 @@ def test_ring_oscillator_reports_its_limit_cycle():
     with pytest.raises(NonConvergent) as e:
         steady_state(net(RING), {"a": 0.0}, CFG)
     assert str(e.value) == "no fixpoint: limit cycle of period 6 sweeps, changing n0"
+    assert (e.value.period, e.value.changing) == (6, ("n0",))
 
 
 def _ripple(width: int) -> str:
@@ -183,8 +184,12 @@ def _ripple(width: int) -> str:
 def test_unsettled_ripple_add_reports_its_period():
     # 0 + 4 + carry 2 on two trits: a0 a1 = 0 0, b0 b1 = 1 1
     inputs = {"a0": 0.0, "a1": 0.0, "b0": 0.45, "b1": 0.45, "c0": 0.9}
-    with pytest.raises(NonConvergent, match="limit cycle of period 7 sweeps, changing X0.e1, "):
+    with pytest.raises(NonConvergent, match="limit cycle of period 7 sweeps, changing X0.e1, ") \
+            as e:
         steady_state(parse(_ripple(2)), inputs, CFG)
+    assert e.value.period == 7
+    assert len(e.value.changing) == 18
+    assert str(e.value).endswith(", ".join(e.value.changing[:8]) + " and 10 more")
 
 
 def test_deep_chain_timing_does_not_recurse():
