@@ -2,8 +2,7 @@
 """Tube geometry sets the threshold: walk a few chiralities through the
 diameter and threshold formulas, and show the two gate-width conventions."""
 
-from tritsim import (Chirality, DeviceParams, cnt_diameter, gate_width,
-                     is_semiconducting, threshold_voltage)
+from tritsim import Chirality, cnt_diameter, gate_width, is_semiconducting, threshold_voltage
 
 print("chirality   semiconducting   diameter_nm   vth_v")
 for n1, n2 in [(19, 0), (13, 0), (10, 0), (7, 5), (6, 3), (5, 5), (12, 0)]:
@@ -23,11 +22,10 @@ for n1, n2 in [(19, 0), (10, 0), (7, 5)]:
 
 print()
 print("gate width for N parallel tubes, both conventions:")
-params = DeviceParams()
 print("tubes   as_published   corrected")
 for tubes in (1, 2, 3, 8):
-    w_pub = gate_width(tubes, params, "as_published")
-    w_cor = gate_width(tubes, params, "corrected")
+    w_pub = gate_width(tubes, "as_published")
+    w_cor = gate_width(tubes, "corrected")
     print(f"{tubes:>5}   {w_pub:>12}   {w_cor:>9}")
 print()
 print("the published min() saturates at the minimum width; the corrected")

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 from .builders import BuildConfig, build_design
 from .cells import DesignVariant
 from .errors import ConfigError
-from .sim import SimConfig, _exhaustive_inputs, delay_estimate, measure, transient
+from .sim import SimConfig, _exhaustive_stimulus, delay_estimate, measure, transient
 
 AXES = ("vdd", "load", "frequency")
 
@@ -82,10 +82,7 @@ class SweepSpec:
 def benchmark_stimulus(vdd: float, period: float) -> list[tuple[float, dict[str, float]]]:
     """All 27 input triples in ascending (a, b, cin) order, one per period.
     The first entry doubles as the quiescent baseline."""
-    if period <= 0:
-        raise ConfigError("period must be strictly positive")
-    return [(k * period, assign)
-            for k, assign in enumerate(_exhaustive_inputs(("a", "b", "cin"), vdd))]
+    return _exhaustive_stimulus(("a", "b", "cin"), vdd, period)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepPoint]:

@@ -20,6 +20,12 @@ therefore emit more transistors than the published 55/43; only the ordering
 between the variants is preserved.  Detector chiralities are chosen per
 supply voltage to center each threshold inside its band gap, the same
 multi-threshold design knob the cell library itself is built on.
+
+Every pull-up/pull-down pair on one gate is written by _Builder.inverter,
+which takes one chirality per device; a sum-node detector is such a pair
+whose two chiralities _sum_detector picks from the sigma levels at which
+each device turns on.  The builders do not validate: a netlist is validated
+where it enters (parse) and where it is simulated.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class BuildConfig:
 
 
 class _Builder:
-    """Accumulates cards; finish() validates them, duplicate ids included."""
+    """Accumulates cards.  The netlist is validated where it is simulated."""
 
     def __init__(self, name: str):
         self.net = Netlist(name, [])
@@ -141,9 +147,11 @@ class _Builder:
     def mark_inputs(self, *nodes: str):
         self.net.inputs = self.net.inputs | frozenset(nodes)
 
-    def inverter(self, prefix: str, inp: str, out: str, cls: Chirality):
-        self.fet(f"M{prefix}p", out, inp, "VDD", Polarity.PFET, cls)
-        self.fet(f"M{prefix}n", out, inp, "GND", Polarity.NFET, cls)
+    def inverter(self, prefix: str, inp: str, out: str, up: Chirality, down: Chirality):
+        """Complementary pair on one gate: pull-up of chirality up, pull-down
+        of chirality down."""
+        self.fet(f"M{prefix}p", out, inp, "VDD", Polarity.PFET, up)
+        self.fet(f"M{prefix}n", out, inp, "GND", Polarity.NFET, down)
 
     def nor2(self, prefix: str, in_a: str, in_b: str, out: str, cls: Chirality):
         mid = f"{prefix}x"
@@ -156,10 +164,6 @@ class _Builder:
         self.fet(f"M{prefix}tn", a, ctrl, b, Polarity.NFET, cls)
         self.fet(f"M{prefix}tp", a, ctrl_b, b, Polarity.PFET, cls)
 
-    def finish(self) -> Netlist:
-        self.net.validate()
-        return self.net
-
 
 # ---------------------------------------------------------------------------
 # standard cells
@@ -167,21 +171,19 @@ class _Builder:
 def build_nti() -> Netlist:
     """Negative ternary inverter: low-Vth pulldown, high-Vth pullup."""
     b = _Builder("nti")
-    b.fet("Mp", "out", "in", "VDD", Polarity.PFET, HIGH_VTH)
-    b.fet("Mn", "out", "in", "GND", Polarity.NFET, LOW_VTH)
+    b.inverter("", "in", "out", HIGH_VTH, LOW_VTH)
     b.mark_inputs("in")
     b.probe("out")
-    return b.finish()
+    return b.net
 
 
 def build_pti() -> Netlist:
     """Positive ternary inverter: high-Vth pulldown, low-Vth pullup."""
     b = _Builder("pti")
-    b.fet("Mp", "out", "in", "VDD", Polarity.PFET, LOW_VTH)
-    b.fet("Mn", "out", "in", "GND", Polarity.NFET, HIGH_VTH)
+    b.inverter("", "in", "out", LOW_VTH, HIGH_VTH)
     b.mark_inputs("in")
     b.probe("out")
-    return b.finish()
+    return b.net
 
 
 def build_tgate() -> Netlist:
@@ -190,7 +192,7 @@ def build_tgate() -> Netlist:
     b.tgate("", "out", "in", "c", "cb", LOW_VTH)
     b.mark_inputs("in", "c", "cb")
     b.probe("out")
-    return b.finish()
+    return b.net
 
 
 def _sti_stage(b: _Builder, prefix: str, inp: str, out: str, half: str):
@@ -207,13 +209,11 @@ def _sti_stage(b: _Builder, prefix: str, inp: str, out: str, half: str):
     oneb = f"{prefix}oneb"
     b.fet(f"M{prefix}up", out, inp, "VDD", Polarity.PFET, HIGH_VTH)
     b.fet(f"M{prefix}dn", out, inp, "GND", Polarity.NFET, HIGH_VTH)
-    b.fet(f"M{prefix}ntip", nti, inp, "VDD", Polarity.PFET, HIGH_VTH)
-    b.fet(f"M{prefix}ntin", nti, inp, "GND", Polarity.NFET, LOW_VTH)
-    b.fet(f"M{prefix}ptip", pti, inp, "VDD", Polarity.PFET, LOW_VTH)
-    b.fet(f"M{prefix}ptin", pti, inp, "GND", Polarity.NFET, HIGH_VTH)
-    b.inverter(f"{prefix}pb", pti, ptib, LOW_VTH)
+    b.inverter(nti, inp, nti, HIGH_VTH, LOW_VTH)
+    b.inverter(pti, inp, pti, LOW_VTH, HIGH_VTH)
+    b.inverter(f"{prefix}pb", pti, ptib, LOW_VTH, LOW_VTH)
     b.nor2(f"{prefix}on", nti, ptib, one, LOW_VTH)
-    b.inverter(f"{prefix}ob", one, oneb, LOW_VTH)
+    b.inverter(f"{prefix}ob", one, oneb, LOW_VTH, LOW_VTH)
     b.tgate(f"{prefix}h", out, half, one, oneb, LOW_VTH)
     for node in (nti, pti, ptib, one, oneb):
         b.cap(f"Cp{node}", node, "GND", PARASITIC_CAP)
@@ -226,25 +226,20 @@ def build_sti(cfg: BuildConfig = BuildConfig()) -> Netlist:
     _sti_stage(b, "s", "in", "out", "half")
     b.mark_inputs("in")
     b.probe("out")
-    return b.finish()
+    return b.net
 
 
 # ---------------------------------------------------------------------------
 # full adders
 
-def _detector(cfg: BuildConfig, kind: str, k: int) -> Chirality:
-    """Chirality for a sum-node detector at vdd = cfg.vdd.
-
-    kind 'nge': NFET conducting iff sigma >= k (threshold between levels
-    k-1 and k).  kind 'ple': PFET conducting iff sigma <= k (threshold is
-    rail-relative, between levels k and k+1).
-    """
+def _sum_detector(b: _Builder, cfg: BuildConfig, out: str, up_to: int, down_from: int):
+    """Inverter from the sum node onto out, tuned at vdd = cfg.vdd: its
+    pull-up conducts iff sigma <= up_to (threshold is rail-relative, between
+    levels up_to and up_to+1) and its pull-down iff sigma >= down_from
+    (threshold between levels down_from-1 and down_from)."""
     v = cfg.vdd
-    if kind == "nge":
-        return pick_chirality((k - 1) * v / 6, k * v / 6)
-    if kind == "ple":
-        return pick_chirality((5 - k) * v / 6, (6 - k) * v / 6)
-    raise ConfigError(f"unknown detector kind {kind!r}")
+    b.inverter(out, "vsum", out, pick_chirality((5 - up_to) * v / 6, (6 - up_to) * v / 6),
+               pick_chirality((down_from - 1) * v / 6, down_from * v / 6))
 
 
 def _common_front_end(b: _Builder, cfg: BuildConfig):
@@ -257,9 +252,8 @@ def _common_front_end(b: _Builder, cfg: BuildConfig):
     b.source("Vhalf", "half", cfg.vdd / 2)
 
     # low-band detector inverter: s high iff sigma <= 2 (2.5 band edge)
-    b.fet("Msp", "s", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 2))
-    b.fet("Msn", "s", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 3))
-    b.inverter("sb", "s", "sbar", lo)
+    _sum_detector(b, cfg, "s", 2, 3)
+    b.inverter("sb", "s", "sbar", lo, lo)
 
     # f low iff every input is 2 (5.5 band edge, input-referenced)
     b.fet("Mfa", "f", "a", "VDD", Polarity.PFET, lo)
@@ -268,11 +262,11 @@ def _common_front_end(b: _Builder, cfg: BuildConfig):
     b.fet("Mfd", "f", "a", "ft1", Polarity.NFET, hi)
     b.fet("Mfe", "ft1", "b", "ft2", Polarity.NFET, hi)
     b.fet("Mff", "ft2", "cin", "GND", Polarity.NFET, hi)
-    b.inverter("fb", "f", "fbar", lo)
+    b.inverter("fb", "f", "fbar", lo, lo)
 
     # mid-band select m = (not s) and f
     b.nor2("m", "s", "fbar", "m", lo)
-    b.inverter("mb", "m", "mbar", lo)
+    b.inverter("mb", "m", "mbar", lo, lo)
 
     # ternary carry output: 2 on the high band, half on the mid band,
     # 0 on the low band
@@ -281,20 +275,16 @@ def _common_front_end(b: _Builder, cfg: BuildConfig):
     b.tgate("c", "cout", "half", "m", "mbar", lo)
 
     # single-level decoders for the band cells
-    b.fet("Mz0p", "z0", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 0))
-    b.fet("Mz0n", "z0", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 1))
-    b.fet("Mz1p", "z1", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 1))
-    b.fet("Mz1n", "z1", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 2))
-    b.inverter("z1b", "z1", "z1b", lo)
+    _sum_detector(b, cfg, "z0", 0, 1)
+    _sum_detector(b, cfg, "z1", 1, 2)
+    b.inverter("z1b", "z1", "z1b", lo, lo)
     b.nor2("e1", "z0", "z1b", "e1", lo)   # sigma == 1
-    b.inverter("e1b", "e1", "e1b", lo)
-    b.fet("Mz3p", "z3", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 3))
-    b.fet("Mz3n", "z3", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 4))
-    b.fet("Mz4p", "z4", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 4))
-    b.fet("Mz4n", "z4", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 5))
-    b.inverter("z4b", "z4", "z4b", lo)
+    b.inverter("e1b", "e1", "e1b", lo, lo)
+    _sum_detector(b, cfg, "z3", 3, 4)
+    _sum_detector(b, cfg, "z4", 4, 5)
+    b.inverter("z4b", "z4", "z4b", lo, lo)
     b.nor2("e4", "z3", "z4b", "e4", lo)   # sigma == 4
-    b.inverter("e4b", "e4", "e4b", lo)
+    b.inverter("e4b", "e4", "e4b", lo, lo)
 
     # sum output routing: low band through tg0, mid band through tg1,
     # high band clamped low
@@ -332,12 +322,10 @@ def build_design(variant, cfg: BuildConfig = BuildConfig()) -> Netlist:
         b.tgate("b1", "out1", "half", "e4", "e4b", lo)          # sigma == 4
     else:
         # shifted inverters straight off the sum node, then STI restores
-        b.fet("Mi0p", "i0", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 0))
-        b.fet("Mi0n", "i0", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 2))
+        _sum_detector(b, cfg, "i0", 0, 2)
         b.tgate("i0", "i0", "half", "e1", "e1b", lo)
         _sti_stage(b, "sa", "i0", "out0", "half")
-        b.fet("Mi1p", "i1", "vsum", "VDD", Polarity.PFET, _detector(cfg, "ple", 3))
-        b.fet("Mi1n", "i1", "vsum", "GND", Polarity.NFET, _detector(cfg, "nge", 5))
+        _sum_detector(b, cfg, "i1", 3, 5)
         b.tgate("i1", "i1", "half", "e4", "e4b", lo)
         _sti_stage(b, "sb", "i1", "out1", "half")
         b.cap("Cpi0", "i0", "GND", PARASITIC_CAP)
@@ -345,4 +333,4 @@ def build_design(variant, cfg: BuildConfig = BuildConfig()) -> Netlist:
 
     b.probe("sum")
     b.probe("cout")
-    return b.finish()
+    return b.net

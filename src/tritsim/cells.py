@@ -35,6 +35,14 @@ _SINGLE_INPUT = {
     TernaryCellKind.STB: (0, 1, 2),
 }
 
+# sigma -> trit over each band cell's declared input range
+_BAND = {
+    TernaryCellKind.STI_BAND0: {0: 0, 1: 1, 2: 2},
+    TernaryCellKind.STI_BAND1: {3: 0, 4: 1, 5: 2},
+    TernaryCellKind.CARRY_GEN: {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 2},
+    TernaryCellKind.PULLDOWN_N: {6: 0},
+}
+
 
 def cell_eval(kind: TernaryCellKind, x) -> Trit:
     """Transfer function of the one-input cells (STI/NTI/PTI/STB)."""
@@ -53,23 +61,13 @@ def tgate_eval(x, enabled: bool = True) -> Trit:
 
 def band_eval(kind: TernaryCellKind, sigma: int) -> Trit:
     """Transfer of the sum-node band cells over their declared input range."""
-    if kind is TernaryCellKind.STI_BAND0:
-        if not 0 <= sigma <= 2:
-            raise OutOfRange(f"STI_BAND0 is defined on 0..2, got {sigma}")
-        return Trit(sigma)
-    if kind is TernaryCellKind.STI_BAND1:
-        if not 3 <= sigma <= 5:
-            raise OutOfRange(f"STI_BAND1 is defined on 3..5, got {sigma}")
-        return Trit(sigma - 3)
-    if kind is TernaryCellKind.PULLDOWN_N:
-        if sigma != 6:
-            raise OutOfRange(f"PULLDOWN_N is defined on sigma = 6, got {sigma}")
-        return Trit.ZERO
-    if kind is TernaryCellKind.CARRY_GEN:
-        if not 0 <= sigma <= 6:
-            raise OutOfRange(f"CARRY_GEN is defined on 0..6, got {sigma}")
-        return Trit(sigma // 3)
-    raise WrongArity(f"{kind.value} is not a band cell")
+    table = _BAND.get(kind)
+    if table is None:
+        raise WrongArity(f"{kind.value} is not a band cell")
+    if sigma not in table:
+        span = f"{min(table)}..{max(table)}" if len(table) > 1 else f"sigma = {min(table)}"
+        raise OutOfRange(f"{kind.value} is defined on {span}, got {sigma}")
+    return Trit(table[sigma])
 
 
 def sum_node_voltage(a, b, cin, m: VoltageMap = VoltageMap()) -> float:
@@ -152,23 +150,11 @@ def adder_eval(design, a, b, cin, m: VoltageMap = VoltageMap()) -> tuple[Trit, T
 
 def datasheet_rows() -> list[tuple[str, int, int]]:
     """(kind, input, output) transfer rows for every cell kind."""
-    rows = []
-    for kind in (TernaryCellKind.STI, TernaryCellKind.NTI,
-                 TernaryCellKind.PTI, TernaryCellKind.STB):
-        for x in range(3):
-            rows.append((kind.value, x, int(cell_eval(kind, x))))
-    for x in range(3):
-        rows.append((TernaryCellKind.TGATE.value, x, int(tgate_eval(x))))
-    for sigma in range(0, 3):
-        rows.append((TernaryCellKind.STI_BAND0.value, sigma,
-                     int(band_eval(TernaryCellKind.STI_BAND0, sigma))))
-    for sigma in range(3, 6):
-        rows.append((TernaryCellKind.STI_BAND1.value, sigma,
-                     int(band_eval(TernaryCellKind.STI_BAND1, sigma))))
-    for sigma in range(0, 7):
-        rows.append((TernaryCellKind.CARRY_GEN.value, sigma,
-                     int(band_eval(TernaryCellKind.CARRY_GEN, sigma))))
-    rows.append((TernaryCellKind.PULLDOWN_N.value, 6, 0))
+    rows = [(kind.value, x, y) for kind, outs in _SINGLE_INPUT.items()
+            for x, y in enumerate(outs)]
+    rows += [(TernaryCellKind.TGATE.value, x, int(tgate_eval(x))) for x in range(3)]
+    rows += [(kind.value, sigma, y) for kind, table in _BAND.items()
+             for sigma, y in table.items()]
     return rows
 
 

@@ -18,11 +18,10 @@ import sys
 from .bench import BOTH_VARIANTS, SweepSpec, run_sweep, sweep_csv
 from .builders import BuildConfig, build_design
 from .cells import TernaryCellKind, _variant_of, cell_eval
-from .cnfet import Chirality, DeviceParams, cnt_diameter, gate_width, \
-    is_semiconducting, threshold_voltage
+from .cnfet import Chirality, cnt_diameter, gate_width, is_semiconducting, threshold_voltage
 from .errors import ConfigError, NonConvergent, TritsimError
 from .netlist import parse
-from .sim import SimConfig, _exhaustive_inputs, _trit_symbol, steady_state, transient, \
+from .sim import SimConfig, _exhaustive_stimulus, _trit_symbol, steady_state, transient, \
     waveform_csv, waveform_vcd
 from .trits import VoltageMap, truth_table_csv, truth_table_rows
 
@@ -137,7 +136,6 @@ def cmd_device(args) -> int:
             return USAGE
         print(repr(threshold_voltage(c)))
         return OK
-    params = DeviceParams()
     lines = [
         f"chirality: ({c.n1}, {c.n2})",
         f"diameter_nm: {cnt_diameter(c)!r}",
@@ -148,7 +146,7 @@ def cmd_device(args) -> int:
     modes = [args.width_mode.replace("-", "_")] if args.width_mode \
         else ["as_published", "corrected"]
     for mode in modes:
-        lines.append(f"width_nm_{mode}: {gate_width(args.tubes, params, mode)!r}")
+        lines.append(f"width_nm_{mode}: {gate_width(args.tubes, mode)!r}")
     sys.stdout.write("\n".join(lines) + "\n")
     return OK
 
@@ -171,10 +169,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("netlist declares no input nodes; pass --inputs instead")
     if not (math.isfinite(args.freq) and args.freq > 0):
         raise ConfigError(f"--freq must be a finite frequency above 0 Hz, got {args.freq!r}")
-    period = 1.0 / args.freq
-    stimulus = [(k * period, assign)
-                for k, assign in enumerate(_exhaustive_inputs(nodes, args.vdd))]
-    wave = transient(net, stimulus, cfg)
+    wave = transient(net, _exhaustive_stimulus(nodes, args.vdd, 1.0 / args.freq), cfg)
     if args.format == "vcd":
         sys.stdout.write(waveform_vcd(wave, cfg, name=net.name))
     else:

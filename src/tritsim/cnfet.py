@@ -6,7 +6,10 @@ threshold voltage, which is the single knob this library uses to build
 multi-threshold ternary logic.  Tubes with n1 - n2 divisible by 3 are
 metallic and unusable as transistor channels.
 
-All lengths are in nanometers and all voltages in volts.
+switch_on is the one conduction rule the simulator applies to every FET, and
+gate_width gives a device's layout width from the reference process's tube
+pitch and minimum width (PITCH_NM, W_MIN_NM).  All lengths are in nanometers
+and all voltages in volts.
 """
 
 from __future__ import annotations
@@ -44,79 +47,53 @@ class Chirality:
             object.__setattr__(self, "n1", n1)
             object.__setattr__(self, "n2", n2)
 
-    def __iter__(self):
-        return iter((self.n1, self.n2))
 
-
-def _as_chirality(c) -> Chirality:
-    if isinstance(c, Chirality):
-        return c
-    n1, n2 = c
-    return Chirality(int(n1), int(n2))
-
-
-def cnt_diameter(c) -> float:
+def cnt_diameter(c: Chirality) -> float:
     """Tube diameter in nm: 0.0783 * sqrt(n1^2 + n2^2 + n1*n2)."""
-    c = _as_chirality(c)
     return DIAMETER_COEF_NM * math.sqrt(c.n1 * c.n1 + c.n2 * c.n2 + c.n1 * c.n2)
 
 
-def is_semiconducting(c) -> bool:
+def is_semiconducting(c: Chirality) -> bool:
     """False when n1 - n2 is a multiple of 3 (metallic tube)."""
-    c = _as_chirality(c)
     return (c.n1 - c.n2) % 3 != 0
 
 
-def threshold_voltage(c) -> float:
+def threshold_voltage(c: Chirality) -> float:
     """Threshold voltage in volts: 0.43 / D_CNT(nm).
 
     Raises MetallicTube for metallic chiralities, which have no bandgap.
     """
-    c = _as_chirality(c)
     if not is_semiconducting(c):
         raise MetallicTube(f"chirality ({c.n1}, {c.n2}) is metallic")
     return VTH_DIAMETER_PRODUCT / cnt_diameter(c)
 
 
-@dataclass(frozen=True)
-class DeviceParams:
-    """Gate-width geometry of the reference process, in nm.
-
-    The rest of the reference process is quoted for context only; nothing in
-    the switch-level model reads it:
-
-        channel length 32 nm, mean free path (intrinsic region) 100 nm,
-        doped drain- and source-side extensions 32 nm each, top-gate oxide
-        thickness 1 nm, gate oxide dielectric constant 16, flat-band term
-        6.0 (as quoted), substrate-coupling capacitance 20 aF/um.
-    """
-
-    pitch: float = 20.0    # inter-tube pitch under one gate
-    w_min: float = 32.0    # minimum lithographic gate width
-
-    def __post_init__(self):
-        for name in ("pitch", "w_min"):
-            if getattr(self, name) <= 0:
-                raise OutOfRange(f"DeviceParams.{name} must be strictly positive")
+# Gate-width geometry of the reference process.  The rest of that process is
+# quoted for context only; nothing in the switch-level model reads it:
+# channel length 32 nm, mean free path (intrinsic region) 100 nm, doped drain-
+# and source-side extensions 32 nm each, top-gate oxide thickness 1 nm, gate
+# oxide dielectric constant 16, flat-band term 6.0 (as quoted),
+# substrate-coupling capacitance 20 aF/um.
+PITCH_NM = 20.0     # inter-tube pitch under one gate
+W_MIN_NM = 32.0     # minimum lithographic gate width
 
 
-def gate_width(tubes: int, params: DeviceParams = DeviceParams(),
-               mode: str = "as_published") -> float:
-    """Gate width for N parallel tubes at the given pitch.
+def gate_width(tubes: int, mode: str = "as_published") -> float:
+    """Gate width in nm for N parallel tubes at PITCH_NM.
 
-    The published width expression takes the smaller of (w_min, N * pitch),
-    which shrinks multi-tube gates below the single-tube minimum; the
-    "corrected" mode takes the larger of the two instead.  Both are kept
-    selectable and every consumer must say which one it uses.
+    The published width expression takes the smaller of W_MIN_NM and
+    N * PITCH_NM, which shrinks multi-tube gates below the single-tube
+    minimum; the "corrected" mode takes the larger of the two instead.  Both
+    are kept selectable and every consumer must say which one it uses.
     """
     if mode not in WIDTH_MODES:
         raise OutOfRange(f"unknown width mode {mode!r}, expected one of {WIDTH_MODES}")
     if tubes < 1:
         raise OutOfRange("tube count must be >= 1")
-    spread = tubes * params.pitch
+    spread = tubes * PITCH_NM
     if mode == "as_published":
-        return min(params.w_min, spread)
-    return max(params.w_min, spread)
+        return min(W_MIN_NM, spread)
+    return max(W_MIN_NM, spread)
 
 
 class Polarity(Enum):
@@ -148,12 +125,3 @@ def switch_on(is_nfet: bool, v_gate: float, v_ref: float, vth: float) -> bool:
         return v_gate - v_ref > vth
     return v_ref - v_gate > vth
 
-
-def conducts(t: CnfetInstance, v_gate: float, v_src: float) -> bool:
-    """Switch-level conduction test against the chirality's threshold.
-
-    NFET conducts iff v_gate - v_src > Vth; PFET iff v_src - v_gate > Vth.
-    Metallic chiralities raise MetallicTube (no valid switch exists).
-    """
-    return switch_on(t.polarity is Polarity.NFET, v_gate, v_src,
-                     threshold_voltage(t.chirality))

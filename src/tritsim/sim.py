@@ -1,9 +1,9 @@
 """Switch-level steady-state and event simulation.
 
-Model summary.  Transistors are voltage-controlled switches: an NFET conducts
-when its gate sits more than Vth above the lower of its two channel
-terminals, a PFET when the upper channel terminal sits more than Vth above
-the gate.  Rails, fixed sources and externally pinned inputs have supply
+Model summary.  Transistors are voltage-controlled switches (cnfet.switch_on):
+an NFET conducts when its gate sits more than Vth above the lower of its two
+channel terminals, a PFET when the upper channel terminal sits more than Vth
+above the gate.  Rails, fixed sources and externally pinned inputs have supply
 strength; anything reached from them through conducting channels is driven;
 nodes left undriven take the capacitance-weighted average of their capacitor
 neighbors (charged), or float as 'z' with no capacitors.  Two different
@@ -21,12 +21,13 @@ The compiled form memoizes its solves by pin assignment, each timed at most
 once, and keeps a solve through the next call on the netlist: delay_estimate
 then transient, or steady_state then delay_estimate, solve each assignment
 once, and at most two calls' solves are held.
-Each sweep re-evaluates conduction from the previous state snapshot, so the
-result cannot depend on device declaration order.  A sweep's new state
-depends only on its conducting set and the pins, so a conducting set that
-comes back before the state repeats is a limit cycle: the solve raises
-NonConvergent, naming the period and the nodes that keep changing.  There
-are finitely many conducting sets, so every solve ends.
+Each sweep re-evaluates conduction from the previous state snapshot, and
+capacitance and charge sums are exact, so the result cannot depend on device
+declaration order.  A sweep's new state depends only on its conducting set
+and the pins, so a conducting set that comes back before the state repeats
+is a limit cycle: the solve raises NonConvergent, naming the period and the
+nodes that keep changing.  There are finitely many conducting sets, so every
+solve ends.
 
 Timing is first-order RC: each driven node's stage delay is the Elmore sum
 over its drive path of accumulated on-resistance (R_ON_PER_TUBE / tubes per
@@ -189,6 +190,15 @@ def _exhaustive_inputs(nodes: Sequence[str], vdd: float) -> list[dict[str, float
             for combo in itertools.product(range(3), repeat=len(nodes))]
 
 
+def _exhaustive_stimulus(nodes: Sequence[str], vdd: float,
+                         period: float) -> list[tuple[float, dict[str, float]]]:
+    """Every assignment of nodes (see _exhaustive_inputs), one per period
+    from time 0."""
+    if period <= 0:
+        raise ConfigError("period must be strictly positive")
+    return [(k * period, assign) for k, assign in enumerate(_exhaustive_inputs(nodes, vdd))]
+
+
 def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]:
     """Pinned voltage per node index, None where the node is not pinned."""
     pins: list[float | None] = [None] * len(comp.names)
@@ -292,8 +302,9 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
             if floating[m]:
                 clusters.setdefault(_find(parent, m), []).append(m)
         for members in clusters.values():
-            weight = 0.0
-            charge = 0.0
+            # summed exactly, so the level cannot depend on device order
+            weights: list[float] = []
+            charges: list[float] = []
             saw_x = False
             connected = False
             for m in members:
@@ -305,12 +316,13 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
                     if isinstance(lvl, str):
                         saw_x = True
                     else:
-                        weight += farads
-                        charge += farads * lvl
+                        weights.append(farads)
+                        charges.append(farads * lvl)
+            weight = math.fsum(weights)
             if saw_x:
                 level, strength = X, Strength.CHARGED
             elif connected and weight > 0:
-                level, strength = charge / weight, Strength.CHARGED
+                level, strength = math.fsum(charges) / weight, Strength.CHARGED
             else:
                 level, strength = Z, None
             for m in members:

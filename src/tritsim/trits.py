@@ -30,13 +30,6 @@ def full_add(a, b, cin) -> tuple[Trit, Trit]:
     return Trit(total % 3), Trit(total // 3)
 
 
-def decompose(sigma: int) -> tuple[Trit, Trit]:
-    """Split an input sum 0..6 into (quotient, remainder) base 3."""
-    if not 0 <= sigma <= 6:
-        raise OutOfRange(f"input sum must be in 0..6, got {sigma}")
-    return Trit(sigma // 3), Trit(sigma % 3)
-
-
 @dataclass(frozen=True)
 class VoltageMap:
     """Maps trits onto the three-level voltage lattice {0, vdd/2, vdd}."""

@@ -304,6 +304,16 @@ def test_cli_simulate_limit_cycle_exits_3(tmp_path, capsys):
     assert captured.err == "error: no fixpoint: limit cycle of period 6 sweeps, changing n0\n"
 
 
+def test_cli_simulate_timing_cycle_exits_2(tmp_path, capsys):
+    path = tmp_path / "keeper.tnl"
+    path.write_text("* keeper\n.input s\nMP n m VDD pfet 19 0 3\nMN m n GND nfet 19 0 3\n"
+                    "Ms m s GND nfet 19 0 1\n.probe n\n.end\n")
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: timing cycle through node m\n"
+
+
 def test_cli_verify_reads_a_netlist_with_a_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "design2.tnl"
     path.write_bytes(b"\xef\xbb\xbf" + fixture_text("design2.tnl").encode())

@@ -243,6 +243,15 @@ def test_fixtures_are_in_sync_with_builders():
         assert fixture_text(name) == serialize(build()), f"{name} is stale"
 
 
+def test_every_builder_output_validates():
+    # the builders do not validate; the simulator does, once per netlist
+    nets = [build_design(variant, BuildConfig(vdd=vdd))
+            for variant in (1, 2) for vdd in (0.6, 0.9, 1.05)]
+    nets += [build_sti(BuildConfig()), build_nti(), build_pti(), build_tgate()]
+    for net in nets:
+        net.validate()
+
+
 def test_truth_table_fixture_matches_generator():
     assert fixture_text("truth_table.csv") == truth_table_csv()
 

@@ -9,9 +9,10 @@ import random
 
 import pytest
 
-from tritsim import (Chirality, CnfetInstance, DeviceParams, MetallicTube, OutOfRange,
-                     Polarity, WIDTH_MODES, ZeroChirality, cnt_diameter, conducts,
-                     gate_width, is_semiconducting, threshold_voltage)
+from tritsim import (Chirality, CnfetInstance, MetallicTube, OutOfRange, Polarity,
+                     WIDTH_MODES, ZeroChirality, cnt_diameter, gate_width, is_semiconducting,
+                     threshold_voltage)
+from tritsim.cnfet import switch_on
 
 # chirality -> (diameter_nm, vth_v), computed by hand from the formulas
 FROZEN = {
@@ -78,53 +79,36 @@ def test_diameter_scales_with_indices():
 
 
 def test_gate_width_modes():
-    p = DeviceParams()
-    assert gate_width(1, p, "as_published") == 20.0
-    assert gate_width(1, p, "corrected") == 32.0
-    assert gate_width(2, p, "as_published") == 32.0
-    assert gate_width(2, p, "corrected") == 40.0
-    assert gate_width(3, p, "as_published") == 32.0
-    assert gate_width(3, p, "corrected") == 60.0
+    assert gate_width(1) == gate_width(1, "as_published") == 20.0
+    assert gate_width(1, "corrected") == 32.0
+    assert gate_width(2, "as_published") == 32.0
+    assert gate_width(2, "corrected") == 40.0
+    assert gate_width(3, "as_published") == 32.0
+    assert gate_width(3, "corrected") == 60.0
 
 
 def test_gate_width_validation():
     with pytest.raises(OutOfRange):
         gate_width(0)
     with pytest.raises(OutOfRange):
-        gate_width(3, DeviceParams(), "fast")
+        gate_width(3, "fast")
     assert set(WIDTH_MODES) == {"as_published", "corrected"}
 
 
-def test_device_params_must_be_positive():
-    assert DeviceParams().pitch == 20
-    assert DeviceParams().w_min == 32
-    with pytest.raises(OutOfRange):
-        DeviceParams(pitch=0)
-    with pytest.raises(OutOfRange):
-        DeviceParams(w_min=-1)
-
-
 def test_conducts_nfet():
-    t = CnfetInstance(Polarity.NFET, Chirality(10, 0), 1, "d", "g", "s")
     vth = threshold_voltage(Chirality(10, 0))
-    assert conducts(t, 0.9, 0.0)
-    assert not conducts(t, 0.45, 0.0)          # 0.45 < 0.549
-    assert not conducts(t, vth, 0.0)           # equality does not conduct
-    assert not conducts(t, 0.9, 0.45)          # source lifted by half the swing
+    assert switch_on(True, 0.9, 0.0, vth)
+    assert not switch_on(True, 0.45, 0.0, vth)     # 0.45 < 0.549
+    assert not switch_on(True, vth, 0.0, vth)      # equality does not conduct
+    assert not switch_on(True, 0.9, 0.45, vth)     # source lifted by half the swing
 
 
 def test_conducts_pfet():
-    t = CnfetInstance(Polarity.PFET, Chirality(19, 0), 1, "d", "g", "s")
-    assert conducts(t, 0.45, 0.9)              # 0.45 below source by > 0.289
-    assert conducts(t, 0.0, 0.45)
-    assert not conducts(t, 0.9, 0.9)
-    assert not conducts(t, 0.7, 0.9)           # only 0.2 below
-
-
-def test_conducts_rejects_metallic():
-    t = CnfetInstance(Polarity.NFET, Chirality(6, 3), 1, "d", "g", "s")
-    with pytest.raises(MetallicTube):
-        conducts(t, 0.9, 0.0)
+    vth = threshold_voltage(Chirality(19, 0))
+    assert switch_on(False, 0.45, 0.9, vth)        # 0.45 below source by > 0.289
+    assert switch_on(False, 0.0, 0.45, vth)
+    assert not switch_on(False, 0.9, 0.9, vth)
+    assert not switch_on(False, 0.7, 0.9, vth)     # only 0.2 below
 
 
 def test_instance_requires_tubes():

@@ -8,6 +8,7 @@ accumulated resistance (30 kOhm / tubes per device) times node capacitance.
 import dataclasses
 import gc
 import inspect
+import itertools
 import random
 import sys
 import weakref
@@ -218,6 +219,16 @@ def test_sweep_order_independence():
     assert a == b
 
 
+def test_charged_level_does_not_depend_on_capacitor_order():
+    # floating x shares charge with four pinned neighbours; summed in card
+    # order the level read three different last digits over the 24 orders
+    cards = ("C1 x VDD 0.1f\n", "C2 x GND 0.2f\n", "C3 x p3 0.3f\n", "C4 x p7 0.7f\n")
+    levels = {steady_state(net("V3 p3 0.3\nV7 p7 0.7\n" + "".join(order)), {}, CFG)["x"].level
+              for order in itertools.permutations(cards)}
+    assert len(levels) == 1
+    assert levels.pop() == pytest.approx((0.1 * 0.9 + 0.3 * 0.3 + 0.7 * 0.7) / 1.3)
+
+
 # --- timing -----------------------------------------------------------------
 
 def test_single_stage_rc_delay():
@@ -280,6 +291,14 @@ def test_never_driven_output_raises():
     n = net(".input a\nMn y a GND nfet 1 0 1\n")
     with pytest.raises(NoPath):
         delay_estimate(n, "y", CFG)
+
+
+def test_keeper_timing_cycle_raises_nopath():
+    # m's fastest pull-down waits on gate n, and n's pull-up waits on gate m
+    keeper = net(".input s\nMP n m VDD pfet 19 0 3\nMN m n GND nfet 19 0 3\n"
+                 "Ms m s GND nfet 19 0 1\n.probe n\n")
+    with pytest.raises(NoPath, match=r"^timing cycle through node m$"):
+        delay_estimate(keeper, "n", CFG, {"s": 0.9})
 
 
 # --- events -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tritsim import (Overflow, OutOfRange, Trit, TritVector, Unresolvable, VoltageMap,
-                     WidthMismatch, base3_value, decompose, from_integer, full_add,
+                     WidthMismatch, base3_value, from_integer, full_add,
                      ripple_add, trit_to_voltage, truth_table_csv, truth_table_rows,
                      voltage_to_trit)
 
@@ -22,15 +22,6 @@ def test_full_add_matches_integer_arithmetic():
 def test_full_add_carry_is_at_most_two():
     s, c = full_add(2, 2, 2)
     assert (int(s), int(c)) == (0, 2)
-
-
-def test_decompose():
-    assert decompose(0) == (Trit.ZERO, Trit.ZERO)
-    assert decompose(4) == (Trit.ONE, Trit.ONE)
-    assert decompose(6) == (Trit.TWO, Trit.ZERO)
-    for sigma in (-1, 7):
-        with pytest.raises(OutOfRange):
-            decompose(sigma)
 
 
 def test_voltage_levels():
