@@ -54,8 +54,8 @@ class SweepSpec:
     axis: str = "load"
     values: tuple[float, ...] = ()
     variants: tuple[DesignVariant, ...] = BOTH_VARIANTS
-    vdd: float = 0.9
-    load: float = 1e-15
+    vdd: float = SimConfig.vdd
+    load: float = SimConfig.c_out_load
     frequency: float = 250e6
 
     def __post_init__(self):
@@ -77,6 +77,11 @@ class SweepSpec:
             raise ConfigError("sweep values must be strictly increasing")
         if self.vdd <= 0 or self.load <= 0 or self.frequency <= 0:
             raise ConfigError("vdd, load and frequency must be strictly positive")
+        freqs = [("values entry", v) for v in self.values] if self.axis == "frequency" else []
+        for what, f in [("frequency", self.frequency), *freqs]:
+            if not math.isfinite(27 * (1.0 / f)):   # run_sweep's window holds every stimulus
+                raise ConfigError(f"{what} {f!r} Hz is too small: "
+                                  "27 periods of 1/f are not finite")
 
 
 def benchmark_stimulus(vdd: float, period: float) -> list[tuple[float, dict[str, float]]]:
@@ -97,7 +102,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
             period = 1.0 / freq
             delay = delay_estimate(net, "sum", cfg)
             wave = transient(net, benchmark_stimulus(vdd, period), cfg)
-            power = measure(wave, 27 * period).avg_power
+            power = measure(wave, 27 * period)
             points.append(SweepPoint(variant.value, spec.axis, value, delay, power,
                                      delay * power))
     return points

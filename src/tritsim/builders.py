@@ -36,7 +36,7 @@ from importlib import resources
 from operator import itemgetter
 
 from .cells import DesignVariant, _variant_of
-from .cnfet import Chirality, CnfetInstance, Polarity, is_semiconducting, threshold_voltage
+from .cnfet import Chirality, Polarity, is_semiconducting, threshold_voltage
 from .errors import ConfigError
 from .netlist import Capacitor, Fet, FixedSource, Netlist, Probe, parse
 
@@ -132,8 +132,7 @@ class _Builder:
 
     def fet(self, name: str, drain: str, gate: str, source: str,
             polarity: Polarity, chirality: Chirality):
-        self.net.devices.append(
-            Fet(name, CnfetInstance(polarity, chirality, TUBES, drain, gate, source)))
+        self.net.devices.append(Fet(name, polarity, chirality, TUBES, drain, gate, source))
 
     def cap(self, name: str, a: str, b: str, farads: float):
         self.net.devices.append(Capacitor(name, a, b, farads))

@@ -169,7 +169,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError("netlist declares no input nodes; pass --inputs instead")
     if not (math.isfinite(args.freq) and args.freq > 0):
         raise ConfigError(f"--freq must be a finite frequency above 0 Hz, got {args.freq!r}")
-    wave = transient(net, _exhaustive_stimulus(nodes, args.vdd, 1.0 / args.freq), cfg)
+    stimulus = _exhaustive_stimulus(nodes, args.vdd, 1.0 / args.freq)
+    if not all(math.isfinite(t) for t, _ in stimulus):
+        raise ConfigError(f"--freq {args.freq!r} Hz is too small: "
+                          "its stimulus times are not finite")
+    wave = transient(net, stimulus, cfg)
     if args.format == "vcd":
         sys.stdout.write(waveform_vcd(wave, cfg, name=net.name))
     else:
@@ -216,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ternary addition table, arithmetic or simulated")
     tt.add_argument("--design", choices=["1", "2", "both"],
                     help="simulate this structural variant instead of printing arithmetic")
-    tt.add_argument("--vdd", type=float, default=0.9)
+    tt.add_argument("--vdd", type=float, default=SimConfig.vdd)
     tt.set_defaults(func=cmd_truth_table)
 
     dev = sub.add_parser("device", help="report one chirality's device parameters")
@@ -235,9 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=".tnl netlist to simulate (or pass --design)")
     sim.add_argument("--design", choices=["1", "2"],
                      help="simulate a built-in adder instead of a file")
-    sim.add_argument("--vdd", type=float, default=0.9)
-    sim.add_argument("--load", type=float, default=1e-15, help="probe load in farads")
-    sim.add_argument("--freq", type=float, default=250e6, help="stimulus rate in hertz")
+    sim.add_argument("--vdd", type=float, default=SimConfig.vdd)
+    sim.add_argument("--load", type=float, default=SimConfig.c_out_load,
+                     help="probe load in farads")
+    sim.add_argument("--freq", type=float, default=SweepSpec.frequency,
+                     help="stimulus rate in hertz")
     sim.add_argument("--format", choices=["csv", "vcd"], default="csv")
     sim.add_argument("--inputs", metavar="N=V,...",
                      help="single steady state for these assignments instead of a waveform")
@@ -249,16 +255,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--values", type=float, nargs="*",
                     help="axis points; omit for the default grid")
     sw.add_argument("--design", choices=["1", "2", "both"], default="both")
-    sw.add_argument("--vdd", type=float, default=0.9)
-    sw.add_argument("--load", type=float, default=1e-15)
-    sw.add_argument("--freq", type=float, default=250e6)
+    sw.add_argument("--vdd", type=float, default=SimConfig.vdd)
+    sw.add_argument("--load", type=float, default=SimConfig.c_out_load)
+    sw.add_argument("--freq", type=float, default=SweepSpec.frequency)
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="check a netlist against the logic model")
     ver.add_argument("netlist", metavar="FILE")
     ver.add_argument("--cell", choices=["sti", "nti", "pti", "stb"],
                      help="verify a one-input cell on nodes in/out instead of an adder")
-    ver.add_argument("--vdd", type=float, default=0.9)
+    ver.add_argument("--vdd", type=float, default=SimConfig.vdd)
     ver.set_defaults(func=cmd_verify)
     return p
 

@@ -9,7 +9,8 @@ metallic and unusable as transistor channels.
 switch_on is the one conduction rule the simulator applies to every FET, and
 gate_width gives a device's layout width from the reference process's tube
 pitch and minimum width (PITCH_NM, W_MIN_NM).  All lengths are in nanometers
-and all voltages in volts.
+and all voltages in volts.  This module holds device physics only; a placed
+transistor, with its tube count and terminals, is a netlist.Fet card.
 """
 
 from __future__ import annotations
@@ -99,23 +100,6 @@ def gate_width(tubes: int, mode: str = "as_published") -> float:
 class Polarity(Enum):
     NFET = "nfet"
     PFET = "pfet"
-
-
-@dataclass(frozen=True)
-class CnfetInstance:
-    """One switch-level transistor: polarity, chirality, parallel tube count,
-    and the node ids of its three terminals."""
-
-    polarity: Polarity
-    chirality: Chirality
-    tubes: int
-    drain: str
-    gate: str
-    source: str
-
-    def __post_init__(self):
-        if self.tubes < 1:
-            raise OutOfRange("tube count must be >= 1")
 
 
 def switch_on(is_nfet: bool, v_gate: float, v_ref: float, vth: float) -> bool:

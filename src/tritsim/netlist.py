@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .cnfet import Chirality, CnfetInstance, Polarity, is_semiconducting
+from .cnfet import Chirality, Polarity, is_semiconducting
 from .errors import NetlistSemanticError, NetlistSyntaxError, OutOfRange, ZeroChirality
 
 VDD = "VDD"
@@ -39,10 +39,20 @@ _CAP_SCALE = {"f": 1e-15, "p": 1e-12, "n": 1e-9}
 
 @dataclass(frozen=True)
 class Fet:
-    """Named transistor card wrapping a CnfetInstance."""
+    """One switch-level transistor card: polarity, chirality, parallel tube
+    count, and the node ids of its three terminals."""
 
     name: str
-    fet: CnfetInstance
+    polarity: Polarity
+    chirality: Chirality
+    tubes: int
+    drain: str
+    gate: str
+    source: str
+
+    def __post_init__(self):
+        if self.tubes < 1:
+            raise OutOfRange("tube count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class Netlist:
 
 def _device_nodes(d: Device) -> tuple[str, ...]:
     if isinstance(d, Fet):
-        return (d.fet.drain, d.fet.gate, d.fet.source)
+        return (d.drain, d.gate, d.source)
     if isinstance(d, Capacitor):
         return (d.a, d.b)
     if isinstance(d, FixedSource):
@@ -146,10 +156,10 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
                 raise NetlistSemanticError(f"duplicate device id {d.name}")
             names.add(d.name)
         if isinstance(d, Fet):
-            if not is_semiconducting(d.fet.chirality):
+            if not is_semiconducting(d.chirality):
                 raise NetlistSemanticError(
                     f"device {d.name}: metallic chirality "
-                    f"({d.fet.chirality.n1}, {d.fet.chirality.n2})")
+                    f"({d.chirality.n1}, {d.chirality.n2})")
             referenced.update(_device_nodes(d))
         elif isinstance(d, Capacitor):
             if not (math.isfinite(d.farads) and d.farads > 0):
@@ -209,10 +219,8 @@ def flatten(n: Netlist) -> Netlist:
 
         for cd in sub.devices:
             if isinstance(cd, Fet):
-                f = cd.fet
-                out.append(Fet(f"{d.name}.{cd.name}", CnfetInstance(
-                    f.polarity, f.chirality, f.tubes,
-                    remap(f.drain), remap(f.gate), remap(f.source))))
+                out.append(Fet(f"{d.name}.{cd.name}", cd.polarity, cd.chirality, cd.tubes,
+                               remap(cd.drain), remap(cd.gate), remap(cd.source)))
             elif isinstance(cd, Capacitor):
                 out.append(Capacitor(f"{d.name}.{cd.name}", remap(cd.a), remap(cd.b), cd.farads))
             elif isinstance(cd, FixedSource):
@@ -287,15 +295,11 @@ def _parse_device(toks: list[tuple[str, int]], lineno: int) -> Device:
         n1v = _parse_int(n1, lineno, toks[5][1], "chiral index")
         n2v = _parse_int(n2, lineno, toks[6][1], "chiral index")
         tubesv = _parse_int(tubes, lineno, toks[7][1], "tube count")
-        if tubesv < 1:
-            raise NetlistSemanticError(f"device {card}: tube count must be >= 1", lineno)
         try:
-            chir = Chirality(n1v, n2v)
+            return Fet(card, Polarity(pol.lower()), Chirality(n1v, n2v), tubesv,
+                       _norm_node(d), _norm_node(g), _norm_node(s))
         except (ZeroChirality, OutOfRange) as e:
             raise NetlistSemanticError(f"device {card}: {e}", lineno) from None
-        return Fet(card, CnfetInstance(
-            Polarity(pol.lower()), chir, tubesv,
-            _norm_node(d), _norm_node(g), _norm_node(s)))
     if kind == "c":
         if len(toks) != 4:
             raise NetlistSyntaxError(lineno, col0,
@@ -418,9 +422,8 @@ def _fmt_cap(farads: float) -> str:
 
 def _device_line(d: Device) -> str:
     if isinstance(d, Fet):
-        f = d.fet
-        return (f"{d.name} {f.drain} {f.gate} {f.source} {f.polarity.value} "
-                f"{f.chirality.n1} {f.chirality.n2} {f.tubes}")
+        return (f"{d.name} {d.drain} {d.gate} {d.source} {d.polarity.value} "
+                f"{d.chirality.n1} {d.chirality.n2} {d.tubes}")
     if isinstance(d, Capacitor):
         return f"{d.name} {d.a} {d.b} {_fmt_cap(d.farads)}"
     if isinstance(d, FixedSource):

@@ -33,7 +33,9 @@ Timing is first-order RC: each driven node's stage delay is the Elmore sum
 over its drive path of accumulated on-resistance (R_ON_PER_TUBE / tubes per
 device) times node capacitance, and a stage starts when the latest of its
 gate signals and its path source settles.  Charge-shared nodes track their
-neighbors with no delay of their own.  Event energy is 0.5 * C * dV**2.
+neighbors with no delay of their own; delay_estimate's worst settling time is
+the one delay figure.  Event energy is 0.5 * C * dV**2, and measure turns a
+waveform's energy into average power.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import itertools
 import math
 import operator
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Mapping, NamedTuple, Sequence
@@ -158,10 +159,9 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
         fixed.append((index[GND], 0.0))
     for d in flat.devices:
         if isinstance(d, Fet):
-            f = d.fet
-            fets.append((index[f.drain], index[f.gate], index[f.source],
-                         f.polarity is Polarity.NFET, threshold_voltage(f.chirality)))
-            fet_r.append(R_ON_PER_TUBE / f.tubes)
+            fets.append((index[d.drain], index[d.gate], index[d.source],
+                         d.polarity is Polarity.NFET, threshold_voltage(d.chirality)))
+            fet_r.append(R_ON_PER_TUBE / d.tubes)
         elif isinstance(d, Capacitor):
             a, b = index[d.a], index[d.b]
             caps.append((a, b))
@@ -512,7 +512,6 @@ class WaveEvent(NamedTuple):
 @dataclass
 class Waveform:
     events: list[WaveEvent] = field(default_factory=list)
-    edge_times: list[float] = field(default_factory=list)
     initial_levels: dict[str, float | str] = field(default_factory=dict)
 
 
@@ -534,7 +533,7 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
         raise ConfigError("stimulus times must be strictly increasing")
 
     comp = _compile(n, cfg)
-    w = Waveform(edge_times=list(times))
+    w = Waveform()
 
     current: dict[str, float] = dict(stimulus[0][1])
     solve = _solved(comp, _pin_map(comp, current))
@@ -569,30 +568,12 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     return w
 
 
-class Measurement(NamedTuple):
-    avg_power: float
-    worst_delay: float
-    pdp: float
-
-
-def measure(w: Waveform, duration: float) -> Measurement:
-    """Average switching power over the duration, worst event settling delay
-    relative to its stimulus edge, and their product."""
+def measure(w: Waveform, duration: float) -> float:
+    """Average switching power in watts: the waveform's event energy over
+    the duration.  Delay is delay_estimate's figure, not the waveform's."""
     if not math.isfinite(duration) or duration <= 0:
         raise ConfigError("duration must be finite and strictly positive")
-    if not all(map(math.isfinite, w.edge_times)):
-        raise ConfigError("edge times must be finite")
-    if not w.events:
-        return Measurement(0.0, 0.0, 0.0)
-    total = sum(e.energy for e in w.events)
-    edges = sorted(w.edge_times)
-    worst = 0.0
-    for e in w.events:
-        # the latest edge at or before the event, else 0.0
-        k = bisect_right(edges, e.time)
-        worst = max(worst, e.time - (edges[k - 1] if k else 0.0))
-    power = total / duration
-    return Measurement(power, worst, power * worst)
+    return sum(e.energy for e in w.events) / duration
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ match their definition, inputs that are connected and undriven.
 
 import random
 
-from tritsim import (Capacitor, Chirality, CnfetInstance, Fet, FixedSource, Instance,
+from tritsim import (Capacitor, Chirality, Fet, FixedSource, Instance,
                      Netlist, Polarity, Probe, Subckt)
 
 CHIRALITIES = [(19, 0), (10, 0), (13, 0), (7, 5), (8, 4), (23, 0)]
@@ -26,9 +26,9 @@ def _random_subckt(rng: random.Random, name: str) -> Subckt:
     local = list(ports) + [f"loc{k}" for k in range(seq)] + ["VDD", "GND"]
     for _ in range(rng.randint(0, 3)):
         n1, n2 = rng.choice(CHIRALITIES)
-        body.append(Fet(f"Mq{seq}", CnfetInstance(
-            rng.choice([Polarity.NFET, Polarity.PFET]), Chirality(n1, n2),
-            rng.randint(1, 4), rng.choice(local), rng.choice(local), rng.choice(local))))
+        body.append(Fet(
+            f"Mq{seq}", rng.choice([Polarity.NFET, Polarity.PFET]), Chirality(n1, n2),
+            rng.randint(1, 4), rng.choice(local), rng.choice(local), rng.choice(local)))
         seq += 1
     return Subckt(name, ports, tuple(body))
 
@@ -47,9 +47,8 @@ def random_netlist(rng: random.Random, index: int) -> Netlist:
         if roll < 0.5:
             n1, n2 = rng.choice(CHIRALITIES)
             d, g, s = (rng.choice(NODE_POOL + ["VDD", "GND"]) for _ in range(3))
-            devices.append(Fet(f"M{seq}", CnfetInstance(
-                rng.choice([Polarity.NFET, Polarity.PFET]), Chirality(n1, n2),
-                rng.randint(1, 4), d, g, s)))
+            devices.append(Fet(f"M{seq}", rng.choice([Polarity.NFET, Polarity.PFET]),
+                               Chirality(n1, n2), rng.randint(1, 4), d, g, s))
             referenced.update((d, g, s))
         elif roll < 0.72:
             a = rng.choice(NODE_POOL)

@@ -14,7 +14,7 @@ from tritsim import (BOTH_VARIANTS, DEFAULT_VALUES, BuildConfig, ConfigError, De
                      SimConfig, SweepSpec, benchmark_stimulus, build_design,
                      delay_estimate, fixture_text, run_sweep, sim, sweep_csv, transient,
                      truth_table_csv)
-from tritsim.cli import main
+from tritsim.cli import _build_parser, main
 
 LOAD_POINT_CSV = (
     "variant,axis,value,delay_s,power_w,pdp_j\n"
@@ -69,6 +69,15 @@ def test_spec_validates_fields():
             SweepSpec(values=(bad,))
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec(values=(1e-15, bad))
+
+
+def test_spec_rejects_a_frequency_too_small_to_invert():
+    # 1 / 1e-307 is finite, but 27 periods of it are not
+    with pytest.raises(ConfigError, match="frequency 1e-307 Hz is too small"):
+        SweepSpec(frequency=1e-307)
+    with pytest.raises(ConfigError, match="values entry 1e-307 Hz is too small"):
+        SweepSpec(axis="frequency", values=(1e-307, 1.0))
+    assert SweepSpec(frequency=1e-306).frequency == 1e-306
 
 
 # --- stimulus ---------------------------------------------------------------
@@ -368,6 +377,30 @@ def test_cli_rejects_non_finite_numbers(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--design", "2", "--freq", "5e-324"], "--freq 5e-324 Hz is too small"),
+    (["sweep", "--axis", "frequency", "--values", "5e-324"],
+     "values entry 5e-324 Hz is too small"),
+    (["sweep", "--freq", "1e-307", "--values", "1e-15"], "frequency 1e-307 Hz is too small"),
+], ids=["simulate-freq", "sweep-values", "sweep-freq"])
+def test_cli_rejects_a_frequency_too_small_to_invert(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_cli_defaults_are_the_library_operating_point():
+    parser = _build_parser()
+    cfg, spec = SimConfig(), SweepSpec()
+    for argv in (["truth-table"], ["simulate"], ["sweep"], ["verify", "adder.tnl"]):
+        assert parser.parse_args(argv).vdd == cfg.vdd == spec.vdd
+    for argv in (["simulate"], ["sweep"]):
+        args = parser.parse_args(argv)
+        assert (args.load, args.freq) == (cfg.c_out_load, spec.frequency) \
+            == (spec.load, spec.frequency)
 
 
 @pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf"])

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from tritsim import (Chirality, CnfetInstance, MetallicTube, OutOfRange, Polarity,
+from tritsim import (Chirality, MetallicTube, OutOfRange,
                      WIDTH_MODES, ZeroChirality, cnt_diameter, gate_width, is_semiconducting,
                      threshold_voltage)
 from tritsim.cnfet import switch_on
@@ -109,11 +109,6 @@ def test_conducts_pfet():
     assert switch_on(False, 0.0, 0.45, vth)
     assert not switch_on(False, 0.9, 0.9, vth)
     assert not switch_on(False, 0.7, 0.9, vth)     # only 0.2 below
-
-
-def test_instance_requires_tubes():
-    with pytest.raises(OutOfRange):
-        CnfetInstance(Polarity.NFET, Chirality(19, 0), 0, "d", "g", "s")
 
 
 def test_threshold_envelope_for_logic_levels():

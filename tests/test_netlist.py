@@ -1,12 +1,13 @@
 """Netlist text format: parsing, validation, flattening, serialization."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from gen_netlists import random_netlist
-from tritsim import (Capacitor, Fet, FixedSource, Instance, NetlistSemanticError,
-                     NetlistSyntaxError, Netlist, Probe, fixture_text,
+from tritsim import (Capacitor, Chirality, Fet, FixedSource, Instance, NetlistSemanticError,
+                     NetlistSyntaxError, Netlist, OutOfRange, Polarity, Probe, fixture_text,
                      FIXTURE_NAMES, flatten, parse, serialize)
 
 SAMPLE = """\
@@ -35,8 +36,7 @@ def test_parse_sample_structure():
     assert [type(d).__name__ for d in n.devices] == \
         ["Fet", "Capacitor", "FixedSource", "Instance", "Probe"]
     ma = n.devices[0]
-    assert (ma.fet.drain, ma.fet.gate, ma.fet.source) == ("y", "a", "GND")
-    assert (ma.fet.chirality.n1, ma.fet.chirality.n2, ma.fet.tubes) == (19, 0, 3)
+    assert ma == Fet("Ma", Polarity.NFET, Chirality(19, 0), 3, "y", "a", "GND")
     cload = n.devices[1]
     assert cload.b == "GND" and cload.farads == 2.5 * 1e-15
     assert n.devices[2] == FixedSource("Vbias", "nb", 0.45)
@@ -74,7 +74,7 @@ def test_parse_rejects_bytes_that_are_not_utf8(data, line, col):
 
 def test_rail_and_keyword_case_folding():
     n = parse("* t\nM1 y a vdd PFET 19 0 1\nC1 y Gnd 1f\n.END\n")
-    assert n.devices[0].fet.source == "VDD"
+    assert n.devices[0].source == "VDD"
     assert n.devices[1].b == "GND"
 
 
@@ -99,11 +99,18 @@ def test_stats_flattens_instances():
 
 
 def test_flatten_prefixes_child_nodes_and_keeps_rails():
-    flat = flatten(parse(SAMPLE))
+    n = parse(SAMPLE)
+    flat = flatten(n)
     names = [d.name for d in flat.devices if isinstance(d, Fet)]
     assert names == ["Ma", "Xu1.Mp", "Xu1.Mn"]
     mp = next(d for d in flat.devices if d.name == "Xu1.Mp")
-    assert (mp.fet.drain, mp.fet.gate, mp.fet.source) == ("y", "a", "VDD")
+    assert (mp.drain, mp.gate, mp.source) == ("y", "a", "VDD")
+    # every other field of a child transistor is kept as it is
+    nodes = {"in": "a", "out": "y", "VDD": "VDD", "GND": "GND"}
+    children = [d for d in flat.devices if isinstance(d, Fet) and d.name.startswith("Xu1.")]
+    assert children == [replace(f, name=f"Xu1.{f.name}", drain=nodes[f.drain],
+                                gate=nodes[f.gate], source=nodes[f.source])
+                        for f in n.subckts["inv"].devices]
     assert not flat.subckts
 
 
@@ -117,7 +124,7 @@ X1 p q delay
 .end
 """
     flat = flatten(parse(text))
-    assert {d.fet.drain for d in flat.devices} == {"X1.mid", "q"}
+    assert {d.drain for d in flat.devices} == {"X1.mid", "q"}
     assert "X1.mid" in flat.node_ids()
 
 
@@ -223,6 +230,14 @@ def test_semantic_errors(text, fragment):
     with pytest.raises(NetlistSemanticError) as e:
         parse(text)
     assert fragment in str(e.value)
+
+
+def test_fet_requires_tubes():
+    with pytest.raises(OutOfRange, match="tube count must be >= 1"):
+        Fet("M1", Polarity.NFET, Chirality(19, 0), 0, "d", "g", "s")
+    with pytest.raises(NetlistSemanticError) as e:
+        parse("* t\nM1 d g s nfet 19 0 -2\n.end\n")
+    assert str(e.value) == "line 2: device M1: tube count must be >= 1"
 
 
 def test_instance_inside_subckt_rejected():
