@@ -4,13 +4,15 @@ Model summary.  Transistors are voltage-controlled switches (cnfet.switch_on):
 an NFET conducts when its gate sits more than Vth above the lower of its two
 channel terminals, a PFET when the upper channel terminal sits more than Vth
 above the gate.  Rails, fixed sources and externally pinned inputs have supply
-strength; anything reached from them through conducting channels is driven;
-nodes left undriven take the capacitance-weighted average of their capacitor
-neighbors (charged), or float as 'z' with no capacitors.  Two different
-supply-strength levels shorted into one channel group resolve to 'x' on the
-non-pinned members; 'x' is reported per node, never raised.  A gate reading
-'x' or 'z' is treated as non-conducting; the bundled cell library never
-exposes an unresolved gate net within its validated supply range.
+strength; a conducting channel joins two unpinned nodes into one group, and
+one from a pinned node drives the group of its other terminal to the pin's
+level.  A group driven to two levels is 'x' (equal-strength contention); no
+group holds a pinned node, so a short stays in its own group.  Nodes left
+undriven take the capacitance-weighted average of their capacitor neighbors
+(charged), or float as 'z' with no capacitors.  'x' is reported per node,
+never raised.  A gate reading 'x' or 'z' is treated as non-conducting; the
+bundled cell library never exposes an unresolved gate net within its
+validated supply range.
 
 The public calls (steady_state, delay_estimate, transient) run on the
 netlist flattened, validated and compiled to integer node indices, sorted by
@@ -23,11 +25,15 @@ then transient, or steady_state then delay_estimate, solve each assignment
 once, and at most two calls' solves are held.
 Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
-declaration order.  A sweep's new state depends only on its conducting set
-and the pins, so a conducting set that comes back before the state repeats
-is a limit cycle: the solve raises NonConvergent, naming the period and the
-nodes that keep changing.  There are finitely many conducting sets, so every
-solve ends.
+declaration order.  No channel or capacitor between unpinned nodes leaves a
+region (see _regions), so a region's next state depends only on its own
+conducting FETs and the pins.  The first sweep resolves every region;
+later ones re-evaluate only the FETs reading a node whose level changed and
+re-resolve only the regions where one switched: exactly a full sweep's state.
+A sweep's new state depends only on its conducting set and the pins, so a
+conducting set that comes back before the state repeats is a limit cycle:
+the solve raises NonConvergent, naming the period and the nodes that keep
+changing.  There are finitely many conducting sets, so every solve ends.
 
 Timing is first-order RC: each driven node's stage delay is the Elmore sum
 over its drive path of accumulated on-resistance (R_ON_PER_TUBE / tubes per
@@ -44,10 +50,9 @@ import heapq
 import itertools
 import math
 import operator
-from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
 from .errors import ConfigError, NoPath, NonConvergent, Unresolvable
@@ -106,7 +111,8 @@ class _Compiled:
     """A flattened, validated netlist on integer node indices, with the
     solves run on it; see _compile.  It holds no reference to the Netlist, so
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
-    order, so the smallest index is also the smallest name."""
+    order, so the smallest index is also the smallest name.  Its regions are
+    for the pins every solve has; a solve that pins more makes its own."""
 
     cfg: SimConfig
     contents: tuple                                 # see _compile
@@ -115,12 +121,21 @@ class _Compiled:
     index: dict[str, int]
     fets: list[tuple[int, int, int, bool, float]]   # drain, gate, source, is_nfet, vth
     fet_r: list[float]                              # on-resistance per FET
-    caps: list[tuple[int, int]]                     # capacitor terminals, device order
     cap_adj: list[list[tuple[int, float]]]          # per node (neighbor, farads), device order
     node_cap: list[float]                           # per node, probes carry c_out_load
     fixed: list[tuple[int, float]]                  # rails, then fixed sources
+    readers: list[list[int]]                        # per node, FETs it is a terminal of
+    pinned: list[bool]                              # per node: rail, source or declared input
+    regions: list[_Region]                          # for pinned, see _regions
+    fet_region: list[int]                           # per FET, index into regions or -1
     solves: dict[str, _Solve] = field(default_factory=dict)  # this call's, see _solved
     kept: dict[str, _Solve] = field(default_factory=dict)    # the previous call's
+
+
+class _Region(NamedTuple):
+    nodes: list[int]                    # unpinned, ascending
+    links: list[tuple[int, int, int]]   # (FET, node, node) for channels between nodes
+    feeds: list[tuple[int, int, int]]   # (FET, node, pinned node), by pinned node
 
 
 @dataclass
@@ -150,7 +165,6 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     index = {name: i for i, name in enumerate(names)}
     fets: list[tuple[int, int, int, bool, float]] = []
     fet_r: list[float] = []
-    caps: list[tuple[int, int]] = []
     cap_adj: list[list[tuple[int, float]]] = [[] for _ in names]
     fixed: list[tuple[int, float]] = []
     if VDD in index:
@@ -164,7 +178,6 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             fet_r.append(R_ON_PER_TUBE / d.tubes)
         elif isinstance(d, Capacitor):
             a, b = index[d.a], index[d.b]
-            caps.append((a, b))
             cap_adj[a].append((b, d.farads))
             cap_adj[b].append((a, d.farads))
         elif isinstance(d, FixedSource):
@@ -173,8 +186,15 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     for node in flat.probed():
         terms[index[node]].append(cfg.c_out_load)
     node_cap = list(map(math.fsum, terms))      # exact, so device order cannot matter
+    readers: list[list[int]] = [[] for _ in names]
+    for k, (d, g, s, _, _) in enumerate(fets):
+        for i in {d, g, s}:
+            readers[i].append(k)
+    held = {i for i, _ in fixed} | {index[name] for name in flat.inputs}
+    pinned = [i in held for i in range(len(names))]
     comp = n._compiled = _Compiled(cfg, contents, sorted(flat.inputs), names, index, fets,
-                                   fet_r, caps, cap_adj, node_cap, fixed)
+                                   fet_r, cap_adj, node_cap, fixed, readers, pinned,
+                                   *_regions(fets, cap_adj, pinned))
     return comp
 
 
@@ -237,105 +257,145 @@ def _union(parent: list[int], a: int, b: int) -> None:
         parent[rb] = ra
 
 
-def _conducting(fets: list[tuple[int, int, int, bool, float]],
-                levels: list[float | str]) -> list[int]:
-    on = []
-    for k, (d, g, s, is_nfet, vth) in enumerate(fets):
-        vg = levels[g]
-        if isinstance(vg, str):
-            continue
-        vd, vs = levels[d], levels[s]
-        if isinstance(vd, str):
-            if isinstance(vs, str):
-                continue
-            ref = vs
-        elif isinstance(vs, str):
-            ref = vd
+def _regions(fets: list[tuple[int, int, int, bool, float]],
+             cap_adj: list[list[tuple[int, float]]],
+             pinned: list[bool]) -> tuple[list[_Region], list[int]]:
+    """The regions for a pinned set: unpinned nodes joined by the channels and
+    capacitors between unpinned nodes.  Also each FET's region: that of an
+    unpinned channel terminal, -1 when both are pinned."""
+    parent = list(range(len(pinned)))
+    for a, b in itertools.chain(((d, s) for d, _, s, _, _ in fets),
+                                ((a, b) for a, adj in enumerate(cap_adj) for b, _ in adj)):
+        if not (pinned[a] or pinned[b]):
+            _union(parent, a, b)
+    roots: dict[int, int] = {}
+    node_region = [-1 if p else roots.setdefault(_find(parent, i), len(roots))
+                   for i, p in enumerate(pinned)]
+    regions = [_Region([], [], []) for _ in roots]
+    for i, r in enumerate(node_region):
+        if r >= 0:
+            regions[r].nodes.append(i)
+    fet_region: list[int] = []
+    for k, (d, _, s, _, _) in enumerate(fets):
+        a, b = (s, d) if pinned[d] else (d, s)      # a is unpinned unless both are
+        fet_region.append(r := node_region[a])
+        if r >= 0:
+            (regions[r].feeds if pinned[b] else regions[r].links).append((k, a, b))
+    for region in regions:
+        region.feeds.sort(key=operator.itemgetter(2))
+    return regions, fet_region
+
+
+def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[float | None],
+             parent: list[int], levels: list[float | str],
+             strengths: list[Strength | None]) -> None:
+    """Write region's next state, from its FETs flagged as conducting, into
+    levels and strengths, which hold the pinned levels outside it."""
+    for m in region.nodes:
+        parent[m] = m
+    for k, a, b in region.links:
+        if flags[k]:
+            _union(parent, a, b)
+    drive: dict[int, set[float]] = {}       # group root -> pinned levels driving it
+    # lowest pinned index first: of a 0.0 and a -0.0 pin, the set keeps that one
+    for k, m, p in region.feeds:
+        if flags[k]:
+            drive.setdefault(_find(parent, m), set()).add(pins[p])
+    floating: set[int] = set()
+    for m in region.nodes:
+        driven = drive.get(_find(parent, m))
+        if driven is None:
+            floating.add(m)
         else:
-            ref = min(vd, vs) if is_nfet else max(vd, vs)
-        if switch_on(is_nfet, vg, ref, vth):
-            on.append(k)
-    return on
+            # two supply levels in one group: equal-strength contention
+            levels[m] = next(iter(driven)) if len(driven) == 1 else X
+            strengths[m] = Strength.DRIVEN
+    if not floating:
+        return
+
+    # capacitive clusters: floating groups additionally merged through caps
+    for m in floating:
+        for other, _ in comp.cap_adj[m]:
+            if other in floating:
+                _union(parent, m, other)
+    clusters: dict[int, list[int]] = {}
+    for m in sorted(floating):
+        clusters.setdefault(_find(parent, m), []).append(m)
+    for members in clusters.values():
+        # summed exactly, so the level cannot depend on device order
+        weights: list[float] = []
+        charges: list[float] = []
+        saw_x = False
+        connected = False
+        for m in members:
+            for other, farads in comp.cap_adj[m]:
+                if other in floating:
+                    continue
+                lvl = levels[other]
+                connected = True
+                if isinstance(lvl, str):
+                    saw_x = True
+                else:
+                    weights.append(farads)
+                    charges.append(farads * lvl)
+        weight = math.fsum(weights)
+        if saw_x:
+            level, strength = X, Strength.CHARGED
+        elif connected and weight > 0:
+            level, strength = math.fsum(charges) / weight, Strength.CHARGED
+        else:
+            level, strength = Z, None
+        for m in members:
+            levels[m], strengths[m] = level, strength
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
-    count = len(comp.names)
-    fets, caps, cap_adj = comp.fets, comp.caps, comp.cap_adj
+    fets, readers = comp.fets, comp.readers
+    pinned = [p is not None for p in pins]
+    if pinned == comp.pinned:
+        regions, fet_region = comp.regions, comp.fet_region
+    else:
+        regions, fet_region = _regions(fets, comp.cap_adj, pinned)  # this solve's pins only
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
+    new_levels, new_strengths = list(levels), list(strengths)
+    parent = list(range(len(pins)))
+    flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
+    todo: Iterable[int] = range(len(fets))
 
-    # conducting set -> sweep it was seen at; packed, since a deep netlist
-    # keeps one set per sweep and tuples of ints would take several times more
+    # conducting set -> sweep it was seen at, packed one byte a FET
     seen: dict[bytes, int] = {}
     for sweep in itertools.count():
-        on = _conducting(fets, levels)
-        parent = list(range(count))
-        for k in on:
-            _union(parent, fets[k][0], fets[k][2])
-        groups: dict[int, list[int]] = {}
-        for i in range(count):
-            groups.setdefault(_find(parent, i), []).append(i)
-
-        new_levels: list[float | str] = [Z] * count
-        new_strengths: list[Strength | None] = [None] * count
-        floating = [False] * count
-        for members in groups.values():
-            drive_levels = sorted({pins[m] for m in members if pins[m] is not None})
-            if drive_levels:
-                # two supply levels in one group: equal-strength contention
-                level = drive_levels[0] if len(drive_levels) == 1 else X
-                for m in members:
-                    if pins[m] is None:
-                        new_levels[m], new_strengths[m] = level, Strength.DRIVEN
-                    else:
-                        new_levels[m], new_strengths[m] = pins[m], Strength.SUPPLY
+        # conduction from the previous sweep's snapshot, for the FETs that
+        # read a node it changed; only a region whose FETs toggled can change
+        toggled = set()
+        for k in todo:
+            d, g, s, is_nfet, vth = fets[k]
+            vg, vd, vs = levels[g], levels[d], levels[s]
+            if type(vg) is str or type(vd) is str and type(vs) is str:     # 'x' or 'z'
+                on = False
             else:
-                for m in members:
-                    floating[m] = True
-
-        # capacitive clusters: floating groups additionally merged through caps
-        for a, b in caps:
-            if floating[a] and floating[b]:
-                _union(parent, a, b)
-        clusters: dict[int, list[int]] = {}
-        for m in range(count):
-            if floating[m]:
-                clusters.setdefault(_find(parent, m), []).append(m)
-        for members in clusters.values():
-            # summed exactly, so the level cannot depend on device order
-            weights: list[float] = []
-            charges: list[float] = []
-            saw_x = False
-            connected = False
-            for m in members:
-                for other, farads in cap_adj[m]:
-                    if floating[other]:
-                        continue
-                    lvl = new_levels[other]
-                    connected = True
-                    if isinstance(lvl, str):
-                        saw_x = True
-                    else:
-                        weights.append(farads)
-                        charges.append(farads * lvl)
-            weight = math.fsum(weights)
-            if saw_x:
-                level, strength = X, Strength.CHARGED
-            elif connected and weight > 0:
-                level, strength = math.fsum(charges) / weight, Strength.CHARGED
-            else:
-                level, strength = Z, None
-            for m in members:
-                new_levels[m], new_strengths[m] = level, strength
-
-        if new_levels == levels and new_strengths == strengths:
-            return _Solve(levels, strengths, pins, on)
-        first = seen.setdefault(array("q", on).tobytes(), sweep)
+                ref = vs if type(vd) is str else vd if type(vs) is str \
+                    else (vd if vd <= vs else vs) if is_nfet else (vd if vd >= vs else vs)
+                on = switch_on(is_nfet, vg, ref, vth)
+            if on != flags[k]:
+                flags[k] = on
+                toggled.add(fet_region[k])
+        dirty = toggled - {-1} if sweep else range(len(regions))
+        for r in dirty:
+            _resolve(comp, regions[r], flags, pins, parent, new_levels, new_strengths)
+        changed = [m for r in dirty for m in regions[r].nodes
+                   if new_levels[m] != levels[m] or new_strengths[m] is not strengths[m]]
+        if not changed:
+            return _Solve(levels, strengths, pins, [k for k, on in enumerate(flags) if on])
+        first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
-            raise NonConvergent(sweep - first, tuple(
-                comp.names[i] for i in range(count)
-                if (new_levels[i], new_strengths[i]) != (levels[i], strengths[i])))
-        levels, strengths = new_levels, new_strengths
+            raise NonConvergent(sweep - first, tuple(comp.names[i] for i in sorted(changed)))
+        # a strength alone does not change conduction
+        todo = {k for m in changed if new_levels[m] != levels[m] for k in readers[m]}
+        for r in dirty:
+            for m in regions[r].nodes:
+                levels[m], strengths[m] = new_levels[m], new_strengths[m]
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
