@@ -128,7 +128,9 @@ class Netlist:
             body_nodes = set()
             for d in sub.devices:
                 body_nodes.update(_device_nodes(d))
-            for port in sub.ports:
+            for k, port in enumerate(sub.ports):
+                if port in sub.ports[:k]:
+                    raise NetlistSemanticError(f"subckt {sub.name}: port {port} listed twice")
                 if port not in body_nodes:
                     raise NetlistSemanticError(
                         f"subckt {sub.name}: port {port} not used by any device")
@@ -185,6 +187,10 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
                 raise NetlistSemanticError(
                     f"instance {d.name}: {len(d.bindings)} bindings for "
                     f"{len(sub.ports)} ports of {d.subckt}")
+            for port, node in zip(sub.ports, d.bindings):
+                if port in (VDD, GND) and node != port:
+                    raise NetlistSemanticError(
+                        f"instance {d.name}: rail port {port} of {d.subckt} bound to {node}")
             referenced.update(d.bindings)
     for d in devices:
         if isinstance(d, Probe) and d.node not in referenced:

@@ -35,13 +35,16 @@ conducting set that comes back before the state repeats is a limit cycle:
 the solve raises NonConvergent, naming the period and the nodes that keep
 changing.  There are finitely many conducting sets, so every solve ends.
 
-Timing is first-order RC: each driven node's stage delay is the Elmore sum
-over its drive path of accumulated on-resistance (R_ON_PER_TUBE / tubes per
-device) times node capacitance, and a stage starts when the latest of its
-gate signals and its path source settles.  Charge-shared nodes track their
-neighbors with no delay of their own; delay_estimate's worst settling time is
-the one delay figure.  Event energy is 0.5 * C * dV**2, and measure turns a
-waveform's energy into average power.
+Timing is first-order RC.  Each solve grows one shortest-path forest by
+accumulated on-resistance (R_ON_PER_TUBE / tubes per device) from every pinned
+node over the conducting FETs.  On equal resistance a node keeps the parent
+that reached it first, the lower (resistance, node index) popped first.  A
+driven node's stage delay is the Elmore sum along its branch of accumulated
+on-resistance times node capacitance; the stage starts when the last gate on
+the branch settles.  Charge-shared nodes track their neighbors with no delay
+of their own; delay_estimate's worst settling time is the one delay figure.
+Event energy is 0.5 * C * dV**2, and measure turns a waveform's energy into
+average power.
 """
 
 from __future__ import annotations
@@ -142,7 +145,6 @@ class _Region(NamedTuple):
 class _Solve:
     levels: list[float | str]          # per node index
     strengths: list[Strength | None]   # per node index
-    pins: list[float | None]           # per node index
     conducting: list[int]              # FET indices
     arrivals: dict[int, float] | None = None   # per node index, see _timed
 
@@ -387,7 +389,7 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
         changed = [m for r in dirty for m in regions[r].nodes
                    if new_levels[m] != levels[m] or new_strengths[m] is not strengths[m]]
         if not changed:
-            return _Solve(levels, strengths, pins, [k for k, on in enumerate(flags) if on])
+            return _Solve(levels, strengths, [k for k, on in enumerate(flags) if on])
         first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
             raise NonConvergent(sweep - first, tuple(comp.names[i] for i in sorted(changed)))
@@ -423,12 +425,14 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
 def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
     """Settling time per node index for the given steady state.
 
-    A node's arrival needs the arrivals of other nodes: the gates along its
-    drive path, or a charged node's drivers.  An explicit stack visits them
-    depth first, in the order a recursive walk would, so a deep netlist
-    cannot exhaust the interpreter's stack.
+    One multi-source Dijkstra grows the drive-path forest.  On equal
+    accumulated resistance a node keeps the parent that reached it first,
+    the lower (resistance, index) popped first.  A node's arrival waits on
+    others': the gates along its drive path, or a charged node's drivers.
+    An explicit stack visits them depth first, in the order a recursive walk
+    would, so a deep netlist cannot exhaust the interpreter's stack.
     """
-    pins, strengths, node_cap = solve.pins, solve.strengths, comp.node_cap
+    strengths, node_cap = solve.strengths, comp.node_cap
     adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
     for k in solve.conducting:
         d, g, s, _, _ = comp.fets[k]
@@ -436,31 +440,40 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
         adj[d].append((s, r, g))
         adj[s].append((d, r, g))
 
-    memo: dict[int, float] = {}
+    memo = {i: 0.0 for i, st in enumerate(strengths) if st is Strength.SUPPLY}
+    # node -> (resistance from its driver, Elmore sum, parent, gate of the FET
+    # from the parent); on-resistances are positive, so pins keep parent -1
+    drive = {i: (0.0, 0.0, -1, -1) for i in memo}
+    heap = [(0.0, i) for i in memo]
+    while heap:
+        dist, cur = heapq.heappop(heap)
+        res, elmore, _, _ = drive[cur]
+        if dist > res:
+            continue
+        for other, r, gate in adj[cur]:
+            nd = dist + r
+            if other not in drive or nd < drive[other][0]:
+                drive[other] = (nd, elmore + nd * node_cap[other], cur, gate)
+                heapq.heappush(heap, (nd, other))
     visiting: set[int] = set()
 
     def frame(node: int) -> tuple[int, list[int], float, list[float]]:
-        # (node, the nodes it waits on, its own delay, their arrivals so far)
+        # (node, the nodes it waits on, its own delay, their arrivals so far).
+        # Only nodes of some strength get one, as a conducting FET's gate has a
+        # level.  A DRIVEN node's group has a conducting feed from a pin, so the
+        # forest holds it; it waits on the gates along its path from the driver.
         visiting.add(node)
-        strength = strengths[node]
-        if strength is Strength.DRIVEN:
-            # Elmore over the drive path, from the driver to node
-            path = drive_path(node)
-            elmore = 0.0
-            cum_r = 0.0
-            for nxt, r, _ in path:
-                cum_r += r
-                elmore += cum_r * node_cap[nxt]
-            return node, [gate for _, _, gate in path], elmore, []
-        if strength is Strength.CHARGED:
-            return node, [o for o, _ in comp.cap_adj[node]
-                          if strengths[o] is not None and strengths[o] >= Strength.DRIVEN], \
-                0.0, []
-        raise NoPath(f"node {comp.names[node]} is not driven")
+        if strengths[node] is Strength.DRIVEN:
+            _, elmore, parent, gate = drive[node]
+            gates = []
+            while parent >= 0:
+                gates.append(gate)
+                _, _, parent, gate = drive[parent]
+            return node, gates[::-1], elmore, []
+        return node, [o for o, _ in comp.cap_adj[node]
+                      if strengths[o] is not None and strengths[o] >= Strength.DRIVEN], 0.0, []
 
     def arrival(node: int) -> float:
-        if pins[node] is not None:
-            return 0.0
         if node in memo:
             return memo[node]
         stack = [frame(node)]
@@ -468,9 +481,7 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
             node, waits, delay, times = stack[-1]
             while len(times) < len(waits):
                 other = waits[len(times)]
-                if pins[other] is not None:
-                    times.append(0.0)
-                elif other in memo:
+                if other in memo:
                     times.append(memo[other])
                 elif other in visiting:
                     raise NoPath(f"timing cycle through node {comp.names[other]}")
@@ -486,38 +497,7 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
                     return t
                 stack[-1][3].append(t)
 
-    def drive_path(node: int) -> list[tuple[int, float, int]]:
-        # Dijkstra by accumulated on-resistance from the nearest pinned
-        # driver; the path's steps run from the driver to node, each as
-        # (node reached, on-resistance, gate of the conducting FET).
-        dist: dict[int, float] = {node: 0.0}
-        prev: dict[int, tuple[int, float, int]] = {}
-        heap: list[tuple[float, int]] = [(0.0, node)]
-        driver = None
-        while heap:
-            d, cur = heapq.heappop(heap)
-            if d > dist.get(cur, math.inf):
-                continue
-            if pins[cur] is not None:
-                driver = cur
-                break
-            for other, r, gate in adj[cur]:
-                nd = d + r
-                if nd < dist.get(other, math.inf):
-                    dist[other] = nd
-                    prev[other] = (cur, r, gate)
-                    heapq.heappush(heap, (nd, other))
-        if driver is None:
-            raise NoPath(f"node {comp.names[node]} has no path to a driver")
-        path = []
-        cur = driver
-        while cur != node:
-            path.append(prev[cur])
-            cur = path[-1][0]
-        return path
-
-    return {i: arrival(i) for i in range(len(comp.names))
-            if strengths[i] is not None or pins[i] is not None}
+    return {i: arrival(i) for i in range(len(comp.names)) if strengths[i] is not None}
 
 
 def _timed(comp: _Compiled, solve: _Solve) -> dict[int, float]:

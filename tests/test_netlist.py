@@ -225,6 +225,12 @@ def test_probe_and_input_rejected_inside_subckt():
     (".input a\nV1 a 0.9\nC1 a b 1f\n.end\n", "driven"),
     (".subckt s p q\nC1 p x 1f\n.ends\nX1 a b s\n.end\n", "port q not used"),
     (".subckt s p\nC1 p x 1f\n.ends\n.subckt s p\nC2 p x 1f\n.ends\n.end\n", "duplicate subckt"),
+    (".subckt s p q q\nC1 p q 1f\n.ends\nX1 x y w s\n.probe y\n.end\n",
+     "subckt s: port q listed twice"),
+    (".subckt s p GND q\nMn q p GND nfet 19 0 3\n.ends\nX1 x VDD w s\n.end\n",
+     "instance X1: rail port GND of s bound to VDD"),
+    (".subckt s p VDD\nMp p p VDD pfet 19 0 3\n.ends\nX1 x y s\n.end\n",
+     "instance X1: rail port VDD of s bound to y"),
 ])
 def test_semantic_errors(text, fragment):
     with pytest.raises(NetlistSemanticError) as e:

@@ -309,6 +309,23 @@ def test_series_devices_sum_resistance():
     assert delay_estimate(n, "y", CFG, {"a": 0.9}) == pytest.approx(2e-11)
 
 
+def test_drive_path_takes_the_least_resistance_not_the_fewest_hops():
+    # out is driven at 0.9 V from VDD through 30 kOhm and from a through two
+    # 10 kOhm devices: 10k * 1 fF on m plus 20k * 2 fF on out, not 30k * 2 fF
+    n = net(".input a\nMv out GND VDD pfet 19 0 1\n"
+            "Ma m GND a pfet 19 0 3\nMb out GND m pfet 19 0 3\n"
+            "C1 m GND 1f\nC2 out GND 2f\n")
+    assert steady_state(n, {"a": 0.9}, CFG)["out"] == Signal(0.9, Strength.DRIVEN)
+    assert delay_estimate(n, "out", CFG, {"a": 0.9}) == pytest.approx(5e-11)
+
+
+def test_long_pass_chain_sums_elmore_along_the_whole_path():
+    # 50 10 kOhm pass devices from GND, 1 fF on every node: 10k * 1f * 50 * 51 / 2
+    n = net("".join(f"M{k} n{k} VDD {'GND' if k == 1 else f'n{k - 1}'} nfet 19 0 3\n"
+                    f"C{k} n{k} GND 1f\n" for k in range(1, 51)))
+    assert delay_estimate(n, "n50", CFG, {}) == pytest.approx(1.275e-08)
+
+
 def test_charged_node_tracks_its_driver():
     n = net(".input a\nC1 a m 1f\n")
     assert delay_estimate(n, "m", CFG, {"a": 0.9}) == 0.0
