@@ -113,6 +113,7 @@ class Netlist:
         return sorted(d.node for d in self.devices if isinstance(d, Probe))
 
     def stats(self) -> dict[str, int]:
+        self.validate()
         flat = flatten(self)
         return {
             "cnfets": sum(1 for d in flat.devices if isinstance(d, Fet)),
@@ -195,7 +196,7 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
     for d in devices:
         if isinstance(d, Probe) and d.node not in referenced:
             raise NetlistSemanticError(f"probe of unknown node {d.node}")
-    for node in inputs:
+    for node in sorted(inputs):
         if node not in referenced:
             raise NetlistSemanticError(f"declared input {node} is not connected")
         if node in source_nodes or node in (VDD, GND):

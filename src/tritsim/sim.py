@@ -15,14 +15,15 @@ bundled cell library never exposes an unresolved gate net within its
 validated supply range.
 
 The public calls (steady_state, delay_estimate, transient) run on the
-netlist flattened, validated and compiled to integer node indices, sorted by
+netlist validated, flattened and compiled to integer node indices, sorted by
 node name, with per-FET threshold voltage and on-resistance, capacitor
 adjacency and per-node capacitance.  A Netlist keeps one compiled form, for
 the contents and SimConfig of its last call; an in-place change recompiles.
-The compiled form memoizes its solves by pin assignment, each timed at most
-once, and keeps a solve through the next call on the netlist: delay_estimate
-then transient, or steady_state then delay_estimate, solve each assignment
-once, and at most two calls' solves are held.
+The compiled form memoizes its solves by the tuple of pinned voltages, each
+timed at most once, and keeps a solve through the next call on the netlist:
+delay_estimate then transient, or steady_state then delay_estimate, solve each
+assignment once, and at most two calls' solves are held.  A zero-volt input or
+fixed source is one value: -0.0 V becomes 0.0 V where voltages enter.
 Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
@@ -52,7 +53,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -131,21 +131,21 @@ class _Compiled:
     pinned: list[bool]                              # per node: rail, source or declared input
     regions: list[_Region]                          # for pinned, see _regions
     fet_region: list[int]                           # per FET, index into regions or -1
-    solves: dict[str, _Solve] = field(default_factory=dict)  # this call's, see _solved
-    kept: dict[str, _Solve] = field(default_factory=dict)    # the previous call's
+    solves: dict[tuple, _Solve] = field(default_factory=dict)  # this call's, see _solved
+    kept: dict[tuple, _Solve] = field(default_factory=dict)    # the previous call's
 
 
 class _Region(NamedTuple):
     nodes: list[int]                    # unpinned, ascending
     links: list[tuple[int, int, int]]   # (FET, node, node) for channels between nodes
-    feeds: list[tuple[int, int, int]]   # (FET, node, pinned node), by pinned node
+    feeds: list[tuple[int, int, int]]   # (FET, node, pinned node)
 
 
 @dataclass
 class _Solve:
     levels: list[float | str]          # per node index
     strengths: list[Strength | None]   # per node index
-    conducting: list[int]              # FET indices
+    flags: bytearray                   # per FET index, 1 where it conducts
     arrivals: dict[int, float] | None = None   # per node index, see _timed
 
 
@@ -153,16 +153,16 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     """n's compiled form under cfg, compiled again only when cfg or n's
     contents differ from the last call on n.  Each call opens a new
     generation of the solve memo (see _solved)."""
-    # Compared by identity: devices and Subckt are frozen, so the same objects
-    # hold the same contents, and equality would take a -0.0 V source for 0.0 V.
+    # devices and Subckt are frozen, so equal contents compile alike
     contents = (n.inputs, *n.subckts, *n.subckts.values(), *n.devices)
     comp = n._compiled
-    if (isinstance(comp, _Compiled) and comp.cfg == cfg and len(comp.contents) == len(contents)
-            and all(map(operator.is_, comp.contents, contents))):
+    if isinstance(comp, _Compiled) and comp.cfg == cfg and comp.contents == contents:
         comp.kept, comp.solves = comp.solves, {}
         return comp
+    n.validate()
     flat = flatten(n)
-    flat.validate()
+    if flat is not n:
+        flat.validate()
     names = sorted(flat.node_ids())
     index = {name: i for i, name in enumerate(names)}
     fets: list[tuple[int, int, int, bool, float]] = []
@@ -183,7 +183,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             cap_adj[a].append((b, d.farads))
             cap_adj[b].append((a, d.farads))
         elif isinstance(d, FixedSource):
-            fixed.append((index[d.node], d.volts))
+            fixed.append((index[d.node], d.volts + 0.0))    # -0.0 V is 0.0 V
     terms = [[farads for _, farads in adj] for adj in cap_adj]
     for node in flat.probed():
         terms[index[node]].append(cfg.c_out_load)
@@ -233,7 +233,7 @@ def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]
         if pins[i] is not None:
             what = "rail" if node in (VDD, GND) else "fixed-source node"
             raise ConfigError(f"cannot reassign {what} {node}")
-        volts = float(volts)
+        volts = float(volts) + 0.0      # -0.0 V is 0.0 V
         if not math.isfinite(volts):
             raise ConfigError(f"input {node} must be a finite voltage, got {volts!r}")
         pins[i] = volts
@@ -283,8 +283,6 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
         fet_region.append(r := node_region[a])
         if r >= 0:
             (regions[r].feeds if pinned[b] else regions[r].links).append((k, a, b))
-    for region in regions:
-        region.feeds.sort(key=operator.itemgetter(2))
     return regions, fet_region
 
 
@@ -299,7 +297,6 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
         if flags[k]:
             _union(parent, a, b)
     drive: dict[int, set[float]] = {}       # group root -> pinned levels driving it
-    # lowest pinned index first: of a 0.0 and a -0.0 pin, the set keeps that one
     for k, m, p in region.feeds:
         if flags[k]:
             drive.setdefault(_find(parent, m), set()).add(pins[p])
@@ -389,7 +386,7 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
         changed = [m for r in dirty for m in regions[r].nodes
                    if new_levels[m] != levels[m] or new_strengths[m] is not strengths[m]]
         if not changed:
-            return _Solve(levels, strengths, [k for k, on in enumerate(flags) if on])
+            return _Solve(levels, strengths, flags)
         first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
             raise NonConvergent(sweep - first, tuple(comp.names[i] for i in sorted(changed)))
@@ -403,7 +400,7 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
     """_solve, run once per pin assignment for as long as the compiled form
     keeps the solve: through this call and the next one on the netlist."""
-    key = str(pins)     # not tuple(pins): -0.0 == 0.0, but the levels keep the sign
+    key = tuple(pins)
     solve = comp.solves.get(key)
     if solve is None:
         solve = comp.solves[key] = comp.kept.get(key) or _solve(comp, pins)
@@ -434,7 +431,7 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
     """
     strengths, node_cap = solve.strengths, comp.node_cap
     adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
-    for k in solve.conducting:
+    for k in itertools.compress(range(len(comp.fets)), solve.flags):
         d, g, s, _, _ = comp.fets[k]
         r = comp.fet_r[k]
         adj[d].append((s, r, g))
@@ -511,22 +508,18 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
                    inputs: Mapping[str, float] | None = None) -> float:
     """Worst-case settling time of output_node.
 
-    With explicit inputs, the single steady state is analyzed.  Without,
+    With explicit inputs, that one steady state is analyzed.  Without,
     every combination of trit levels on the declared input nodes is tried
-    and the slowest one wins; combinations that leave the output undriven
-    are skipped, and NoPath is raised only if none drive it.
+    and the slowest one wins.  An assignment that leaves the output 'x' or
+    'z' is skipped, and NoPath is raised when none drives it to a level.
     """
     comp = _compile(n, cfg)
     out = comp.index.get(output_node)
     if out is None:
         raise NoPath(f"unknown output node {output_node!r}")
-    if inputs is not None:
-        arr = _timed(comp, _solved(comp, _pin_map(comp, inputs)))
-        if out not in arr:
-            raise NoPath(f"output {output_node} is not driven")
-        return arr[out]
+    assigns = _exhaustive_inputs(comp.inputs, cfg.vdd) if inputs is None else [inputs]
     worst = None
-    for assign in _exhaustive_inputs(comp.inputs, cfg.vdd):
+    for assign in assigns:
         solve = _solved(comp, _pin_map(comp, assign))
         if isinstance(solve.levels[out], str):
             continue    # 'z' (undriven) or 'x'
@@ -534,7 +527,7 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
         if worst is None or t > worst:
             worst = t
     if worst is None:
-        raise NoPath(f"output {output_node} is never driven")
+        raise NoPath(f"output {output_node} is {'never' if inputs is None else 'not'} driven")
     return worst
 
 

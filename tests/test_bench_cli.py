@@ -11,9 +11,10 @@ from collections import Counter
 import pytest
 
 from tritsim import (BOTH_VARIANTS, DEFAULT_VALUES, BuildConfig, ConfigError, DesignVariant,
-                     SimConfig, SweepSpec, benchmark_stimulus, build_design,
+                     FixedSource, SimConfig, SweepSpec, benchmark_stimulus, build_design,
                      delay_estimate, fixture_text, run_sweep, sim, sweep_csv, transient,
                      truth_table_csv)
+from tritsim import cli
 from tritsim.cli import _build_parser, main
 
 LOAD_POINT_CSV = (
@@ -197,6 +198,21 @@ def test_cli_truth_table_simulated_both(capsys):
     assert capsys.readouterr().out == out
 
 
+def test_cli_truth_table_reports_a_design_that_mismatches(monkeypatch, capsys):
+    # a source pinning sum to 0 V breaks every row whose sum is not 0
+    def pinned(variant, cfg, _real=cli.build_design):
+        net = _real(variant, cfg)
+        net.devices.append(FixedSource("Vbad", "sum", 0.0))
+        return net
+    monkeypatch.setattr(cli, "build_design", pinned)
+    assert main(["truth-table", "--design", "2"]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + 27
+    err = captured.err.splitlines()
+    assert len(err) == 18
+    assert err[0] == "design2 a=0 b=0 cin=1: sum=0 cout=0, want sum=1 cout=0"
+
+
 def test_cli_truth_table_single_design_rows_match_arithmetic(capsys):
     assert main(["truth-table", "--design", "2"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
@@ -335,6 +351,15 @@ def test_cli_simulate_bad_input_name(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_simulate_needs_inputs_to_enumerate(tmp_path, capsys):
+    path = tmp_path / "bare.tnl"
+    path.write_text("* bare\nC1 a GND 1f\n.end\n")
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: netlist declares no input nodes; pass --inputs instead\n"
+
+
 def test_cli_simulate_needs_exactly_one_source(tmp_path, capsys):
     assert main(["simulate"]) == 2
     assert "exactly one" in capsys.readouterr().err
@@ -347,6 +372,10 @@ def test_cli_simulate_needs_exactly_one_source(tmp_path, capsys):
 @pytest.mark.parametrize("inputs,message", [
     ("a=0,b=0,cin=0,half=0.1", "cannot reassign fixed-source node half"),
     ("a=0,a=2,b=0,cin=0", "input a is assigned twice"),
+    ("a=0,b", "malformed input assignment 'b', expected node=value"),
+    ("a=0,=1", "malformed input assignment '=1', expected node=value"),
+    ("a=0,b= ", "malformed input assignment 'b= ', expected node=value"),
+    ("a=high", "input value 'high' is neither a trit (0/1/2) nor a voltage"),
 ])
 def test_cli_simulate_rejects_conflicting_inputs(capsys, inputs, message):
     assert main(["simulate", "--design", "2", "--inputs", inputs]) == 2

@@ -1,10 +1,15 @@
 """Netlist text format: parsing, validation, flattening, serialization."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import tritsim
 from gen_netlists import random_netlist
 from tritsim import (Capacitor, Chirality, Fet, FixedSource, Instance, NetlistSemanticError,
                      NetlistSyntaxError, Netlist, OutOfRange, Polarity, Probe, fixture_text,
@@ -123,7 +128,9 @@ Mq2 out mid GND nfet 19 0 1
 X1 p q delay
 .end
 """
-    flat = flatten(parse(text))
+    n = parse(text)
+    assert n.node_ids() == {"p", "q"}
+    flat = flatten(n)
     assert {d.drain for d in flat.devices} == {"X1.mid", "q"}
     assert "X1.mid" in flat.node_ids()
 
@@ -139,6 +146,7 @@ X1 p q delay
     ("V1 a volts\n.end\n", 1, 6, "number"),
     ("X1 sub\n.end\n", 1, 1, "binding"),
     ("Q1 a b c\n.end\n", 1, 1, "unknown card"),
+    ("M\n.end\n", 1, 1, "device id missing after 'M'"),
     (".probe a b\n.end\n", 1, 1, "one node"),
     (".input\n.end\n", 1, 1, "one node"),
     (".foo x\n.end\n", 1, 1, "unknown directive"),
@@ -285,6 +293,22 @@ def test_round_trip_fixtures():
         n = parse(text)
         assert serialize(n) == text
         assert parse(serialize(n)) == n
+
+
+def test_a_bad_input_message_does_not_depend_on_the_hash_seed():
+    # three unconnected inputs; iterating the frozenset named any of them
+    code = ("from tritsim import parse\n"
+            "try:\n"
+            "    parse('* t\\n.input alpha\\n.input beta\\n.input gamma\\n.end\\n')\n"
+            "except Exception as e:\n"
+            "    print(e)\n")
+    path = os.pathsep.join(filter(None, (str(Path(tritsim.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    messages = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": path,
+                                                "PYTHONHASHSEED": str(seed)}).stdout
+                for seed in range(1, 7)}
+    assert messages == {"declared input alpha is not connected\n"}
 
 
 def test_round_trip_generated_netlists():

@@ -9,14 +9,15 @@ import dataclasses
 import gc
 import inspect
 import itertools
+import re
 import sys
 import weakref
 
 import pytest
 
 from conftest import sim_symbol
-from tritsim import (Capacitor, Chirality, ConfigError, Fet, Instance,
-                     Netlist, NoPath, NonConvergent, Polarity, Signal, SimConfig,
+from tritsim import (Capacitor, Chirality, ConfigError, Fet, Instance, NetlistSemanticError,
+                     Netlist, NoPath, NonConvergent, Polarity, Probe, Signal, SimConfig,
                      Strength, Subckt, WaveEvent, Waveform, build_design, build_sti,
                      delay_estimate, measure, parse, serialize, sim, steady_state, transient,
                      trits, waveform_csv, waveform_vcd)
@@ -200,6 +201,16 @@ def test_ring_oscillator_reports_its_limit_cycle():
     assert (e.value.period, e.value.changing) == (6, ("n0",))
 
 
+def test_a_limit_cycle_names_eight_nodes_and_counts_the_rest():
+    rings = "".join(f"X{k} a ring\n" for k in range(10))
+    n = net(".input a\n.subckt ring a\n" + RING.removeprefix(".input a\n") + ".ends\n" + rings)
+    with pytest.raises(NonConvergent) as e:
+        steady_state(n, {"a": 0.0}, CFG)
+    assert str(e.value) == ("no fixpoint: limit cycle of period 6 sweeps, changing "
+                            + ", ".join(f"X{k}.n0" for k in range(8)) + " and 2 more")
+    assert len(e.value.changing) == 10
+
+
 def _ripple(width: int) -> str:
     """A width-trit ripple adder of design2 cells, one subcircuit per trit."""
     cell = [line for line in serialize(build_design(2)).splitlines()[1:]
@@ -352,6 +363,14 @@ def test_never_driven_output_raises():
         delay_estimate(n, "y", CFG)
 
 
+def test_explicit_inputs_that_leave_the_output_x_raise():
+    # a pulls y to GND against a pull-up that is always on
+    n = net(".input a\nMn y a GND nfet 19 0 3\nMo y GND VDD pfet 19 0 3\n.probe y\n")
+    assert steady_state(n, {"a": 0.9}, CFG)["y"] == Signal("x", Strength.DRIVEN)
+    with pytest.raises(NoPath, match=r"^output y is not driven$"):
+        delay_estimate(n, "y", CFG, {"a": 0.9})
+
+
 def test_keeper_timing_cycle_raises_nopath():
     # m's fastest pull-down waits on gate n, and n's pull-up waits on gate m
     keeper = net(".input s\nMP n m VDD pfet 19 0 3\nMN m n GND nfet 19 0 3\n"
@@ -433,12 +452,20 @@ def test_transient_solves_a_revisited_assignment_once(monkeypatch):
     assert [tuple(e) for e in w.events] == STI_0202_EVENTS
 
 
-def test_transient_keeps_the_sign_of_a_revisited_zero_input():
+def test_a_zero_volt_pin_is_unsigned(monkeypatch):
+    # y is pulled to GND and to a -0.0 V source; its level must not depend on
+    # the source node's name
+    for src in ("p", "A"):
+        n = net(f"V1 {src} -0.0\nM1 y VDD {src} nfet 19 0 3\nM2 y VDD GND nfet 19 0 3\n")
+        assert repr(steady_state(n, {}, CFG)["y"].level) == "0.0"
+    # a -0.0 V input is the same assignment as 0.0 V, so it is solved once
+    calls = _count_solves(monkeypatch)
     n = net(".input a\nMp x a VDD pfet 19 0 3\nMn x a GND nfet 19 0 3\nC1 x GND 1f\n")
     stimulus = [(0.0, {"a": 0.9}), (1e-9, {"a": -0.0}), (2e-9, {"a": 0.9}), (3e-9, {"a": 0.0})]
     w = transient(n, stimulus, CFG)
+    assert len(calls) == 2
     assert [(e.node, repr(e.new)) for e in w.events if e.node == "a"] == [
-        ("a", "-0.0"), ("a", "0.9"), ("a", "0.0")]
+        ("a", "0.0"), ("a", "0.9"), ("a", "0.0")]
 
 
 def test_steady_state_result_is_the_callers_own(monkeypatch):
@@ -465,6 +492,10 @@ def test_a_solve_is_kept_through_the_next_call_only(monkeypatch):
     assert len(calls) == 1
 
 
+_INV = (Fet("Mp", Polarity.PFET, Chirality(19, 0), 3, "y", "a", "VDD"),
+        Fet("Mn", Polarity.NFET, Chirality(19, 0), 3, "y", "a", "GND"))
+
+
 def test_a_netlist_changed_in_place_is_compiled_again(monkeypatch):
     compiles = []
 
@@ -472,11 +503,9 @@ def test_a_netlist_changed_in_place_is_compiled_again(monkeypatch):
         compiles.append(n.name)
         return _real(n)
     monkeypatch.setattr(sim, "flatten", counted)
-    inv = (Fet("Mp", Polarity.PFET, Chirality(19, 0), 3, "y", "a", "VDD"),
-           Fet("Mn", Polarity.NFET, Chirality(19, 0), 3, "y", "a", "GND"))
     n = Netlist("hand", [Instance("X1", ("a", "x"), "cell"),
                          Fet("Mb", Polarity.NFET, Chirality(19, 0), 3, "x", "b", "GND")],
-                frozenset({"a"}), {"cell": Subckt("cell", ("a", "y"), inv)})
+                frozenset({"a"}), {"cell": Subckt("cell", ("a", "y"), _INV)})
     low = {"a": 0.0}
     assert delay_estimate(n, "x", CFG, low) == 0.0
     assert steady_state(n, low, CFG)["x"].level == 0.9
@@ -487,9 +516,29 @@ def test_a_netlist_changed_in_place_is_compiled_again(monkeypatch):
     n.inputs = frozenset({"a", "b"})
     with pytest.raises(ConfigError, match="unassigned input nodes: b"):
         steady_state(n, low, CFG)
-    n.subckts["cell"] = Subckt("cell", ("a", "y"), inv[1:])   # pull-down only
+    n.subckts["cell"] = Subckt("cell", ("a", "y"), _INV[1:])   # pull-down only
     assert steady_state(n, {"a": 0.0, "b": 0.0}, CFG)["x"] == Signal(0.0, Strength.CHARGED)
     assert len(compiles) == 4
+
+
+@pytest.mark.parametrize("bindings,ports,body,message", [
+    (("a", "x"), None, _INV, "instance X1: unknown subckt nope"),
+    (("a",), ("a", "y"), _INV, "instance X1: 1 bindings for 2 ports of cell"),
+    (("a", "x", "b"), ("a", "y"), _INV, "instance X1: 3 bindings for 2 ports of cell"),
+    (("a", "x", "b"), ("a", "y", "VDD"), _INV,
+     "instance X1: rail port VDD of cell bound to b"),
+    (("a", "x"), ("a", "y"), (*_INV, Probe("y")),
+     "instance X1: unsupported child device Probe(node='y')"),
+], ids=["unknown-subckt", "too-few-bindings", "extra-bindings", "rail-port-rebound",
+        "probe-in-subckt"])
+def test_a_hand_built_hierarchy_is_checked_before_it_is_flattened(bindings, ports, body, message):
+    subckts = {} if ports is None else {"cell": Subckt("cell", ports, body)}
+    n = Netlist("hand", [Instance("X1", bindings, "nope" if ports is None else "cell")],
+                frozenset({"a"}), subckts)
+    with pytest.raises(NetlistSemanticError, match=f"^{re.escape(message)}$"):
+        steady_state(n, {"a": 0.0}, CFG)
+    with pytest.raises(NetlistSemanticError, match=f"^{re.escape(message)}$"):
+        n.stats()
 
 
 def test_a_call_that_raises_leaves_later_results_identical():
