@@ -193,6 +193,11 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
                     raise NetlistSemanticError(
                         f"instance {d.name}: rail port {port} of {d.subckt} bound to {node}")
             referenced.update(d.bindings)
+        elif isinstance(d, Probe) and not top:
+            raise NetlistSemanticError("subckt bodies cannot probe nodes")
+    bad = sorted(node for node in referenced | inputs if "," in node or "=" in node)
+    if bad:
+        raise NetlistSemanticError(f"node id {bad[0]} contains ',' or '='")
     for d in devices:
         if isinstance(d, Probe) and d.node not in referenced:
             raise NetlistSemanticError(f"probe of unknown node {d.node}")

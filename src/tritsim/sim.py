@@ -42,10 +42,12 @@ node over the conducting FETs.  On equal resistance a node keeps the parent
 that reached it first, the lower (resistance, node index) popped first.  A
 driven node's stage delay is the Elmore sum along its branch of accumulated
 on-resistance times node capacitance; the stage starts when the last gate on
-the branch settles.  Charge-shared nodes track their neighbors with no delay
-of their own; delay_estimate's worst settling time is the one delay figure.
-Event energy is 0.5 * C * dV**2, and measure turns a waveform's energy into
-average power.
+the branch settles.  A branch waits on its parent's and one gate more, so
+timing is linear in path depth, in the frame order (and naming the cycle node)
+of a walk over every gate on the path.  Charge-shared nodes track their
+neighbors with no delay of their own; delay_estimate's worst settling time is
+the one delay figure.  Event energy is 0.5 * C * dV**2, and measure turns a
+waveform's energy into average power.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class _Solve:
     levels: list[float | str]          # per node index
     strengths: list[Strength | None]   # per node index
     flags: bytearray                   # per FET index, 1 where it conducts
-    arrivals: dict[int, float] | None = None   # per node index, see _timed
+    arrivals: dict[int, float] | None = None   # per node index, see _arrivals
 
 
 def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
@@ -290,7 +292,7 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
              parent: list[int], levels: list[float | str],
              strengths: list[Strength | None]) -> None:
     """Write region's next state, from its FETs flagged as conducting, into
-    levels and strengths, which hold the pinned levels outside it."""
+    levels and strengths in place; it reads only its own nodes and the pins."""
     for m in region.nodes:
         parent[m] = m
     for k, a, b in region.links:
@@ -325,13 +327,11 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
         weights: list[float] = []
         charges: list[float] = []
         saw_x = False
-        connected = False
         for m in members:
             for other, farads in comp.cap_adj[m]:
                 if other in floating:
                     continue
                 lvl = levels[other]
-                connected = True
                 if isinstance(lvl, str):
                     saw_x = True
                 else:
@@ -340,7 +340,7 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
         weight = math.fsum(weights)
         if saw_x:
             level, strength = X, Strength.CHARGED
-        elif connected and weight > 0:
+        elif weight > 0:
             level, strength = math.fsum(charges) / weight, Strength.CHARGED
         else:
             level, strength = Z, None
@@ -357,7 +357,6 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
         regions, fet_region = _regions(fets, comp.cap_adj, pinned)  # this solve's pins only
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
-    new_levels, new_strengths = list(levels), list(strengths)
     parent = list(range(len(pins)))
     flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
     todo: Iterable[int] = range(len(fets))
@@ -381,20 +380,17 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
                 flags[k] = on
                 toggled.add(fet_region[k])
         dirty = toggled - {-1} if sweep else range(len(regions))
+        was = [(m, levels[m], strengths[m]) for r in dirty for m in regions[r].nodes]
         for r in dirty:
-            _resolve(comp, regions[r], flags, pins, parent, new_levels, new_strengths)
-        changed = [m for r in dirty for m in regions[r].nodes
-                   if new_levels[m] != levels[m] or new_strengths[m] is not strengths[m]]
+            _resolve(comp, regions[r], flags, pins, parent, levels, strengths)
+        changed = [(m, lvl) for m, lvl, st in was if levels[m] != lvl or strengths[m] is not st]
         if not changed:
             return _Solve(levels, strengths, flags)
         first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
-            raise NonConvergent(sweep - first, tuple(comp.names[i] for i in sorted(changed)))
+            raise NonConvergent(sweep - first, tuple(comp.names[m] for m, _ in sorted(changed)))
         # a strength alone does not change conduction
-        todo = {k for m in changed if new_levels[m] != levels[m] for k in readers[m]}
-        for r in dirty:
-            for m in regions[r].nodes:
-                levels[m], strengths[m] = new_levels[m], new_strengths[m]
+        todo = {k for m, lvl in changed if levels[m] != lvl for k in readers[m]}
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -420,15 +416,18 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
 # first-order timing
 
 def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
-    """Settling time per node index for the given steady state.
+    """Settling time per node index for the given steady state, kept on it.
 
-    One multi-source Dijkstra grows the drive-path forest.  On equal
-    accumulated resistance a node keeps the parent that reached it first,
-    the lower (resistance, index) popped first.  A node's arrival waits on
-    others': the gates along its drive path, or a charged node's drivers.
-    An explicit stack visits them depth first, in the order a recursive walk
-    would, so a deep netlist cannot exhaust the interpreter's stack.
+    One multi-source Dijkstra grows the drive-path forest; on equal resistance
+    a node keeps the parent popped first, by (resistance, index).  A charged
+    node waits on its drivers, a driven node on its parent's branch and its own
+    gate; a branch's time (key ~i) is its parent's plus one gate, so timing is
+    linear in path depth.  An explicit stack, not the interpreter's, visits them
+    depth first, in the frame order (and cycle node) of a recursive walk over
+    every gate on the path.
     """
+    if solve.arrivals is not None:
+        return solve.arrivals
     strengths, node_cap = solve.strengths, comp.node_cap
     adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
     for k in itertools.compress(range(len(comp.fets)), solve.flags):
@@ -442,6 +441,7 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
     # from the parent); on-resistances are positive, so pins keep parent -1
     drive = {i: (0.0, 0.0, -1, -1) for i in memo}
     heap = [(0.0, i) for i in memo]
+    memo.update({~i: 0.0 for i in drive})   # ~i: when the last gate on i's branch settles
     while heap:
         dist, cur = heapq.heappop(heap)
         res, elmore, _, _ = drive[cur]
@@ -454,28 +454,26 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
                 heapq.heappush(heap, (nd, other))
     visiting: set[int] = set()
 
-    def frame(node: int) -> tuple[int, list[int], float, list[float]]:
-        # (node, the nodes it waits on, its own delay, their arrivals so far).
-        # Only nodes of some strength get one, as a conducting FET's gate has a
-        # level.  A DRIVEN node's group has a conducting feed from a pin, so the
-        # forest holds it; it waits on the gates along its path from the driver.
-        visiting.add(node)
-        if strengths[node] is Strength.DRIVEN:
-            _, elmore, parent, gate = drive[node]
-            gates = []
-            while parent >= 0:
-                gates.append(gate)
-                _, _, parent, gate = drive[parent]
-            return node, gates[::-1], elmore, []
-        return node, [o for o, _ in comp.cap_adj[node]
-                      if strengths[o] is not None and strengths[o] >= Strength.DRIVEN], 0.0, []
+    def frame(key: int) -> tuple[int, list[int], float, list[float]]:
+        # (key, the keys it waits on, its own delay, their times so far); only
+        # nodes of some strength get one, and the forest holds each DRIVEN node,
+        # as its group has a conducting feed from a pin.  Only nodes enter visiting.
+        if key < 0:
+            _, _, parent, gate = drive[~key]
+            return key, [~parent, gate], 0.0, []
+        visiting.add(key)
+        if strengths[key] is Strength.DRIVEN:
+            _, elmore, parent, gate = drive[key]
+            return key, [~parent, gate], elmore, []
+        return key, [o for o, _ in comp.cap_adj[key]
+                     if strengths[o] is not None and strengths[o] >= Strength.DRIVEN], 0.0, []
 
     def arrival(node: int) -> float:
         if node in memo:
             return memo[node]
         stack = [frame(node)]
         while True:
-            node, waits, delay, times = stack[-1]
+            key, waits, delay, times = stack[-1]
             while len(times) < len(waits):
                 other = waits[len(times)]
                 if other in memo:
@@ -486,21 +484,15 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
                     stack.append(frame(other))
                     break
             else:
-                # a node settles its own delay after the last node it waits on
-                t = memo[node] = max(times, default=0.0) + delay
-                visiting.discard(node)
+                # a key settles its own delay after the last key it waits on
+                t = memo[key] = max(times, default=0.0) + delay
+                visiting.discard(key)
                 stack.pop()
                 if not stack:
                     return t
                 stack[-1][3].append(t)
 
-    return {i: arrival(i) for i in range(len(comp.names)) if strengths[i] is not None}
-
-
-def _timed(comp: _Compiled, solve: _Solve) -> dict[int, float]:
-    """_arrivals, run once per solve."""
-    if solve.arrivals is None:
-        solve.arrivals = _arrivals(comp, solve)
+    solve.arrivals = {i: arrival(i) for i in range(len(comp.names)) if strengths[i] is not None}
     return solve.arrivals
 
 
@@ -523,7 +515,7 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
         solve = _solved(comp, _pin_map(comp, assign))
         if isinstance(solve.levels[out], str):
             continue    # 'z' (undriven) or 'x'
-        t = _timed(comp, solve)[out]
+        t = _arrivals(comp, solve)[out]
         if worst is None or t > worst:
             worst = t
     if worst is None:
@@ -577,7 +569,7 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     for t_edge, assigns in stimulus[1:]:
         current.update(assigns)
         solve = _solved(comp, _pin_map(comp, current))
-        arr = _timed(comp, solve)
+        arr = _arrivals(comp, solve)
         batch = []
         for i, node in enumerate(comp.names):
             new = solve.levels[i]

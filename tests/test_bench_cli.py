@@ -339,6 +339,17 @@ def test_cli_simulate_timing_cycle_exits_2(tmp_path, capsys):
     assert captured.err == "error: timing cycle through node m\n"
 
 
+def test_cli_simulate_rejects_a_node_id_with_a_separator(tmp_path, capsys):
+    # a comma in a node id would add a column to every CSV row it names
+    path = tmp_path / "comma.tnl"
+    path.write_text("* comma\n.input a,b\nM1 y,z a,b GND nfet 19 0 3\nC1 y,z VDD 1f\n"
+                    ".probe y,z\n.end\n")
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node id a,b contains ',' or '='\n"
+
+
 def test_cli_verify_reads_a_netlist_with_a_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "design2.tnl"
     path.write_bytes(b"\xef\xbb\xbf" + fixture_text("design2.tnl").encode())

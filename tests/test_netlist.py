@@ -239,6 +239,12 @@ def test_probe_and_input_rejected_inside_subckt():
      "instance X1: rail port GND of s bound to VDD"),
     (".subckt s p VDD\nMp p p VDD pfet 19 0 3\n.ends\nX1 x y s\n.end\n",
      "instance X1: rail port VDD of s bound to y"),
+    # the CLI writes node ids into comma-separated rows and reads node=value
+    (".input a,b\nM1 y,z a,b GND nfet 19 0 3\nC1 y,z VDD 1f\n.probe y,z\n.end\n",
+     "node id a,b contains ',' or '='"),
+    (".input a=b\nC1 a GND 1f\n.end\n", "node id a=b contains"),
+    (".subckt s p,q\nC1 p,q x 1f\n.ends\nX1 a s\n.end\n", "node id p,q contains"),
+    (".subckt s p\nC1 p x 1f\n.ends\nX1 a=1 s\n.end\n", "node id a=1 contains"),
 ])
 def test_semantic_errors(text, fragment):
     with pytest.raises(NetlistSemanticError) as e:
