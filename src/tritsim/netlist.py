@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cnfet import Chirality, Polarity, is_semiconducting
@@ -113,26 +114,25 @@ class Netlist:
         return sorted(d.node for d in self.devices if isinstance(d, Probe))
 
     def stats(self) -> dict[str, int]:
-        self.validate()
         flat = flatten(self)
-        return {
-            "cnfets": sum(1 for d in flat.devices if isinstance(d, Fet)),
-            "capacitors": sum(1 for d in flat.devices if isinstance(d, Capacitor)),
-            "sources": sum(1 for d in flat.devices if isinstance(d, FixedSource)),
-            "nodes": len(flat.node_ids()),
-        }
+        kinds = Counter(type(d) for d in flat.devices)
+        return {"cnfets": kinds[Fet], "capacitors": kinds[Capacitor],
+                "sources": kinds[FixedSource], "nodes": len(flat.node_ids())}
 
     def validate(self) -> None:
+        if not _NAME_RE.fullmatch(self.name):
+            raise NetlistSemanticError(f"netlist name {self.name!r} must match [A-Za-z0-9_.-]+")
         _validate_body(self.devices, self.inputs, self.subckts, top=True)
-        for sub in self.subckts.values():
-            _validate_body(sub.devices, frozenset(), {}, top=False)
-            body_nodes = set()
-            for d in sub.devices:
-                body_nodes.update(_device_nodes(d))
+        for key, sub in self.subckts.items():
+            if key != sub.name:
+                raise NetlistSemanticError(f"subckt {sub.name} is filed under {key}")
+            if not sub.ports:
+                raise NetlistSemanticError(f"subckt {sub.name} has no ports")
+            used = _validate_body(sub.devices, frozenset(), {}, top=False)
             for k, port in enumerate(sub.ports):
                 if port in sub.ports[:k]:
                     raise NetlistSemanticError(f"subckt {sub.name}: port {port} listed twice")
-                if port not in body_nodes:
+                if port not in used:
                     raise NetlistSemanticError(
                         f"subckt {sub.name}: port {port} not used by any device")
 
@@ -149,7 +149,8 @@ def _device_nodes(d: Device) -> tuple[str, ...]:
     return tuple(d.bindings)
 
 
-def _validate_body(devices, inputs, subckts, top: bool) -> None:
+def _validate_body(devices, inputs, subckts, top: bool) -> set[str]:
+    """Check one body; returns the nodes its devices other than probes use."""
     names: set[str] = set()
     source_nodes: dict[str, float] = {}
     referenced: set[str] = set()
@@ -158,17 +159,16 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
             if d.name in names:
                 raise NetlistSemanticError(f"duplicate device id {d.name}")
             names.add(d.name)
+            referenced.update(_device_nodes(d))
         if isinstance(d, Fet):
             if not is_semiconducting(d.chirality):
                 raise NetlistSemanticError(
                     f"device {d.name}: metallic chirality "
                     f"({d.chirality.n1}, {d.chirality.n2})")
-            referenced.update(_device_nodes(d))
         elif isinstance(d, Capacitor):
             if not (math.isfinite(d.farads) and d.farads > 0):
                 raise NetlistSemanticError(
                     f"device {d.name}: capacitance must be finite and positive")
-            referenced.update(_device_nodes(d))
         elif isinstance(d, FixedSource):
             if not math.isfinite(d.volts):
                 raise NetlistSemanticError(f"device {d.name}: voltage must be finite")
@@ -177,7 +177,6 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
             if d.node in source_nodes:
                 raise NetlistSemanticError(f"device {d.name}: node {d.node} has two sources")
             source_nodes[d.node] = d.volts
-            referenced.add(d.node)
         elif isinstance(d, Instance):
             if not top:
                 raise NetlistSemanticError("subckt bodies cannot instantiate subckts")
@@ -192,12 +191,16 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
                 if port in (VDD, GND) and node != port:
                     raise NetlistSemanticError(
                         f"instance {d.name}: rail port {port} of {d.subckt} bound to {node}")
-            referenced.update(d.bindings)
-        elif isinstance(d, Probe) and not top:
+        elif not top:
             raise NetlistSemanticError("subckt bodies cannot probe nodes")
-    bad = sorted(node for node in referenced | inputs if "," in node or "=" in node)
-    if bad:
+    # ids that the CLI's rows (',', '=') or .tnl tokens (spaces, rail case) cannot carry
+    bad = sorted(node for node in referenced | inputs
+                 if "," in node or "=" in node or node.split() != [_norm_node(node)])
+    if bad and ("," in bad[0] or "=" in bad[0]):
         raise NetlistSemanticError(f"node id {bad[0]} contains ',' or '='")
+    if bad:
+        raise NetlistSemanticError(f"node id {bad[0]!r} cannot be written in .tnl text "
+                                   "(one token, VDD/GND in upper case only)")
     for d in devices:
         if isinstance(d, Probe) and d.node not in referenced:
             raise NetlistSemanticError(f"probe of unknown node {d.node}")
@@ -206,13 +209,16 @@ def _validate_body(devices, inputs, subckts, top: bool) -> None:
             raise NetlistSemanticError(f"declared input {node} is not connected")
         if node in source_nodes or node in (VDD, GND):
             raise NetlistSemanticError(f"input {node} is already driven internally")
+    return referenced
 
 
 def flatten(n: Netlist) -> Netlist:
-    """Expand subckt instances in place-and-prefix style.  Bound ports map to
-    the caller's nodes; internal child nodes and device names get the
-    instance name as a dotted prefix.  VDD/GND stay global."""
-    if not n.subckts and not any(isinstance(d, Instance) for d in n.devices):
+    """Validates n and returns it with its subckt instances expanded, after
+    validating that copy too; n without subckts comes back as it is.  Bound
+    ports map to the caller's nodes; internal child nodes and device names
+    get the instance name as a dotted prefix.  VDD/GND stay global."""
+    n.validate()
+    if not n.subckts:       # then validate has ruled out any instance
         return n
     out: list[Device] = []
     for d in n.devices:
@@ -229,24 +235,23 @@ def flatten(n: Netlist) -> Netlist:
                 return port_map[node]
             return f"{inst.name}.{node}"
 
-        for cd in sub.devices:
+        for cd in sub.devices:      # validate admits no probe or instance here
             if isinstance(cd, Fet):
                 out.append(Fet(f"{d.name}.{cd.name}", cd.polarity, cd.chirality, cd.tubes,
                                remap(cd.drain), remap(cd.gate), remap(cd.source)))
             elif isinstance(cd, Capacitor):
                 out.append(Capacitor(f"{d.name}.{cd.name}", remap(cd.a), remap(cd.b), cd.farads))
-            elif isinstance(cd, FixedSource):
-                out.append(FixedSource(f"{d.name}.{cd.name}", remap(cd.node), cd.volts))
             else:
-                raise NetlistSemanticError(
-                    f"instance {d.name}: unsupported child device {cd!r}")
-    return Netlist(n.name, out, n.inputs, {})
+                out.append(FixedSource(f"{d.name}.{cd.name}", remap(cd.node), cd.volts))
+    flat = Netlist(n.name, out, n.inputs, {})
+    flat.validate()
+    return flat
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 def _norm_node(tok: str) -> str:
@@ -360,7 +365,7 @@ def parse(text: str | bytes) -> Netlist:
         if line.startswith("*"):
             if not any_card and not name_seen:
                 fields = line[1:].split()
-                if len(fields) == 1 and _NAME_RE.match(fields[0]):
+                if len(fields) == 1 and _NAME_RE.fullmatch(fields[0]):
                     name = fields[0]
                     name_seen = True
             continue
@@ -391,19 +396,16 @@ def parse(text: str | bytes) -> Netlist:
             ports = tuple(_norm_node(t) for t, _ in toks[2:])
             current_sub = (sname, ports, [])
             continue
-        if head == ".probe":
+        if head in (".probe", ".input"):
             if len(toks) != 2:
-                raise NetlistSyntaxError(lineno, toks[0][1], ".probe takes one node")
+                raise NetlistSyntaxError(lineno, toks[0][1], f"{head} takes one node")
             if current_sub is not None:
-                raise NetlistSyntaxError(lineno, toks[0][1], ".probe not allowed in a subckt")
-            devices.append(Probe(_norm_node(toks[1][0])))
-            continue
-        if head == ".input":
-            if len(toks) != 2:
-                raise NetlistSyntaxError(lineno, toks[0][1], ".input takes one node")
-            if current_sub is not None:
-                raise NetlistSyntaxError(lineno, toks[0][1], ".input not allowed in a subckt")
-            inputs.add(_norm_node(toks[1][0]))
+                raise NetlistSyntaxError(lineno, toks[0][1], f"{head} not allowed in a subckt")
+            node = _norm_node(toks[1][0])
+            if head == ".probe":
+                devices.append(Probe(node))
+            else:
+                inputs.add(node)
             continue
         if head.startswith("."):
             raise NetlistSyntaxError(lineno, toks[0][1], f"unknown directive {toks[0][0]!r}")

@@ -15,10 +15,11 @@ bundled cell library never exposes an unresolved gate net within its
 validated supply range.
 
 The public calls (steady_state, delay_estimate, transient) run on the
-netlist validated, flattened and compiled to integer node indices, sorted by
-node name, with per-FET threshold voltage and on-resistance, capacitor
-adjacency and per-node capacitance.  A Netlist keeps one compiled form, for
-the contents and SimConfig of its last call; an in-place change recompiles.
+netlist flattened (flatten validates it and what it builds) and compiled to
+integer node indices, sorted by node name, with per-FET threshold voltage
+and on-resistance, capacitor adjacency and per-node capacitance.  A Netlist
+keeps one compiled form, for the contents and SimConfig of its last call;
+an in-place change recompiles.
 The compiled form memoizes its solves by the tuple of pinned voltages, each
 timed at most once, and keeps a solve through the next call on the netlist:
 delay_estimate then transient, or steady_state then delay_estimate, solve each
@@ -161,10 +162,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     if isinstance(comp, _Compiled) and comp.cfg == cfg and comp.contents == contents:
         comp.kept, comp.solves = comp.solves, {}
         return comp
-    n.validate()
     flat = flatten(n)
-    if flat is not n:
-        flat.validate()
     names = sorted(flat.node_ids())
     index = {name: i for i, name in enumerate(names)}
     fets: list[tuple[int, int, int, bool, float]] = []

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,8 +13,8 @@ import pytest
 import tritsim
 from gen_netlists import random_netlist
 from tritsim import (Capacitor, Chirality, Fet, FixedSource, Instance, NetlistSemanticError,
-                     NetlistSyntaxError, Netlist, OutOfRange, Polarity, Probe, fixture_text,
-                     FIXTURE_NAMES, flatten, parse, serialize)
+                     NetlistSyntaxError, Netlist, OutOfRange, Polarity, Probe, Subckt,
+                     fixture_text, FIXTURE_NAMES, flatten, parse, serialize)
 
 SAMPLE = """\
 * sample
@@ -340,3 +341,34 @@ def test_validate_on_hand_built_netlist():
     bad = Netlist("hand", [Capacitor("C1", "a", "b", 1e-15), Probe("ghost")])
     with pytest.raises(NetlistSemanticError):
         bad.validate()
+
+
+_CAP = Capacitor("C1", "p", "GND", 1e-15)
+
+
+# each of these passed validate, then failed or changed across serialize -> parse
+@pytest.mark.parametrize("node,n", [
+    *((x, Netlist("hand", [Capacitor("C1", x, "GND", 1e-15)]))
+      for x in ("a b", "", " a", "vdd", "Gnd")),
+    ("vdd", Netlist("hand", [Instance("X1", ("a",), "s")], frozenset(),
+                    {"s": Subckt("s", ("vdd",), (Capacitor("C1", "vdd", "GND", 1e-15),))})),
+    ("a b", Netlist("hand", [Capacitor("C1", "a b", "GND", 1e-15)], frozenset({"a b"}))),
+], ids=["space", "empty", "leading-space", "vdd", "Gnd", "port-vdd", "input-a-b"])
+def test_a_node_id_the_text_cannot_carry_is_rejected(node, n):
+    with pytest.raises(NetlistSemanticError,
+                       match=f"^node id {re.escape(repr(node))} cannot be written in .tnl text"):
+        n.validate()
+
+
+@pytest.mark.parametrize("n,message", [
+    (Netlist("my net", [_CAP]), "netlist name 'my net' must match [A-Za-z0-9_.-]+"),
+    (Netlist("", [_CAP]), "netlist name '' must match [A-Za-z0-9_.-]+"),
+    (Netlist("abc\n", [_CAP]), "netlist name 'abc\\n' must match [A-Za-z0-9_.-]+"),
+    (Netlist("hand", [Instance("X1", ("a",), "s")], frozenset(),
+             {"s": Subckt("t", ("p",), (_CAP,))}), "subckt t is filed under s"),
+    (Netlist("hand", [_CAP], frozenset(), {"s": Subckt("s", (), (_CAP,))}),
+     "subckt s has no ports"),
+], ids=["space", "empty", "newline", "subckt-key", "no-ports"])
+def test_a_name_the_text_cannot_carry_is_rejected(n, message):
+    with pytest.raises(NetlistSemanticError, match=f"^{re.escape(message)}$"):
+        n.validate()

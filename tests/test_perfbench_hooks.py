@@ -18,7 +18,8 @@ CALLERS = {
     tritsim.sim.steady_state: ("_compile",),
     tritsim.sim.delay_estimate: ("_compile",),
     tritsim.sim.transient: ("_compile",),
-    tritsim.sim._compile: ("flatten", "validate", "threshold_voltage"),
+    tritsim.sim._compile: ("flatten", "threshold_voltage"),
+    tritsim.netlist.flatten: ("validate",),
     tritsim.bench.run_sweep: ("build_design", "delay_estimate", "transient", "measure",
                               "benchmark_stimulus"),
 }

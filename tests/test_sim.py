@@ -16,11 +16,11 @@ import weakref
 import pytest
 
 from conftest import sim_symbol
-from tritsim import (Capacitor, Chirality, ConfigError, Fet, Instance, NetlistSemanticError,
-                     Netlist, NoPath, NonConvergent, Polarity, Probe, Signal, SimConfig,
-                     Strength, Subckt, WaveEvent, Waveform, build_design, build_sti,
-                     delay_estimate, measure, parse, serialize, sim, steady_state, transient,
-                     trits, waveform_csv, waveform_vcd)
+from tritsim import (Capacitor, Chirality, ConfigError, Fet, FixedSource, Instance,
+                     NetlistSemanticError, Netlist, NoPath, NonConvergent, Polarity, Probe,
+                     Signal, SimConfig, Strength, Subckt, WaveEvent, Waveform, build_design,
+                     build_sti, delay_estimate, flatten, measure, parse, serialize, sim,
+                     steady_state, transient, trits, waveform_csv, waveform_vcd)
 from tritsim.sim import _trit_symbol
 
 CFG = SimConfig()
@@ -533,21 +533,33 @@ def test_a_netlist_changed_in_place_is_compiled_again(monkeypatch):
     assert len(compiles) == 4
 
 
-@pytest.mark.parametrize("bindings,ports,body,message", [
-    (("a", "x"), None, _INV, "instance X1: unknown subckt nope"),
-    (("a",), ("a", "y"), _INV, "instance X1: 1 bindings for 2 ports of cell"),
-    (("a", "x", "b"), ("a", "y"), _INV, "instance X1: 3 bindings for 2 ports of cell"),
-    (("a", "x", "b"), ("a", "y", "VDD"), _INV,
+_SRC = (FixedSource("V1", "p", 0.45), Capacitor("C1", "p", "GND", 1e-15))
+
+
+@pytest.mark.parametrize("instances,ports,body,message", [
+    ([("a", "x")], None, _INV, "instance X1: unknown subckt nope"),
+    ([("a",)], ("a", "y"), _INV, "instance X1: 1 bindings for 2 ports of cell"),
+    ([("a", "x", "b")], ("a", "y"), _INV, "instance X1: 3 bindings for 2 ports of cell"),
+    ([("a", "x", "b")], ("a", "y", "VDD"), _INV,
      "instance X1: rail port VDD of cell bound to b"),
-    (("a", "x"), ("a", "y"), (*_INV, Probe("y")),
-     "subckt bodies cannot probe nodes"),
+    ([("a", "x")], ("a", "y"), (*_INV, Probe("y")), "subckt bodies cannot probe nodes"),
+    # every body is valid here; only the flat copy breaks a rule
+    ([("a",), ("a",)], ("p",), _SRC, "device X2.V1: node a has two sources"),
+    ([("a",)], ("p",), _SRC, "input a is already driven internally"),
 ], ids=["unknown-subckt", "too-few-bindings", "extra-bindings", "rail-port-rebound",
-        "probe-in-subckt"])
-def test_a_hand_built_hierarchy_is_checked_before_it_is_flattened(bindings, ports, body, message):
+        "probe-in-subckt", "two-instances-source-one-node", "input-driven-inside"])
+def test_a_hand_built_hierarchy_is_checked_before_it_is_flattened(instances, ports, body,
+                                                                  message):
     subckts = {} if ports is None else {"cell": Subckt("cell", ports, body)}
-    n = Netlist("hand", [Instance("X1", bindings, "nope" if ports is None else "cell")],
+    n = Netlist("hand", [Instance(f"X{k}", bindings, "nope" if ports is None else "cell")
+                         for k, bindings in enumerate(instances, 1)],
                 frozenset({"a"}), subckts)
-    for call in (n.validate, n.stats, lambda: steady_state(n, {"a": 0.0}, CFG)):
+    calls = [lambda: flatten(n), n.stats, lambda: steady_state(n, {"a": 0.0}, CFG)]
+    if body is _SRC:
+        n.validate()        # validate checks bodies; flatten also checks what it built
+    else:
+        calls.append(n.validate)
+    for call in calls:
         with pytest.raises(NetlistSemanticError, match=f"^{re.escape(message)}$"):
             call()
 
