@@ -19,8 +19,8 @@ from .cnfet import Chirality, DIAMETER_COEF_NM, Polarity, VTH_DIAMETER_PRODUCT, 
 from .errors import ConfigError, MetallicTube, NetlistError, NetlistSemanticError, \
     NetlistSyntaxError, NoPath, NonConvergent, OutOfRange, Overflow, TritsimError, \
     Unresolvable, WidthMismatch, WrongArity, ZeroChirality
-from .netlist import Capacitor, Fet, FixedSource, GND, Instance, Netlist, Probe, \
-    Subckt, VDD, flatten, parse, serialize
+from .netlist import Capacitor, Fet, FixedSource, GND, Instance, Netlist, Subckt, \
+    VDD, flatten, parse, serialize
 from .sim import Signal, SimConfig, Strength, WaveEvent, Waveform, delay_estimate, \
     measure, steady_state, transient, waveform_csv, waveform_vcd
 from .trits import Trit, TritVector, VoltageMap, base3_value, from_integer, full_add, \
@@ -33,7 +33,7 @@ __all__ = [
     "DEFAULT_VALUES", "DIAMETER_COEF_NM", "DesignVariant", "FIXTURE_NAMES", "Fet",
     "FixedSource", "GND", "Instance", "MetallicTube", "Netlist", "NetlistError",
     "NetlistSemanticError", "NetlistSyntaxError", "NoPath", "NonConvergent",
-    "OutOfRange", "Overflow", "Polarity", "Probe", "SelectorState", "Signal",
+    "OutOfRange", "Overflow", "Polarity", "SelectorState", "Signal",
     "SimConfig", "Strength", "Subckt", "SweepPoint", "SweepSpec", "TernaryCellKind",
     "Trit", "TritVector", "TritsimError", "Unresolvable", "VDD", "VTH_DIAMETER_PRODUCT",
     "VoltageMap", "WIDTH_MODES", "WaveEvent", "Waveform", "WidthMismatch", "WrongArity",

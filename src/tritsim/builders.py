@@ -38,7 +38,7 @@ from operator import itemgetter
 from .cells import DesignVariant, _variant_of
 from .cnfet import Chirality, Polarity, is_semiconducting, threshold_voltage
 from .errors import ConfigError
-from .netlist import Capacitor, Fet, FixedSource, Netlist, Probe, parse
+from .netlist import Capacitor, Fet, FixedSource, Netlist, parse
 
 FIXTURE_NAMES = ("design1.tnl", "design2.tnl", "sti.tnl", "nti.tnl", "pti.tnl", "tgate.tnl")
 
@@ -141,7 +141,7 @@ class _Builder:
         self.net.devices.append(FixedSource(name, node, volts))
 
     def probe(self, node: str):
-        self.net.devices.append(Probe(node))
+        self.net.probes += (node,)
 
     def mark_inputs(self, *nodes: str):
         self.net.inputs = self.net.inputs | frozenset(nodes)

@@ -7,7 +7,7 @@ Grammar, one card per line, keywords case-insensitive::
     .input <node>                             node driven externally per stimulus
     .subckt <name> <port> [<port> ...]        child definition (no nesting)
     .ends
-    .probe <node>                             marks an output node
+    .probe <node>                             marks an output node, once each
     .end                                      terminator, required
     M<id> <drain> <gate> <source> {nfet|pfet} <n1> <n2> <tubes>
     C<id> <a> <b> <value>[f|p|n]              capacitance, bare value = farads
@@ -18,8 +18,9 @@ Node ids are case-sensitive except VDD and GND, which are folded to upper
 case and reserved for the rails.  Nodes exist by being referenced.  The
 serializer emits a canonical form: name header, .input lines sorted, child
 definitions sorted by name and always before any instance, devices in
-declaration order, .end last.  parse(serialize(n)) reproduces n exactly and
-a second serialization is byte-identical.
+declaration order, .probe lines in the order written, .end last.
+parse(serialize(n)) reproduces n exactly and a second serialization is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -72,18 +73,13 @@ class FixedSource:
 
 
 @dataclass(frozen=True)
-class Probe:
-    node: str
-
-
-@dataclass(frozen=True)
 class Instance:
     name: str
     bindings: tuple[str, ...]
     subckt: str
 
 
-Device = Fet | Capacitor | FixedSource | Probe | Instance
+Device = Fet | Capacitor | FixedSource | Instance
 
 
 @dataclass(frozen=True)
@@ -95,13 +91,16 @@ class Subckt:
 
 @dataclass
 class Netlist:
-    """A top-level netlist.  `_compiled` holds the simulator's compiled form,
-    outside init, repr and equality; an in-place change recompiles it."""
+    """A top-level netlist.  `probes` are its output nodes, each once, in the
+    order written; each carries SimConfig.c_out_load.  `_compiled` holds the
+    simulator's compiled form, outside init, repr and equality; an in-place
+    change recompiles it."""
 
     name: str = "netlist"
     devices: list[Device] = field(default_factory=list)
     inputs: frozenset[str] = frozenset()
     subckts: dict[str, Subckt] = field(default_factory=dict)
+    probes: tuple[str, ...] = ()
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def node_ids(self) -> set[str]:
@@ -109,9 +108,6 @@ class Netlist:
         for d in self.devices:
             ids.update(_device_nodes(d))
         return ids
-
-    def probed(self) -> list[str]:
-        return sorted(d.node for d in self.devices if isinstance(d, Probe))
 
     def stats(self) -> dict[str, int]:
         flat = flatten(self)
@@ -122,10 +118,20 @@ class Netlist:
     def validate(self) -> None:
         if not _NAME_RE.fullmatch(self.name):
             raise NetlistSemanticError(f"netlist name {self.name!r} must match [A-Za-z0-9_.-]+")
-        _validate_body(self.devices, self.inputs, self.subckts, top=True)
+        used = _validate_body(self.devices, self.inputs, self.subckts, top=True)
+        probed: set[str] = set()
+        for node in self.probes:
+            if node in probed:
+                raise NetlistSemanticError(f"node {node} is probed twice")
+            if node not in used:
+                raise NetlistSemanticError(f"probe of unknown node {node}")
+            probed.add(node)
         for key, sub in self.subckts.items():
             if key != sub.name:
                 raise NetlistSemanticError(f"subckt {sub.name} is filed under {key}")
+            if sub.name.split() != [sub.name]:
+                raise NetlistSemanticError(
+                    f"subckt name {sub.name!r} cannot be written in .tnl text (one token)")
             if not sub.ports:
                 raise NetlistSemanticError(f"subckt {sub.name} has no ports")
             used = _validate_body(sub.devices, frozenset(), {}, top=False)
@@ -144,22 +150,22 @@ def _device_nodes(d: Device) -> tuple[str, ...]:
         return (d.a, d.b)
     if isinstance(d, FixedSource):
         return (d.node,)
-    if isinstance(d, Probe):
-        return (d.node,)
     return tuple(d.bindings)
 
 
 def _validate_body(devices, inputs, subckts, top: bool) -> set[str]:
-    """Check one body; returns the nodes its devices other than probes use."""
+    """Check one body; returns the nodes its devices use."""
     names: set[str] = set()
     source_nodes: dict[str, float] = {}
     referenced: set[str] = set()
     for d in devices:
-        if not isinstance(d, Probe):
-            if d.name in names:
-                raise NetlistSemanticError(f"duplicate device id {d.name}")
-            names.add(d.name)
-            referenced.update(_device_nodes(d))
+        if d.name in names:
+            raise NetlistSemanticError(f"duplicate device id {d.name}")
+        if d.name.split() != [d.name]:
+            raise NetlistSemanticError(
+                f"device name {d.name!r} cannot be written in .tnl text (one token)")
+        names.add(d.name)
+        referenced.update(_device_nodes(d))
         if isinstance(d, Fet):
             if not is_semiconducting(d.chirality):
                 raise NetlistSemanticError(
@@ -177,7 +183,7 @@ def _validate_body(devices, inputs, subckts, top: bool) -> set[str]:
             if d.node in source_nodes:
                 raise NetlistSemanticError(f"device {d.name}: node {d.node} has two sources")
             source_nodes[d.node] = d.volts
-        elif isinstance(d, Instance):
+        else:   # an Instance
             if not top:
                 raise NetlistSemanticError("subckt bodies cannot instantiate subckts")
             sub = subckts.get(d.subckt)
@@ -191,8 +197,6 @@ def _validate_body(devices, inputs, subckts, top: bool) -> set[str]:
                 if port in (VDD, GND) and node != port:
                     raise NetlistSemanticError(
                         f"instance {d.name}: rail port {port} of {d.subckt} bound to {node}")
-        elif not top:
-            raise NetlistSemanticError("subckt bodies cannot probe nodes")
     # ids that the CLI's rows (',', '=') or .tnl tokens (spaces, rail case) cannot carry
     bad = sorted(node for node in referenced | inputs
                  if "," in node or "=" in node or node.split() != [_norm_node(node)])
@@ -201,9 +205,6 @@ def _validate_body(devices, inputs, subckts, top: bool) -> set[str]:
     if bad:
         raise NetlistSemanticError(f"node id {bad[0]!r} cannot be written in .tnl text "
                                    "(one token, VDD/GND in upper case only)")
-    for d in devices:
-        if isinstance(d, Probe) and d.node not in referenced:
-            raise NetlistSemanticError(f"probe of unknown node {d.node}")
     for node in sorted(inputs):
         if node not in referenced:
             raise NetlistSemanticError(f"declared input {node} is not connected")
@@ -235,7 +236,7 @@ def flatten(n: Netlist) -> Netlist:
                 return port_map[node]
             return f"{inst.name}.{node}"
 
-        for cd in sub.devices:      # validate admits no probe or instance here
+        for cd in sub.devices:      # validate admits no instance here
             if isinstance(cd, Fet):
                 out.append(Fet(f"{d.name}.{cd.name}", cd.polarity, cd.chirality, cd.tubes,
                                remap(cd.drain), remap(cd.gate), remap(cd.source)))
@@ -243,7 +244,7 @@ def flatten(n: Netlist) -> Netlist:
                 out.append(Capacitor(f"{d.name}.{cd.name}", remap(cd.a), remap(cd.b), cd.farads))
             else:
                 out.append(FixedSource(f"{d.name}.{cd.name}", remap(cd.node), cd.volts))
-    flat = Netlist(n.name, out, n.inputs, {})
+    flat = Netlist(n.name, out, n.inputs, {}, n.probes)
     flat.validate()
     return flat
 
@@ -354,6 +355,7 @@ def parse(text: str | bytes) -> Netlist:
     devices: list[Device] = []
     inputs: set[str] = set()
     subckts: dict[str, Subckt] = {}
+    probes: list[str] = []
     current_sub: tuple[str, tuple[str, ...], list[Device]] | None = None
     ended = False
     any_card = False
@@ -403,7 +405,7 @@ def parse(text: str | bytes) -> Netlist:
                 raise NetlistSyntaxError(lineno, toks[0][1], f"{head} not allowed in a subckt")
             node = _norm_node(toks[1][0])
             if head == ".probe":
-                devices.append(Probe(node))
+                probes.append(node)
             else:
                 inputs.add(node)
             continue
@@ -419,7 +421,7 @@ def parse(text: str | bytes) -> Netlist:
         raise NetlistSyntaxError(len(text.splitlines()) + 1, 1, "unterminated .subckt")
     if not ended:
         raise NetlistSyntaxError(len(text.splitlines()) + 1, 1, "missing .end")
-    n = Netlist(name, devices, frozenset(inputs), subckts)
+    n = Netlist(name, devices, frozenset(inputs), subckts, tuple(probes))
     n.validate()
     return n
 
@@ -442,8 +444,6 @@ def _device_line(d: Device) -> str:
         return f"{d.name} {d.a} {d.b} {_fmt_cap(d.farads)}"
     if isinstance(d, FixedSource):
         return f"{d.name} {d.node} {d.volts!r}"
-    if isinstance(d, Probe):
-        return f".probe {d.node}"
     return f"{d.name} {' '.join(d.bindings)} {d.subckt}"
 
 
@@ -461,5 +461,7 @@ def serialize(n: Netlist) -> str:
         lines.append(".ends")
     for d in n.devices:
         lines.append(_device_line(d))
+    for node in n.probes:
+        lines.append(f".probe {node}")
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -118,7 +118,7 @@ class _Compiled:
     solves run on it; see _compile.  It holds no reference to the Netlist, so
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
     order, so the smallest index is also the smallest name.  Its regions are
-    for the pins every solve has; a solve that pins more makes its own."""
+    built once per pinned set, on the first solve that pins it (see _solve)."""
 
     cfg: SimConfig
     contents: tuple                                 # see _compile
@@ -131,9 +131,8 @@ class _Compiled:
     node_cap: list[float]                           # per node, probes carry c_out_load
     fixed: list[tuple[int, float]]                  # rails, then fixed sources
     readers: list[list[int]]                        # per node, FETs it is a terminal of
-    pinned: list[bool]                              # per node: rail, source or declared input
-    regions: list[_Region]                          # for pinned, see _regions
-    fet_region: list[int]                           # per FET, index into regions or -1
+    # pinned flag per node -> (its regions, each FET's region or -1), see _regions
+    regions: dict[tuple, tuple[list[_Region], list[int]]] = field(default_factory=dict)
     solves: dict[tuple, _Solve] = field(default_factory=dict)  # this call's, see _solved
     kept: dict[tuple, _Solve] = field(default_factory=dict)    # the previous call's
 
@@ -157,7 +156,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     contents differ from the last call on n.  Each call opens a new
     generation of the solve memo (see _solved)."""
     # devices and Subckt are frozen, so equal contents compile alike
-    contents = (n.inputs, *n.subckts, *n.subckts.values(), *n.devices)
+    contents = (n.inputs, n.probes, *n.subckts, *n.subckts.values(), *n.devices)
     comp = n._compiled
     if isinstance(comp, _Compiled) and comp.cfg == cfg and comp.contents == contents:
         comp.kept, comp.solves = comp.solves, {}
@@ -185,18 +184,15 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
         elif isinstance(d, FixedSource):
             fixed.append((index[d.node], d.volts + 0.0))    # -0.0 V is 0.0 V
     terms = [[farads for _, farads in adj] for adj in cap_adj]
-    for node in flat.probed():
+    for node in flat.probes:
         terms[index[node]].append(cfg.c_out_load)
     node_cap = list(map(math.fsum, terms))      # exact, so device order cannot matter
     readers: list[list[int]] = [[] for _ in names]
     for k, (d, g, s, _, _) in enumerate(fets):
         for i in {d, g, s}:
             readers[i].append(k)
-    held = {i for i, _ in fixed} | {index[name] for name in flat.inputs}
-    pinned = [i in held for i in range(len(names))]
     comp = n._compiled = _Compiled(cfg, contents, sorted(flat.inputs), names, index, fets,
-                                   fet_r, cap_adj, node_cap, fixed, readers, pinned,
-                                   *_regions(fets, cap_adj, pinned))
+                                   fet_r, cap_adj, node_cap, fixed, readers)
     return comp
 
 
@@ -261,7 +257,7 @@ def _union(parent: list[int], a: int, b: int) -> None:
 
 def _regions(fets: list[tuple[int, int, int, bool, float]],
              cap_adj: list[list[tuple[int, float]]],
-             pinned: list[bool]) -> tuple[list[_Region], list[int]]:
+             pinned: Sequence[bool]) -> tuple[list[_Region], list[int]]:
     """The regions for a pinned set: unpinned nodes joined by the channels and
     capacitors between unpinned nodes.  Also each FET's region: that of an
     unpinned channel terminal, -1 when both are pinned."""
@@ -348,11 +344,10 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     fets, readers = comp.fets, comp.readers
-    pinned = [p is not None for p in pins]
-    if pinned == comp.pinned:
-        regions, fet_region = comp.regions, comp.fet_region
-    else:
-        regions, fet_region = _regions(fets, comp.cap_adj, pinned)  # this solve's pins only
+    pinned = tuple(p is not None for p in pins)
+    if pinned not in comp.regions:
+        comp.regions[pinned] = _regions(fets, comp.cap_adj, pinned)
+    regions, fet_region = comp.regions[pinned]
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
     parent = list(range(len(pins)))

@@ -68,7 +68,7 @@ def corpus_text(net, cfg) -> str:
     """A corpus case: every steady state, every probe's delay, the transient."""
     assigns = _exhaustive_inputs(sorted(net.inputs), cfg.vdd)
     parts = [_steady_text(net, assign, cfg) for assign in assigns]
-    parts += [_attempt(delay_estimate, net, node, cfg) for node in net.probed()]
+    parts += [_attempt(delay_estimate, net, node, cfg) for node in net.probes]
     parts.append(_attempt(_events, net, [(k * PERIOD, a) for k, a in enumerate(assigns)], cfg))
     return "\n".join(parts)
 

@@ -8,7 +8,7 @@ match their definition, inputs that are connected and undriven.
 import random
 
 from tritsim import (Capacitor, Chirality, Fet, FixedSource, Instance,
-                     Netlist, Polarity, Probe, Subckt)
+                     Netlist, Polarity, Subckt)
 
 CHIRALITIES = [(19, 0), (10, 0), (13, 0), (7, 5), (8, 4), (23, 0)]
 NODE_POOL = ["n0", "n1", "n2", "n3", "n4", "n5", "na", "nb"]
@@ -73,10 +73,8 @@ def random_netlist(rng: random.Random, index: int) -> Netlist:
     inputs = frozenset(n for n in sorted(referenced)
                        if n not in source_nodes and n not in ("VDD", "GND")
                        and rng.random() < 0.3)
-    for node in sorted(referenced):
-        if rng.random() < 0.2:
-            devices.append(Probe(node))
+    probes = tuple(node for node in sorted(referenced) if rng.random() < 0.2)
 
-    n = Netlist(f"rand{index}", devices, inputs, subckts)
+    n = Netlist(f"rand{index}", devices, inputs, subckts, probes)
     n.validate()
     return n

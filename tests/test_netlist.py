@@ -13,7 +13,7 @@ import pytest
 import tritsim
 from gen_netlists import random_netlist
 from tritsim import (Capacitor, Chirality, Fet, FixedSource, Instance, NetlistSemanticError,
-                     NetlistSyntaxError, Netlist, OutOfRange, Polarity, Probe, Subckt,
+                     NetlistSyntaxError, Netlist, OutOfRange, Polarity, Subckt,
                      fixture_text, FIXTURE_NAMES, flatten, parse, serialize)
 
 SAMPLE = """\
@@ -40,14 +40,14 @@ def test_parse_sample_structure():
     assert n.name == "sample"
     assert n.inputs == frozenset({"a"})
     assert [type(d).__name__ for d in n.devices] == \
-        ["Fet", "Capacitor", "FixedSource", "Instance", "Probe"]
+        ["Fet", "Capacitor", "FixedSource", "Instance"]
     ma = n.devices[0]
     assert ma == Fet("Ma", Polarity.NFET, Chirality(19, 0), 3, "y", "a", "GND")
     cload = n.devices[1]
     assert cload.b == "GND" and cload.farads == 2.5 * 1e-15
     assert n.devices[2] == FixedSource("Vbias", "nb", 0.45)
     assert n.devices[3] == Instance("Xu1", ("a", "y"), "inv")
-    assert n.probed() == ["y"]
+    assert n.probes == ("y",)
     sub = n.subckts["inv"]
     assert sub.ports == ("in", "out")
     assert len(sub.devices) == 2
@@ -230,6 +230,8 @@ def test_probe_and_input_rejected_inside_subckt():
     ("X1 a b ghost\n.end\n", "unknown subckt"),
     (".subckt s p q\nC1 p q 1f\n.ends\nX1 a s\n.end\n", "bindings"),
     (".probe ghost\nC1 a b 1f\n.end\n", "unknown node"),
+    # probed twice, y would carry the output load twice
+    (".probe y\nC1 y GND 1f\n.probe y\n.end\n", "node y is probed twice"),
     (".input ghost\nC1 a b 1f\n.end\n", "not connected"),
     (".input a\nV1 a 0.9\nC1 a b 1f\n.end\n", "driven"),
     (".subckt s p q\nC1 p x 1f\n.ends\nX1 a b s\n.end\n", "port q not used"),
@@ -287,6 +289,14 @@ def test_serialize_is_canonical():
     assert text.endswith("\n")
 
 
+def test_probes_are_written_after_the_devices_in_their_order():
+    n = parse("* t\n.probe y\nC1 y GND 1f\n.probe a\nC2 a y 1f\n.end\n")
+    assert n.probes == ("y", "a")
+    text = serialize(n)
+    assert text == "* t\nC1 y GND 1.0f\nC2 a y 1.0f\n.probe y\n.probe a\n.end\n"
+    assert parse(text) == n
+
+
 def test_round_trip_sample():
     n = parse(SAMPLE)
     assert parse(serialize(n)) == n
@@ -336,11 +346,14 @@ def test_empty_netlist_round_trip():
 
 
 def test_validate_on_hand_built_netlist():
-    n = Netlist("hand", [Capacitor("C1", "a", "b", 1e-15), Probe("a")])
+    n = Netlist("hand", [Capacitor("C1", "a", "b", 1e-15)], probes=("a",))
     n.validate()
-    bad = Netlist("hand", [Capacitor("C1", "a", "b", 1e-15), Probe("ghost")])
+    bad = Netlist("hand", [Capacitor("C1", "a", "b", 1e-15)], probes=("ghost",))
     with pytest.raises(NetlistSemanticError):
         bad.validate()
+    twice = Netlist("hand", [Capacitor("C1", "a", "b", 1e-15)], probes=("a", "b", "a"))
+    with pytest.raises(NetlistSemanticError, match="^node a is probed twice$"):
+        twice.validate()
 
 
 _CAP = Capacitor("C1", "p", "GND", 1e-15)
@@ -368,7 +381,22 @@ def test_a_node_id_the_text_cannot_carry_is_rejected(node, n):
              {"s": Subckt("t", ("p",), (_CAP,))}), "subckt t is filed under s"),
     (Netlist("hand", [_CAP], frozenset(), {"s": Subckt("s", (), (_CAP,))}),
      "subckt s has no ports"),
-], ids=["space", "empty", "newline", "subckt-key", "no-ports"])
+    # each of these validated, then re-parsed as a different card or failed
+    (Netlist("hand", [Capacitor("C 1", "p", "GND", 1e-15)]),
+     "device name 'C 1' cannot be written in .tnl text (one token)"),
+    (Netlist("hand", [Capacitor("", "p", "GND", 1e-15)]),
+     "device name '' cannot be written in .tnl text (one token)"),
+    (Netlist("hand", [Instance("X 1", ("a",), "s")], frozenset(),
+             {"s": Subckt("s", ("p",), (_CAP,))}),
+     "device name 'X 1' cannot be written in .tnl text (one token)"),
+    (Netlist("hand", [Instance("X1", ("a",), "s")], frozenset(),
+             {"s": Subckt("s", ("p",), (Capacitor("C\t1", "p", "GND", 1e-15),))}),
+     "device name 'C\\t1' cannot be written in .tnl text (one token)"),
+    (Netlist("hand", [Instance("X1", ("a",), "my sub")], frozenset(),
+             {"my sub": Subckt("my sub", ("p",), (_CAP,))}),
+     "subckt name 'my sub' cannot be written in .tnl text (one token)"),
+], ids=["space", "empty", "newline", "subckt-key", "no-ports", "device-space", "device-empty",
+        "instance-space", "child-tab", "subckt-space"])
 def test_a_name_the_text_cannot_carry_is_rejected(n, message):
     with pytest.raises(NetlistSemanticError, match=f"^{re.escape(message)}$"):
         n.validate()

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import sim_symbol
 from tritsim import (Capacitor, Chirality, ConfigError, Fet, FixedSource, Instance,
-                     NetlistSemanticError, Netlist, NoPath, NonConvergent, Polarity, Probe,
+                     NetlistSemanticError, Netlist, NoPath, NonConvergent, Polarity,
                      Signal, SimConfig, Strength, Subckt, WaveEvent, Waveform, build_design,
                      build_sti, delay_estimate, flatten, measure, parse, serialize, sim,
                      steady_state, transient, trits, waveform_csv, waveform_vcd)
@@ -95,6 +95,20 @@ def test_pinning_an_undeclared_node_partitions_that_solve_only():
     for volts in (0.9, 0.0):
         assert steady_state(n, {"a": volts}, CFG) == steady_state(net(SPLIT), {"a": volts}, CFG)
     assert steady_state(n, {"a": 0.9}, CFG)["m"] == Signal(0.0, Strength.DRIVEN)
+
+
+def test_regions_are_built_once_per_pinned_set(monkeypatch):
+    calls = []
+
+    def counted(*args, _real=sim._regions):
+        calls.append(args[2])
+        return _real(*args)
+    monkeypatch.setattr(sim, "_regions", counted)
+    n = net(SPLIT)
+    for assign in ({"a": 0.9}, {"a": 0.0}, {"a": 0.9, "m": 0.45}, {"a": 0.0, "m": 0.45}):
+        steady_state(n, assign, CFG)
+    m = n._compiled.index["m"]
+    assert [pinned[m] for pinned in calls] == [False, True]    # declared pins, then m too
 
 
 def test_charge_sharing_weighted_average():
@@ -525,12 +539,14 @@ def test_a_netlist_changed_in_place_is_compiled_again(monkeypatch):
 
     n.devices.append(Capacitor("C1", "x", "GND", 1e-15))
     assert delay_estimate(n, "x", CFG, low) == pytest.approx(1e-11)
+    n.probes = ("x",)       # adds c_out_load, 1 fF, to x
+    assert delay_estimate(n, "x", CFG, low) == pytest.approx(2e-11)
     n.inputs = frozenset({"a", "b"})
     with pytest.raises(ConfigError, match="unassigned input nodes: b"):
         steady_state(n, low, CFG)
     n.subckts["cell"] = Subckt("cell", ("a", "y"), _INV[1:])   # pull-down only
     assert steady_state(n, {"a": 0.0, "b": 0.0}, CFG)["x"] == Signal(0.0, Strength.CHARGED)
-    assert len(compiles) == 4
+    assert len(compiles) == 5
 
 
 _SRC = (FixedSource("V1", "p", 0.45), Capacitor("C1", "p", "GND", 1e-15))
@@ -542,12 +558,11 @@ _SRC = (FixedSource("V1", "p", 0.45), Capacitor("C1", "p", "GND", 1e-15))
     ([("a", "x", "b")], ("a", "y"), _INV, "instance X1: 3 bindings for 2 ports of cell"),
     ([("a", "x", "b")], ("a", "y", "VDD"), _INV,
      "instance X1: rail port VDD of cell bound to b"),
-    ([("a", "x")], ("a", "y"), (*_INV, Probe("y")), "subckt bodies cannot probe nodes"),
     # every body is valid here; only the flat copy breaks a rule
     ([("a",), ("a",)], ("p",), _SRC, "device X2.V1: node a has two sources"),
     ([("a",)], ("p",), _SRC, "input a is already driven internally"),
 ], ids=["unknown-subckt", "too-few-bindings", "extra-bindings", "rail-port-rebound",
-        "probe-in-subckt", "two-instances-source-one-node", "input-driven-inside"])
+        "two-instances-source-one-node", "input-driven-inside"])
 def test_a_hand_built_hierarchy_is_checked_before_it_is_flattened(instances, ports, body,
                                                                   message):
     subckts = {} if ports is None else {"cell": Subckt("cell", ports, body)}
