@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .builders import BuildConfig, build_design
-from .cells import DesignVariant
+from .cells import DesignVariant, _variant_of
 from .errors import ConfigError
 from .sim import SimConfig, _exhaustive_stimulus, delay_estimate, measure, transient
 
@@ -68,6 +68,7 @@ class SweepSpec:
                 f"unknown sweep axis {self.axis!r}; supported axes: " + ", ".join(AXES))
         if not self.variants:
             raise ConfigError("at least one design variant is required")
+        object.__setattr__(self, "variants", tuple(map(_variant_of, self.variants)))
         object.__setattr__(self, "values", tuple(self.values) or DEFAULT_VALUES[self.axis])
         if not all(map(math.isfinite, (*self.values, self.vdd, self.load, self.frequency))):
             raise ConfigError("sweep values, vdd, load and frequency must be finite")

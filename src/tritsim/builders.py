@@ -30,6 +30,7 @@ where it enters (parse) and where it is simulated.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -81,13 +82,7 @@ def pick_chirality(lo: float, hi: float) -> Chirality:
     # entries with vth - lo <= hi - vth form a prefix, the margin rises up to
     # its end and falls after it, and the entries of maximal margin are one
     # run that touches the prefix's end.
-    a, b = 0, len(table)
-    while a < b:
-        mid = (a + b) // 2
-        if table[mid][0] - lo <= hi - table[mid][0]:
-            a = mid + 1
-        else:
-            b = mid
+    a = bisect.bisect_left(table, True, key=lambda e: e[0] - lo > hi - e[0])
     around = [i for i in (a - 1, a) if 0 <= i < len(table)]
     best = max(margin(i) for i in around)
     if not best > 0:

@@ -25,10 +25,12 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .cnfet import Chirality, Polarity, is_semiconducting
 from .errors import NetlistSemanticError, NetlistSyntaxError, OutOfRange, ZeroChirality
@@ -81,6 +83,12 @@ class Instance:
 
 Device = Fet | Capacitor | FixedSource | Instance
 
+# each card kind's node fields, in card order; _NODES_OF reads them as one
+# tuple (attrgetter of a single field returns it bare), an Instance's as its bindings
+_NODE_FIELDS = {Fet: ("drain", "gate", "source"), Capacitor: ("a", "b"), FixedSource: ("node",)}
+_NODES_OF = {kind: attrgetter(*f) if len(f) > 1 else lambda d, get=attrgetter(*f): (get(d),)
+             for kind, f in _NODE_FIELDS.items()} | {Instance: attrgetter("bindings")}
+
 
 @dataclass(frozen=True)
 class Subckt:
@@ -102,6 +110,10 @@ class Netlist:
     subckts: dict[str, Subckt] = field(default_factory=dict)
     probes: tuple[str, ...] = ()
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
+
+    def _contents(self) -> tuple:
+        """The compile cache's key: every compared field but the name."""
+        return (self.inputs, self.probes, *self.subckts, *self.subckts.values(), *self.devices)
 
     def node_ids(self) -> set[str]:
         ids = set(self.inputs)
@@ -144,13 +156,7 @@ class Netlist:
 
 
 def _device_nodes(d: Device) -> tuple[str, ...]:
-    if isinstance(d, Fet):
-        return (d.drain, d.gate, d.source)
-    if isinstance(d, Capacitor):
-        return (d.a, d.b)
-    if isinstance(d, FixedSource):
-        return (d.node,)
-    return tuple(d.bindings)
+    return _NODES_OF[type(d)](d)
 
 
 def _validate_body(devices, inputs, subckts, top: bool) -> set[str]:
@@ -217,10 +223,12 @@ def flatten(n: Netlist) -> Netlist:
     """Validates n and returns it with its subckt instances expanded, after
     validating that copy too; n without subckts comes back as it is.  Bound
     ports map to the caller's nodes; internal child nodes and device names
-    get the instance name as a dotted prefix.  VDD/GND stay global."""
+    get the instance name as a dotted prefix, and a prefixed node must not
+    already name another node.  VDD/GND stay global."""
     n.validate()
     if not n.subckts:       # then validate has ruled out any instance
         return n
+    owner = dict.fromkeys(n.node_ids())     # node -> instance it is internal to, or None
     out: list[Device] = []
     for d in n.devices:
         if not isinstance(d, Instance):
@@ -229,21 +237,20 @@ def flatten(n: Netlist) -> Netlist:
         sub = n.subckts[d.subckt]
         port_map = dict(zip(sub.ports, d.bindings))
 
-        def remap(node: str, inst=d) -> str:
+        def remap(node: str, inst=d.name) -> str:
             if node in (VDD, GND):
                 return node
             if node in port_map:
                 return port_map[node]
-            return f"{inst.name}.{node}"
+            prefixed = f"{inst}.{node}"
+            if owner.setdefault(prefixed, inst) != inst:
+                raise NetlistSemanticError(
+                    f"instance {inst}: internal node {prefixed} already names another node")
+            return prefixed
 
         for cd in sub.devices:      # validate admits no instance here
-            if isinstance(cd, Fet):
-                out.append(Fet(f"{d.name}.{cd.name}", cd.polarity, cd.chirality, cd.tubes,
-                               remap(cd.drain), remap(cd.gate), remap(cd.source)))
-            elif isinstance(cd, Capacitor):
-                out.append(Capacitor(f"{d.name}.{cd.name}", remap(cd.a), remap(cd.b), cd.farads))
-            else:
-                out.append(FixedSource(f"{d.name}.{cd.name}", remap(cd.node), cd.volts))
+            out.append(dataclasses.replace(cd, name=f"{d.name}.{cd.name}", **{
+                f: remap(getattr(cd, f)) for f in _NODE_FIELDS[type(cd)]}))
     flat = Netlist(n.name, out, n.inputs, {}, n.probes)
     flat.validate()
     return flat
@@ -437,14 +444,14 @@ def _fmt_cap(farads: float) -> str:
 
 
 def _device_line(d: Device) -> str:
+    nodes = " ".join(_device_nodes(d))
     if isinstance(d, Fet):
-        return (f"{d.name} {d.drain} {d.gate} {d.source} {d.polarity.value} "
-                f"{d.chirality.n1} {d.chirality.n2} {d.tubes}")
+        return f"{d.name} {nodes} {d.polarity.value} {d.chirality.n1} {d.chirality.n2} {d.tubes}"
     if isinstance(d, Capacitor):
-        return f"{d.name} {d.a} {d.b} {_fmt_cap(d.farads)}"
+        return f"{d.name} {nodes} {_fmt_cap(d.farads)}"
     if isinstance(d, FixedSource):
-        return f"{d.name} {d.node} {d.volts!r}"
-    return f"{d.name} {' '.join(d.bindings)} {d.subckt}"
+        return f"{d.name} {nodes} {d.volts!r}"
+    return f"{d.name} {nodes} {d.subckt}"
 
 
 def serialize(n: Netlist) -> str:

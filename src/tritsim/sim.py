@@ -121,7 +121,7 @@ class _Compiled:
     built once per pinned set, on the first solve that pins it (see _solve)."""
 
     cfg: SimConfig
-    contents: tuple                                 # see _compile
+    contents: tuple                                 # Netlist._contents()
     inputs: list[str]                               # declared inputs, sorted
     names: list[str]
     index: dict[str, int]
@@ -155,8 +155,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     """n's compiled form under cfg, compiled again only when cfg or n's
     contents differ from the last call on n.  Each call opens a new
     generation of the solve memo (see _solved)."""
-    # devices and Subckt are frozen, so equal contents compile alike
-    contents = (n.inputs, n.probes, *n.subckts, *n.subckts.values(), *n.devices)
+    contents = n._contents()
     comp = n._compiled
     if isinstance(comp, _Compiled) and comp.cfg == cfg and comp.contents == contents:
         comp.kept, comp.solves = comp.solves, {}
@@ -247,12 +246,7 @@ def _find(parent: list[int], x: int) -> int:
 
 
 def _union(parent: list[int], a: int, b: int) -> None:
-    """Merge two sets; the smaller root index stays the root."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
+    parent[_find(parent, b)] = _find(parent, a)
 
 
 def _regions(fets: list[tuple[int, int, int, bool, float]],
@@ -314,7 +308,7 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
             if other in floating:
                 _union(parent, m, other)
     clusters: dict[int, list[int]] = {}
-    for m in sorted(floating):
+    for m in floating:
         clusters.setdefault(_find(parent, m), []).append(m)
     for members in clusters.values():
         # summed exactly, so the level cannot depend on device order

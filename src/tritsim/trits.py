@@ -21,7 +21,9 @@ class Trit(IntEnum):
 
 
 def _trit(x) -> Trit:
-    return x if isinstance(x, Trit) else Trit(int(x))
+    if x not in (0, 1, 2):
+        raise OutOfRange(f"a trit is 0, 1 or 2, got {x!r}")
+    return Trit(x)
 
 
 def full_add(a, b, cin) -> tuple[Trit, Trit]:
@@ -37,8 +39,8 @@ class VoltageMap:
     vdd: float = 0.9
 
     def __post_init__(self):
-        if self.vdd <= 0:
-            raise OutOfRange("vdd must be strictly positive")
+        if not (math.isfinite(self.vdd) and self.vdd > 0):
+            raise OutOfRange("vdd must be finite and strictly positive")
 
     def levels(self) -> tuple[float, float, float]:
         return (0.0, self.vdd / 2.0, self.vdd)

@@ -11,9 +11,9 @@ from collections import Counter
 import pytest
 
 from tritsim import (BOTH_VARIANTS, DEFAULT_VALUES, BuildConfig, ConfigError, DesignVariant,
-                     FixedSource, SimConfig, SweepSpec, benchmark_stimulus, build_design,
-                     delay_estimate, fixture_text, run_sweep, sim, sweep_csv, transient,
-                     truth_table_csv)
+                     FixedSource, OutOfRange, SimConfig, SweepSpec, benchmark_stimulus,
+                     build_design, delay_estimate, fixture_text, run_sweep, sim, sweep_csv,
+                     transient, truth_table_csv)
 from tritsim import cli
 from tritsim.cli import _build_parser, main
 
@@ -70,6 +70,14 @@ def test_spec_validates_fields():
             SweepSpec(values=(bad,))
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec(values=(1e-15, bad))
+
+
+def test_spec_reads_each_variant_as_the_other_calls_do():
+    assert SweepSpec(variants=("2", 1)).variants == (DesignVariant.DESIGN2, DesignVariant.DESIGN1)
+    header, _, design2 = LOAD_POINT_CSV.splitlines(keepends=True)
+    assert sweep_csv(run_sweep(SweepSpec(variants=("2",), values=(1e-15,)))) == header + design2
+    with pytest.raises(OutOfRange, match="^unknown design variant 'nope'$"):
+        SweepSpec(variants=("nope",))
 
 
 def test_spec_rejects_a_frequency_too_small_to_invert():

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from tritsim import (Overflow, OutOfRange, Trit, TritVector, Unresolvable, VoltageMap,
-                     WidthMismatch, base3_value, from_integer, full_add,
-                     ripple_add, trit_to_voltage, truth_table_csv, truth_table_rows,
-                     voltage_to_trit)
+from tritsim import (Overflow, OutOfRange, TernaryCellKind, Trit, TritVector, Unresolvable,
+                     VoltageMap, WidthMismatch, adder_eval, base3_value, cell_eval,
+                     from_integer, full_add, ripple_add, selectors, tgate_eval, trit_to_voltage,
+                     truth_table_csv, truth_table_rows, voltage_to_trit)
 
 
 def test_full_add_matches_integer_arithmetic():
@@ -29,6 +29,24 @@ def test_voltage_levels():
     assert VoltageMap(1.0).levels() == (0.0, 0.5, 1.0)
     with pytest.raises(OutOfRange):
         VoltageMap(0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: full_add(3, 0, 0),
+    lambda: full_add(1.5, 0, 0),        # int() would read it as 1
+    lambda: trit_to_voltage(-1),
+    lambda: cell_eval(TernaryCellKind.STI, 5),
+    lambda: tgate_eval(3),
+    lambda: selectors(4),
+    lambda: adder_eval(1, 0, 0, 3),
+    lambda: TritVector((0, "1")),
+    lambda: VoltageMap(float("nan")),
+    lambda: VoltageMap(float("inf")),
+], ids=["full-add-3", "full-add-1.5", "voltage-of-minus-1", "sti-of-5", "tgate-of-3",
+        "selectors-of-4", "adder-cin-3", "vector-of-str", "vdd-nan", "vdd-inf"])
+def test_a_value_out_of_range_raises_out_of_range(call):
+    with pytest.raises(OutOfRange, match="^(a trit is 0, 1 or 2, got|vdd must be finite)"):
+        call()
 
 
 def test_trit_voltage_round_trip():
