@@ -32,6 +32,15 @@ region (see _regions), so a region's next state depends only on its own
 conducting FETs and the pins.  The first sweep resolves every region;
 later ones re-evaluate only the FETs reading a node whose level changed and
 re-resolve only the regions where one switched: exactly a full sweep's state.
+A region's writes are a function of its local key alone: the conduction
+flags of its FETs and the pins it reads (those on its feeds and its nodes'
+pinned capacitor neighbors).  Every pin is a float and -0.0 V is 0.0 V, so
+equal keys are equal inputs, and each region looks its key up in a result
+table and runs the resolution only on a miss.  Regions of equal shape
+(links, feeds and capacitors in region-local node and pin slots) in one
+partition share one table, so the cells of a structural adder fill one
+table per cell region.  A table is cleared when it reaches TABLE_ROWS rows,
+which bounds it under an analog input sweep.
 A sweep's new state depends only on its conducting set and the pins, so a
 conducting set that comes back before the state repeats is a limit cycle:
 the solve raises NonConvergent, naming the period and the nodes that keep
@@ -58,7 +67,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
 from .errors import ConfigError, NoPath, NonConvergent, Unresolvable
@@ -89,6 +99,9 @@ class Signal:
 # R_ON_PER_TUBE / N.  A model constant, not a published value.
 R_ON_PER_TUBE = 30e3
 
+# Rows a region result table holds before it is cleared (see _lookup).
+TABLE_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -118,7 +131,8 @@ class _Compiled:
     solves run on it; see _compile.  It holds no reference to the Netlist, so
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
     order, so the smallest index is also the smallest name.  Its regions are
-    built once per pinned set, on the first solve that pins it (see _solve)."""
+    built once per pinned set, on the first solve that pins it (see _solve),
+    and keep their result tables for as long as the compiled form lives."""
 
     cfg: SimConfig
     contents: tuple                                 # Netlist._contents()
@@ -138,9 +152,19 @@ class _Compiled:
 
 
 class _Region(NamedTuple):
+    """Unpinned nodes joined by channels and capacitors, with getters for
+    what its resolution reads: the flags of its FETs (links, then feeds) and
+    its pins, the pinned nodes on its feeds and its nodes' pinned capacitor
+    neighbors.  Its table maps that key to the levels and strengths of its
+    nodes; regions of one shape in a partition hold the same table (see
+    _regions)."""
+
     nodes: list[int]                    # unpinned, ascending
     links: list[tuple[int, int, int]]   # (FET, node, node) for channels between nodes
     feeds: list[tuple[int, int, int]]   # (FET, node, pinned node)
+    flags_of: Callable[[Sequence], tuple]   # a per-FET list's items at links, then feeds
+    pins_of: Callable[[Sequence], tuple]    # a per-node list's items at its pins
+    table: dict[tuple, tuple[tuple, tuple]]     # key -> (levels, strengths) of nodes
 
 
 @dataclass
@@ -168,7 +192,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     cap_adj: list[list[tuple[int, float]]] = [[] for _ in names]
     fixed: list[tuple[int, float]] = []
     if VDD in index:
-        fixed.append((index[VDD], cfg.vdd))
+        fixed.append((index[VDD], float(cfg.vdd)))
     if GND in index:
         fixed.append((index[GND], 0.0))
     for d in flat.devices:
@@ -249,12 +273,21 @@ def _union(parent: list[int], a: int, b: int) -> None:
     parent[_find(parent, b)] = _find(parent, a)
 
 
+def _items(idx: list[int]) -> Callable[[Sequence], tuple]:
+    """A getter of a sequence's items at idx, as a tuple even for one index."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
+
+
 def _regions(fets: list[tuple[int, int, int, bool, float]],
              cap_adj: list[list[tuple[int, float]]],
              pinned: Sequence[bool]) -> tuple[list[_Region], list[int]]:
     """The regions for a pinned set: unpinned nodes joined by the channels and
     capacitors between unpinned nodes.  Also each FET's region: that of an
-    unpinned channel terminal, -1 when both are pinned."""
+    unpinned channel terminal, -1 when both are pinned.  A region's shape is
+    its links, feeds and capacitors in its own node slots (position in nodes)
+    and pin slots (~position in pins); regions of one shape share a table."""
     parent = list(range(len(pinned)))
     for a, b in itertools.chain(((d, s) for d, _, s, _, _ in fets),
                                 ((a, b) for a, adj in enumerate(cap_adj) for b, _ in adj)):
@@ -263,16 +296,32 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
     roots: dict[int, int] = {}
     node_region = [-1 if p else roots.setdefault(_find(parent, i), len(roots))
                    for i, p in enumerate(pinned)]
-    regions = [_Region([], [], []) for _ in roots]
+    members: list[list[int]] = [[] for _ in roots]
+    links: list[list[tuple[int, int, int]]] = [[] for _ in roots]
+    feeds: list[list[tuple[int, int, int]]] = [[] for _ in roots]
     for i, r in enumerate(node_region):
         if r >= 0:
-            regions[r].nodes.append(i)
+            members[r].append(i)
     fet_region: list[int] = []
     for k, (d, _, s, _, _) in enumerate(fets):
         a, b = (s, d) if pinned[d] else (d, s)      # a is unpinned unless both are
         fet_region.append(r := node_region[a])
         if r >= 0:
-            (regions[r].feeds if pinned[b] else regions[r].links).append((k, a, b))
+            (feeds if pinned[b] else links)[r].append((k, a, b))
+    tables: dict[tuple, dict] = {}
+    regions = []
+    for nodes, rlinks, rfeeds in zip(members, links, feeds):
+        caps = [(m, other, farads) for m in nodes for other, farads in cap_adj[m]]
+        pins = list(dict.fromkeys(itertools.chain((p for _, _, p in rfeeds),
+                                                  (o for _, o, _ in caps if pinned[o]))))
+        slot = {m: j for j, m in enumerate(nodes)}
+        slot.update((p, ~j) for j, p in enumerate(pins))
+        channels = rlinks + rfeeds          # a feed's second slot is a pin's
+        shape = (len(nodes), tuple((slot[a], slot[b]) for _, a, b in channels),
+                 tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
+        regions.append(_Region(nodes, rlinks, rfeeds,
+                               _items([k for k, _, _ in channels]), _items(pins),
+                               tables.setdefault(shape, {})))
     return regions, fet_region
 
 
@@ -280,7 +329,10 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
              parent: list[int], levels: list[float | str],
              strengths: list[Strength | None]) -> None:
     """Write region's next state, from its FETs flagged as conducting, into
-    levels and strengths in place; it reads only its own nodes and the pins."""
+    levels and strengths in place.  It reads only the flags of its FETs, the
+    levels of its pins (which levels holds at their pinned values) and its own
+    nodes' levels after writing them, so its writes are a function of its key
+    (see _lookup)."""
     for m in region.nodes:
         parent[m] = m
     for k, a, b in region.links:
@@ -336,6 +388,23 @@ def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[floa
             levels[m], strengths[m] = level, strength
 
 
+def _lookup(comp: _Compiled, region: _Region, flags: bytearray, pins: list[float | None],
+            scratch: tuple[list[int], list, list]) -> tuple[tuple, tuple]:
+    """region's next (levels, strengths) of its nodes, from its table; a miss
+    runs _resolve on scratch, a (parent, levels, strengths) whose pinned
+    levels are the pins, and stores its writes."""
+    key = region.flags_of(flags), region.pins_of(pins)
+    row = region.table.get(key)
+    if row is None:
+        if len(region.table) >= TABLE_ROWS:
+            region.table.clear()
+        parent, levels, strengths = scratch
+        _resolve(comp, region, flags, pins, parent, levels, strengths)
+        row = region.table[key] = (tuple(levels[m] for m in region.nodes),
+                                   tuple(strengths[m] for m in region.nodes))
+    return row
+
+
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     fets, readers = comp.fets, comp.readers
     pinned = tuple(p is not None for p in pins)
@@ -344,7 +413,7 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     regions, fet_region = comp.regions[pinned]
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
-    parent = list(range(len(pins)))
+    scratch = (list(range(len(pins))), list(levels), list(strengths))
     flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
     todo: Iterable[int] = range(len(fets))
 
@@ -366,18 +435,23 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
             if on != flags[k]:
                 flags[k] = on
                 toggled.add(fet_region[k])
-        dirty = toggled - {-1} if sweep else range(len(regions))
-        was = [(m, levels[m], strengths[m]) for r in dirty for m in regions[r].nodes]
-        for r in dirty:
-            _resolve(comp, regions[r], flags, pins, parent, levels, strengths)
-        changed = [(m, lvl) for m, lvl, st in was if levels[m] != lvl or strengths[m] is not st]
+        changed: list[int] = []         # nodes whose level or strength changed
+        todo = set()                    # a strength alone does not change conduction
+        for r in (toggled - {-1} if sweep else range(len(regions))):
+            region = regions[r]
+            row_levels, row_strengths = _lookup(comp, region, flags, pins, scratch)
+            for m, lvl, st in zip(region.nodes, row_levels, row_strengths):
+                if levels[m] != lvl:
+                    changed.append(m)
+                    todo.update(readers[m])
+                elif strengths[m] is not st:
+                    changed.append(m)
+                levels[m], strengths[m] = lvl, st
         if not changed:
             return _Solve(levels, strengths, flags)
         first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
-            raise NonConvergent(sweep - first, tuple(comp.names[m] for m, _ in sorted(changed)))
-        # a strength alone does not change conduction
-        todo = {k for m, lvl in changed if levels[m] != lvl for k in readers[m]}
+            raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:

@@ -65,8 +65,12 @@ def _events(net, stimulus, cfg):
 
 
 def corpus_text(net, cfg) -> str:
-    """A corpus case: every steady state, every probe's delay, the transient."""
-    assigns = _exhaustive_inputs(sorted(net.inputs), cfg.vdd)
+    """A corpus case: every steady state, every probe's delay, the transient.
+    A netlist with too many inputs to enumerate is the error that says so."""
+    try:
+        assigns = _exhaustive_inputs(sorted(net.inputs), cfg.vdd)
+    except TritsimError as e:
+        return f"{type(e).__name__}: {e}"
     parts = [_steady_text(net, assign, cfg) for assign in assigns]
     parts += [_attempt(delay_estimate, net, node, cfg) for node in net.probes]
     parts.append(_attempt(_events, net, [(k * PERIOD, a) for k, a in enumerate(assigns)], cfg))

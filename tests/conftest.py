@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from tritsim import SimConfig, Unresolvable, voltage_to_trit
+from tritsim import SimConfig, Unresolvable, build_design, serialize, voltage_to_trit
 
 
 def sim_symbol(sig, cfg: SimConfig) -> str:
@@ -15,3 +15,15 @@ def sim_symbol(sig, cfg: SimConfig) -> str:
 
 def sim_trits(sigs, cfg: SimConfig, *nodes: str) -> tuple:
     return tuple(sim_symbol(sigs[n], cfg) for n in nodes)
+
+
+def ripple_text(width: int) -> str:
+    """A width-trit ripple adder of design2 cells, one subcircuit per trit,
+    each carry-out wired to the next carry-in."""
+    cell = [line for line in serialize(build_design(2)).splitlines()[1:]
+            if not line.startswith((".input", ".probe", ".end"))]
+    return "\n".join([f"* ripple{width}",
+                      *(f".input {p}{i}" for p in "ab" for i in range(width)), ".input c0",
+                      ".subckt add a b cin sum cout", *cell, ".ends",
+                      *(f"X{i} a{i} b{i} c{i} s{i} c{i + 1} add" for i in range(width)),
+                      ".end"]) + "\n"

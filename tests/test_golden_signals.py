@@ -31,3 +31,14 @@ def test_corpus_results_do_not_depend_on_device_order():
         if corpus_text(shuffled, cfg) != corpus_text(net, cfg):
             changed.append(net.name)
     assert not changed
+
+
+def test_a_netlist_with_too_many_inputs_to_enumerate_is_its_error():
+    rng = random.Random(12345)
+    for i in range(2058):
+        random_netlist(rng, i)
+    net = random_netlist(rng, 2058)
+    assert len(net.inputs) == 7
+    assert corpus_text(net, SimConfig()) == (
+        "ConfigError: 7 inputs are too many to enumerate exhaustively (at most 6); "
+        "pass explicit inputs")

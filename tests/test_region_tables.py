@@ -1,0 +1,121 @@
+"""Region result tables: a table hit writes exactly what resolving the region
+again would, regions of one shape share a table, and the table bound changes
+no result."""
+
+import itertools
+import random
+
+import pytest
+
+from capture_signals import CORPUS_SEED, CORPUS_SIZE, VDDS, corpus_text
+from conftest import ripple_text
+from gen_netlists import random_netlist
+from tritsim import (BOTH_VARIANTS, BuildConfig, SimConfig, build_design, delay_estimate,
+                     parse, sim, steady_state)
+
+CFG = SimConfig()
+
+
+def _tables(n) -> list[dict]:
+    return [region.table for regions, _ in n._compiled.regions.values() for region in regions]
+
+
+@pytest.fixture
+def checked(monkeypatch) -> list:
+    """Checks every table hit against _resolve run afresh on the same flags
+    and pins; the list it gives counts the hits."""
+    hits = []
+
+    def lookup(comp, region, flags, pins, scratch, _real=sim._lookup):
+        hit = (region.flags_of(flags), region.pins_of(pins)) in region.table
+        row = _real(comp, region, flags, pins, scratch)
+        if hit:
+            # unpinned levels start as None, so reading one before writing it fails
+            levels, strengths = list(pins), [None] * len(pins)
+            sim._resolve(comp, region, flags, pins, list(range(len(pins))), levels, strengths)
+            want = [(repr(levels[m]), strengths[m]) for m in region.nodes]
+            assert [(repr(lvl), st) for lvl, st in zip(*row)] == want
+            hits.append(region)
+        return row
+    monkeypatch.setattr(sim, "_lookup", lookup)
+    return hits
+
+
+def test_a_hit_on_a_pinned_capacitor_neighbor_is_exact(checked):
+    n = parse("* shared\n.input a\nC1 a m 1f\nC2 m GND 3f\n.end\n")
+    for volts in (0.9, 0.45, 0.9, 0.0, 0.45):
+        assert steady_state(n, {"a": volts}, CFG)["m"].level == pytest.approx(volts / 4)
+    assert checked
+
+
+def test_corpus_hits_are_exact(checked):
+    rng = random.Random(CORPUS_SEED)
+    for i in range(CORPUS_SIZE):
+        corpus_text(random_netlist(rng, i), CFG)
+    assert len(checked) > 1000
+
+
+def test_adder_hits_are_exact(checked):
+    for variant, vdd in itertools.product(BOTH_VARIANTS, VDDS):
+        cfg = SimConfig(vdd=vdd)
+        n = build_design(variant, BuildConfig(vdd=vdd))
+        levels = cfg.vmap().levels()
+        for a, b, c in itertools.product(levels, repeat=3):
+            steady_state(n, {"a": a, "b": b, "cin": c}, cfg)
+    assert len(checked) > 1000
+
+
+def test_ripple_hits_are_exact(checked):
+    rng = random.Random(7)
+    levels = CFG.vmap().levels()
+    for width in (2, 3, 4):
+        n = parse(ripple_text(width))
+        for _ in range(6):
+            inputs = {f"{p}{i}": levels[rng.randrange(3)] for p in "ab" for i in range(width)}
+            inputs["c0"] = levels[rng.randrange(3)]
+            steady_state(n, inputs, CFG)
+            delay_estimate(n, f"c{width}", CFG, inputs)
+    assert len(checked) > 1000
+
+
+def test_regions_of_one_cell_shape_share_a_table():
+    n = parse(ripple_text(4))
+    levels = CFG.vmap().levels()
+    steady_state(n, {**{f"{p}{i}": levels[1] for p in "ab" for i in range(4)}, "c0": 0.0}, CFG)
+    (regions, _), = n._compiled.regions.values()
+    names = n._compiled.names
+    by_nodes = {frozenset(names[m] for m in region.nodes): region for region in regions}
+    # X0's carry-in is an input, so only its vsum region has no match in X3
+    renamed = ((frozenset(m.replace("X0.", "X3.", 1) for m in nodes), region)
+               for nodes, region in by_nodes.items() if all(m.startswith("X0.") for m in nodes))
+    pairs = [(region, by_nodes[nodes]) for nodes, region in renamed if nodes in by_nodes]
+    assert len(pairs) == 16
+    assert all(first.table is last.table for first, last in pairs)
+    assert len({id(table) for table in _tables(n)}) < len(regions) / 4
+
+
+def test_the_table_bound_changes_no_result(monkeypatch):
+    def results():
+        got = []
+        for variant, vdd in itertools.product(BOTH_VARIANTS, VDDS):
+            cfg = SimConfig(vdd=vdd)
+            n = build_design(variant, BuildConfig(vdd=vdd))
+            levels = cfg.vmap().levels()
+            got += [steady_state(n, {"a": a, "b": b, "cin": c}, cfg)
+                    for a, b, c in itertools.product(levels, repeat=3)]
+            assert max(map(len, _tables(n))) <= sim.TABLE_ROWS
+        return got
+
+    want = results()
+    monkeypatch.setattr(sim, "TABLE_ROWS", 1)
+    assert repr(results()) == repr(want)
+
+
+def test_every_level_is_a_float_under_an_integer_vdd():
+    # u is driven from VDD and w from the input h, in regions of one shape
+    # resolved in that order, so a rail held as the int 1 would reach w as 1
+    n = parse("* rails\n.input h\nMp u GND VDD pfet 19 0 1\nMn u GND GND nfet 19 0 1\n"
+              "Mq w GND h pfet 19 0 1\nMm w GND GND nfet 19 0 1\n.end\n")
+    sigs = steady_state(n, {"h": 1.0}, SimConfig(vdd=1))
+    assert {node: repr(sig.level) for node, sig in sigs.items()} == {
+        "GND": "0.0", "VDD": "1.0", "h": "1.0", "u": "1.0", "w": "1.0"}
