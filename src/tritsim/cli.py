@@ -154,7 +154,7 @@ def cmd_device(args) -> int:
 def cmd_simulate(args) -> int:
     net = _load_netlist(args)
     cfg = SimConfig(vdd=args.vdd, c_out_load=args.load)
-    if args.inputs:
+    if args.inputs is not None:
         sigs = steady_state(net, _parse_inputs(args.inputs, args.vdd), cfg)
         lines = ["node,level_v,strength"]
         for node in sorted(sigs):

@@ -32,15 +32,16 @@ region (see _regions), so a region's next state depends only on its own
 conducting FETs and the pins.  The first sweep resolves every region;
 later ones re-evaluate only the FETs reading a node whose level changed and
 re-resolve only the regions where one switched: exactly a full sweep's state.
-A region's writes are a function of its local key alone: the conduction
-flags of its FETs and the pins it reads (those on its feeds and its nodes'
-pinned capacitor neighbors).  Every pin is a float and -0.0 V is 0.0 V, so
-equal keys are equal inputs, and each region looks its key up in a result
-table and runs the resolution only on a miss.  Regions of equal shape
-(links, feeds and capacitors in region-local node and pin slots) in one
-partition share one table, so the cells of a structural adder fill one
-table per cell region.  A table is cleared when it reaches TABLE_ROWS rows,
-which bounds it under an analog input sweep.
+A region's shape is its channels and capacitors in region-local node and
+pin slots; its key is the conduction flags of its channels and the levels of
+the pins it reads (those on its feeds and its nodes' pinned capacitor
+neighbors).  Its next state is _resolve of its shape and key, which reads
+nothing else, so regions of equal shape in one partition share one result
+table exactly, by construction, and a region resolves only on a miss: the
+cells of a structural adder fill one table per cell region.  Every pin is a
+float and -0.0 V is 0.0 V, so equal keys are equal inputs.  A table is
+cleared when it reaches TABLE_ROWS rows, which bounds it under an analog
+input sweep.
 A sweep's new state depends only on its conducting set and the pins, so a
 conducting set that comes back before the state repeats is a limit cycle:
 the solve raises NonConvergent, naming the period and the nodes that keep
@@ -99,7 +100,7 @@ class Signal:
 # R_ON_PER_TUBE / N.  A model constant, not a published value.
 R_ON_PER_TUBE = 30e3
 
-# Rows a region result table holds before it is cleared (see _lookup).
+# Rows a region result table holds before it is cleared (see _solve).
 TABLE_ROWS = 1024
 
 
@@ -153,17 +154,15 @@ class _Compiled:
 
 class _Region(NamedTuple):
     """Unpinned nodes joined by channels and capacitors, with getters for
-    what its resolution reads: the flags of its FETs (links, then feeds) and
-    its pins, the pinned nodes on its feeds and its nodes' pinned capacitor
-    neighbors.  Its table maps that key to the levels and strengths of its
-    nodes; regions of one shape in a partition hold the same table (see
-    _regions)."""
+    its key: the flags of its channels and the levels of its pins, the pinned
+    nodes on its feeds and its nodes' pinned capacitor neighbors.  Its table
+    maps a key to _resolve of its shape and that key; regions of one shape in
+    a partition hold the same table (see _regions)."""
 
-    nodes: list[int]                    # unpinned, ascending
-    links: list[tuple[int, int, int]]   # (FET, node, node) for channels between nodes
-    feeds: list[tuple[int, int, int]]   # (FET, node, pinned node)
-    flags_of: Callable[[Sequence], tuple]   # a per-FET list's items at links, then feeds
+    nodes: list[int]                        # unpinned, ascending
+    flags_of: Callable[[Sequence], tuple]   # a per-FET list's items at its channels
     pins_of: Callable[[Sequence], tuple]    # a per-node list's items at its pins
+    shape: tuple                            # (node count, channels, capacitors) in slots
     table: dict[tuple, tuple[tuple, tuple]]     # key -> (levels, strengths) of nodes
 
 
@@ -252,10 +251,13 @@ def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]
         if pins[i] is not None:
             what = "rail" if node in (VDD, GND) else "fixed-source node"
             raise ConfigError(f"cannot reassign {what} {node}")
-        volts = float(volts) + 0.0      # -0.0 V is 0.0 V
-        if not math.isfinite(volts):
+        try:
+            level = float(volts) + 0.0      # -0.0 V is 0.0 V
+        except (TypeError, ValueError, OverflowError):
+            level = math.nan
+        if not math.isfinite(level):
             raise ConfigError(f"input {node} must be a finite voltage, got {volts!r}")
-        pins[i] = volts
+        pins[i] = level
     missing = [n for n in comp.inputs if pins[comp.index[n]] is None]
     if missing:
         raise ConfigError(f"unassigned input nodes: {', '.join(missing)}")
@@ -286,8 +288,9 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
     """The regions for a pinned set: unpinned nodes joined by the channels and
     capacitors between unpinned nodes.  Also each FET's region: that of an
     unpinned channel terminal, -1 when both are pinned.  A region's shape is
-    its links, feeds and capacitors in its own node slots (position in nodes)
-    and pin slots (~position in pins); regions of one shape share a table."""
+    its channels (links, then feeds) and capacitors in its own node slots
+    (position in nodes) and pin slots (~position in pins); regions of one
+    shape share a table."""
     parent = list(range(len(pinned)))
     for a, b in itertools.chain(((d, s) for d, _, s, _, _ in fets),
                                 ((a, b) for a, adj in enumerate(cap_adj) for b, _ in adj)):
@@ -297,8 +300,7 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
     node_region = [-1 if p else roots.setdefault(_find(parent, i), len(roots))
                    for i, p in enumerate(pinned)]
     members: list[list[int]] = [[] for _ in roots]
-    links: list[list[tuple[int, int, int]]] = [[] for _ in roots]
-    feeds: list[list[tuple[int, int, int]]] = [[] for _ in roots]
+    channels: list[list[tuple[bool, int, int, int]]] = [[] for _ in roots]
     for i, r in enumerate(node_region):
         if r >= 0:
             members[r].append(i)
@@ -307,102 +309,71 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
         a, b = (s, d) if pinned[d] else (d, s)      # a is unpinned unless both are
         fet_region.append(r := node_region[a])
         if r >= 0:
-            (feeds if pinned[b] else links)[r].append((k, a, b))
+            channels[r].append((pinned[b], k, a, b))
     tables: dict[tuple, dict] = {}
     regions = []
-    for nodes, rlinks, rfeeds in zip(members, links, feeds):
+    for nodes, rchannels in zip(members, channels):
+        rchannels.sort()                    # links, then feeds, each in FET order
         caps = [(m, other, farads) for m in nodes for other, farads in cap_adj[m]]
-        pins = list(dict.fromkeys(itertools.chain((p for _, _, p in rfeeds),
+        pins = list(dict.fromkeys(itertools.chain((b for fed, _, _, b in rchannels if fed),
                                                   (o for _, o, _ in caps if pinned[o]))))
         slot = {m: j for j, m in enumerate(nodes)}
         slot.update((p, ~j) for j, p in enumerate(pins))
-        channels = rlinks + rfeeds          # a feed's second slot is a pin's
-        shape = (len(nodes), tuple((slot[a], slot[b]) for _, a, b in channels),
+        shape = (len(nodes), tuple((slot[a], slot[b]) for _, _, a, b in rchannels),
                  tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
-        regions.append(_Region(nodes, rlinks, rfeeds,
-                               _items([k for k, _, _ in channels]), _items(pins),
-                               tables.setdefault(shape, {})))
+        regions.append(_Region(nodes, _items([k for _, k, _, _ in rchannels]), _items(pins),
+                               shape, tables.setdefault(shape, {})))
     return regions, fet_region
 
 
-def _resolve(comp: _Compiled, region: _Region, flags: bytearray, pins: list[float | None],
-             parent: list[int], levels: list[float | str],
-             strengths: list[Strength | None]) -> None:
-    """Write region's next state, from its FETs flagged as conducting, into
-    levels and strengths in place.  It reads only the flags of its FETs, the
-    levels of its pins (which levels holds at their pinned values) and its own
-    nodes' levels after writing them, so its writes are a function of its key
-    (see _lookup)."""
-    for m in region.nodes:
-        parent[m] = m
-    for k, a, b in region.links:
-        if flags[k]:
-            _union(parent, a, b)
+def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
+    """The next (levels, strengths) of a region's nodes in slot order, from
+    its shape (see _regions), the conduction flag of each of its channels and
+    the level of each of its pin slots.  It reads nothing else, so a row is a
+    function of its table's key."""
+    count, channels, caps = shape
+    parent = list(range(count))
     drive: dict[int, set[float]] = {}       # group root -> pinned levels driving it
-    for k, m, p in region.feeds:
-        if flags[k]:
-            drive.setdefault(_find(parent, m), set()).add(pins[p])
-    floating: set[int] = set()
-    for m in region.nodes:
-        driven = drive.get(_find(parent, m))
-        if driven is None:
-            floating.add(m)
+    for (a, b), on in zip(channels, flags):     # every link comes before every feed
+        if not on:
+            continue
+        if b >= 0:
+            _union(parent, a, b)
         else:
+            drive.setdefault(_find(parent, a), set()).add(pins[~b])
+    levels: list[float | str] = [Z] * count
+    strengths: list[Strength | None] = [None] * count
+    for m in range(count):
+        driven = drive.get(_find(parent, m))
+        if driven is not None:
             # two supply levels in one group: equal-strength contention
             levels[m] = next(iter(driven)) if len(driven) == 1 else X
             strengths[m] = Strength.DRIVEN
-    if not floating:
-        return
 
-    # capacitive clusters: floating groups additionally merged through caps
-    for m in floating:
-        for other, _ in comp.cap_adj[m]:
-            if other in floating:
-                _union(parent, m, other)
-    clusters: dict[int, list[int]] = {}
-    for m in floating:
-        clusters.setdefault(_find(parent, m), []).append(m)
-    for members in clusters.values():
+    # capacitive clusters: floating groups additionally merged through caps,
+    # each charged by its capacitors to pins and driven nodes
+    floating = [m for m in range(count) if strengths[m] is None]
+    for m, o, _ in caps:
+        if o >= 0 and strengths[m] is None and strengths[o] is None:
+            _union(parent, m, o)
+    terms: dict[int, list[tuple[float, float | str]]] = {}
+    for m, o, farads in caps:
+        if strengths[m] is None and (o < 0 or strengths[o] is not None):
+            level = pins[~o] if o < 0 else levels[o]
+            terms.setdefault(_find(parent, m), []).append((farads, level))
+    charged: dict[int, float | str] = {}    # cluster root -> level
+    for root, cluster in terms.items():
         # summed exactly, so the level cannot depend on device order
-        weights: list[float] = []
-        charges: list[float] = []
-        saw_x = False
-        for m in members:
-            for other, farads in comp.cap_adj[m]:
-                if other in floating:
-                    continue
-                lvl = levels[other]
-                if isinstance(lvl, str):
-                    saw_x = True
-                else:
-                    weights.append(farads)
-                    charges.append(farads * lvl)
-        weight = math.fsum(weights)
-        if saw_x:
-            level, strength = X, Strength.CHARGED
-        elif weight > 0:
-            level, strength = math.fsum(charges) / weight, Strength.CHARGED
+        if any(isinstance(lvl, str) for _, lvl in cluster):
+            charged[root] = X
         else:
-            level, strength = Z, None
-        for m in members:
-            levels[m], strengths[m] = level, strength
-
-
-def _lookup(comp: _Compiled, region: _Region, flags: bytearray, pins: list[float | None],
-            scratch: tuple[list[int], list, list]) -> tuple[tuple, tuple]:
-    """region's next (levels, strengths) of its nodes, from its table; a miss
-    runs _resolve on scratch, a (parent, levels, strengths) whose pinned
-    levels are the pins, and stores its writes."""
-    key = region.flags_of(flags), region.pins_of(pins)
-    row = region.table.get(key)
-    if row is None:
-        if len(region.table) >= TABLE_ROWS:
-            region.table.clear()
-        parent, levels, strengths = scratch
-        _resolve(comp, region, flags, pins, parent, levels, strengths)
-        row = region.table[key] = (tuple(levels[m] for m in region.nodes),
-                                   tuple(strengths[m] for m in region.nodes))
-    return row
+            charged[root] = (math.fsum(farads * lvl for farads, lvl in cluster)
+                             / math.fsum(farads for farads, _ in cluster))
+    for m in floating:
+        level = charged.get(_find(parent, m))
+        if level is not None:
+            levels[m], strengths[m] = level, Strength.CHARGED
+    return tuple(levels), tuple(strengths)
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -413,7 +384,6 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     regions, fet_region = comp.regions[pinned]
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
-    scratch = (list(range(len(pins))), list(levels), list(strengths))
     flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
     todo: Iterable[int] = range(len(fets))
 
@@ -438,9 +408,14 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
         changed: list[int] = []         # nodes whose level or strength changed
         todo = set()                    # a strength alone does not change conduction
         for r in (toggled - {-1} if sweep else range(len(regions))):
-            region = regions[r]
-            row_levels, row_strengths = _lookup(comp, region, flags, pins, scratch)
-            for m, lvl, st in zip(region.nodes, row_levels, row_strengths):
+            nodes, flags_of, pins_of, shape, table = regions[r]
+            key = flags_of(flags), pins_of(pins)
+            row = table.get(key)
+            if row is None:
+                if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
+                    table.clear()
+                row = table[key] = _resolve(shape, *key)
+            for m, lvl, st in zip(nodes, *row):
                 if levels[m] != lvl:
                     changed.append(m)
                     todo.update(readers[m])

@@ -395,6 +395,7 @@ def test_cli_simulate_needs_exactly_one_source(tmp_path, capsys):
     ("a=0,=1", "malformed input assignment '=1', expected node=value"),
     ("a=0,b= ", "malformed input assignment 'b= ', expected node=value"),
     ("a=high", "input value 'high' is neither a trit (0/1/2) nor a voltage"),
+    ("", "malformed input assignment '', expected node=value"),
 ])
 def test_cli_simulate_rejects_conflicting_inputs(capsys, inputs, message):
     assert main(["simulate", "--design", "2", "--inputs", inputs]) == 2

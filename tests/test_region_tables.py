@@ -1,17 +1,18 @@
-"""Region result tables: a table hit writes exactly what resolving the region
-again would, regions of one shape share a table, and the table bound changes
-no result."""
+"""Region result tables: steady states read from the tables match the
+reference simulator (tests/reference_sim.py), regions of one shape share a
+table, and the table bound changes no result."""
 
 import itertools
 import random
 
 import pytest
 
-from capture_signals import CORPUS_SEED, CORPUS_SIZE, VDDS, corpus_text
+import reference_sim
+from capture_signals import CORPUS_SEED, CORPUS_SIZE, VDDS
 from conftest import ripple_text
 from gen_netlists import random_netlist
-from tritsim import (BOTH_VARIANTS, BuildConfig, SimConfig, build_design, delay_estimate,
-                     parse, sim, steady_state)
+from tritsim import (BOTH_VARIANTS, BuildConfig, ConfigError, NonConvergent, SimConfig,
+                     build_design, parse, sim, steady_state)
 
 CFG = SimConfig()
 
@@ -21,51 +22,78 @@ def _tables(n) -> list[dict]:
 
 
 @pytest.fixture
-def checked(monkeypatch) -> list:
-    """Checks every table hit against _resolve run afresh on the same flags
-    and pins; the list it gives counts the hits."""
-    hits = []
+def check(monkeypatch):
+    """A checker of steady_state against the reference on one assignment:
+    levels by repr, strengths by identity, NonConvergent by message.  Its
+    hits() counts the table hits so far: each lookup reads its region's
+    flags once, and each miss runs _resolve once."""
+    counts = {"lookups": 0, "misses": 0}
 
-    def lookup(comp, region, flags, pins, scratch, _real=sim._lookup):
-        hit = (region.flags_of(flags), region.pins_of(pins)) in region.table
-        row = _real(comp, region, flags, pins, scratch)
-        if hit:
-            # unpinned levels start as None, so reading one before writing it fails
-            levels, strengths = list(pins), [None] * len(pins)
-            sim._resolve(comp, region, flags, pins, list(range(len(pins))), levels, strengths)
-            want = [(repr(levels[m]), strengths[m]) for m in region.nodes]
-            assert [(repr(lvl), st) for lvl, st in zip(*row)] == want
-            hits.append(region)
-        return row
-    monkeypatch.setattr(sim, "_lookup", lookup)
-    return hits
+    def counted(flags_of):
+        def get(flags):
+            counts["lookups"] += 1
+            return flags_of(flags)
+        return get
+
+    def regions(fets, cap_adj, pinned, _real=sim._regions):
+        found, fet_region = _real(fets, cap_adj, pinned)
+        return [region._replace(flags_of=counted(region.flags_of)) for region in found], fet_region
+
+    def resolve(shape, flags, pins, _real=sim._resolve):
+        counts["misses"] += 1
+        return _real(shape, flags, pins)
+
+    def state(fn, n, inputs, cfg):
+        try:
+            return [(node, repr(sig.level), sig.strength)
+                    for node, sig in sorted(fn(n, inputs, cfg).items())]
+        except NonConvergent as e:
+            return str(e)
+
+    def checker(n, inputs, cfg=CFG):
+        got = state(steady_state, n, inputs, cfg)
+        want = state(reference_sim.steady_state, n, inputs, cfg)
+        assert got == want
+        assert isinstance(got, str) or all(g[2] is w[2] for g, w in zip(got, want))
+
+    checker.hits = lambda: counts["lookups"] - counts["misses"]
+    monkeypatch.setattr(sim, "_regions", regions)
+    monkeypatch.setattr(sim, "_resolve", resolve)
+    return checker
 
 
-def test_a_hit_on_a_pinned_capacitor_neighbor_is_exact(checked):
+def test_a_hit_on_a_pinned_capacitor_neighbor_is_exact(check):
     n = parse("* shared\n.input a\nC1 a m 1f\nC2 m GND 3f\n.end\n")
     for volts in (0.9, 0.45, 0.9, 0.0, 0.45):
         assert steady_state(n, {"a": volts}, CFG)["m"].level == pytest.approx(volts / 4)
-    assert checked
+        check(n, {"a": volts})
+    assert check.hits()
 
 
-def test_corpus_hits_are_exact(checked):
+def test_corpus_hits_are_exact(check):
     rng = random.Random(CORPUS_SEED)
     for i in range(CORPUS_SIZE):
-        corpus_text(random_netlist(rng, i), CFG)
-    assert len(checked) > 1000
+        n = random_netlist(rng, i)
+        try:
+            assigns = sim._exhaustive_inputs(sorted(n.inputs), CFG.vdd)
+        except ConfigError:
+            continue        # too many inputs to enumerate
+        for assign in assigns:
+            check(n, assign)
+    assert check.hits() > 1000
 
 
-def test_adder_hits_are_exact(checked):
+def test_adder_hits_are_exact(check):
     for variant, vdd in itertools.product(BOTH_VARIANTS, VDDS):
         cfg = SimConfig(vdd=vdd)
         n = build_design(variant, BuildConfig(vdd=vdd))
         levels = cfg.vmap().levels()
         for a, b, c in itertools.product(levels, repeat=3):
-            steady_state(n, {"a": a, "b": b, "cin": c}, cfg)
-    assert len(checked) > 1000
+            check(n, {"a": a, "b": b, "cin": c}, cfg)
+    assert check.hits() > 1000
 
 
-def test_ripple_hits_are_exact(checked):
+def test_ripple_hits_are_exact(check):
     rng = random.Random(7)
     levels = CFG.vmap().levels()
     for width in (2, 3, 4):
@@ -73,9 +101,8 @@ def test_ripple_hits_are_exact(checked):
         for _ in range(6):
             inputs = {f"{p}{i}": levels[rng.randrange(3)] for p in "ab" for i in range(width)}
             inputs["c0"] = levels[rng.randrange(3)]
-            steady_state(n, inputs, CFG)
-            delay_estimate(n, f"c{width}", CFG, inputs)
-    assert len(checked) > 1000
+            check(n, inputs)
+    assert check.hits() > 1000
 
 
 def test_regions_of_one_cell_shape_share_a_table():
