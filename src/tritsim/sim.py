@@ -21,7 +21,7 @@ and on-resistance, capacitor adjacency and per-node capacitance.  A Netlist
 keeps one compiled form, for the contents and SimConfig of its last call;
 an in-place change recompiles.
 The compiled form memoizes its solves by the tuple of pinned voltages, each
-timed at most once, and keeps a solve through the next call on the netlist:
+with the timing read from it so far, and keeps a solve through the next call:
 delay_estimate then transient, or steady_state then delay_estimate, solve each
 assignment once, and at most two calls' solves are held.  A zero-volt input or
 fixed source is one value: -0.0 V becomes 0.0 V where voltages enter.
@@ -47,18 +47,20 @@ conducting set that comes back before the state repeats is a limit cycle:
 the solve raises NonConvergent, naming the period and the nodes that keep
 changing.  There are finitely many conducting sets, so every solve ends.
 
-Timing is first-order RC.  Each solve grows one shortest-path forest by
-accumulated on-resistance (R_ON_PER_TUBE / tubes per device) from every pinned
-node over the conducting FETs.  On equal resistance a node keeps the parent
-that reached it first, the lower (resistance, node index) popped first.  A
-driven node's stage delay is the Elmore sum along its branch of accumulated
-on-resistance times node capacitance; the stage starts when the last gate on
-the branch settles.  A branch waits on its parent's and one gate more, so
-timing is linear in path depth, in the frame order (and naming the cycle node)
-of a walk over every gate on the path.  Charge-shared nodes track their
-neighbors with no delay of their own; delay_estimate's worst settling time is
-the one delay figure.  Event energy is 0.5 * C * dV**2, and measure turns a
-waveform's energy into average power.
+Timing is first-order RC, and on demand: delay_estimate times its output and
+transient the nodes whose level changed.  A solve's first timing read grows
+one shortest-path forest by accumulated on-resistance (R_ON_PER_TUBE / tubes
+per device) from every pinned node over the conducting FETs, and the solve
+keeps it with the times settled so far.  On equal resistance a node keeps the
+parent popped first, the lower (resistance, node index).  A driven node's
+stage delay is the Elmore sum along its branch of accumulated on-resistance
+times node capacitance; the stage starts when the last gate on the branch
+settles.  A branch waits on its parent's and one gate more, so timing is
+linear in path depth.  A timing cycle raises NoPath only for a node that waits
+on it, naming the first node the walk from that node meets twice.
+Charge-shared nodes track their neighbors with no delay of their own;
+delay_estimate's worst settling time is the one delay figure.  Event energy is
+0.5 * C * dV**2, and measure turns a waveform's energy into average power.
 """
 
 from __future__ import annotations
@@ -104,6 +106,14 @@ R_ON_PER_TUBE = 30e3
 TABLE_ROWS = 1024
 
 
+def _finite(*values) -> bool:
+    """Whether every value is a finite real number; a str or None is not."""
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):      # not a real number, or an int too large
+        return False
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """The operating point: supply voltage and the load on each probed node."""
@@ -112,8 +122,8 @@ class SimConfig:
     c_out_load: float = 1e-15
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.vdd, self.c_out_load))):
-            raise ConfigError("vdd and c_out_load must be finite")
+        if not _finite(self.vdd, self.c_out_load):
+            raise ConfigError("vdd and c_out_load must be finite numbers")
         if self.vdd <= 0:
             raise ConfigError("vdd must be strictly positive")
         if self.c_out_load < 0:
@@ -171,7 +181,8 @@ class _Solve:
     levels: list[float | str]          # per node index
     strengths: list[Strength | None]   # per node index
     flags: bytearray                   # per FET index, 1 where it conducts
-    arrivals: dict[int, float] | None = None   # per node index, see _arrivals
+    drive: dict[int, tuple] | None = None  # the forest, kept from the first timing read
+    memo: dict[int, float] = field(default_factory=dict)   # settled times; see _arrival
 
 
 def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
@@ -451,43 +462,44 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
 # ---------------------------------------------------------------------------
 # first-order timing
 
-def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
-    """Settling time per node index for the given steady state, kept on it.
+def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
+    """Settling time of a node of some strength in the given steady state.
 
-    One multi-source Dijkstra grows the drive-path forest; on equal resistance
-    a node keeps the parent popped first, by (resistance, index).  A charged
-    node waits on its drivers, a driven node on its parent's branch and its own
-    gate; a branch's time (key ~i) is its parent's plus one gate, so timing is
-    linear in path depth.  An explicit stack, not the interpreter's, visits them
-    depth first, in the frame order (and cycle node) of a recursive walk over
-    every gate on the path.
+    The solve's first read grows the drive-path forest by one multi-source
+    Dijkstra.  A charged node waits on its drivers, a driven node on its
+    parent's branch and its own gate; a branch's time (key ~i) is its parent's
+    plus one gate.  An explicit stack, not the interpreter's, visits them depth
+    first from node, in the frame order of a recursive walk over every gate on
+    the path, and stops at keys the solve's memo holds.  The solve keeps the
+    forest and the memo of settled keys, but not comp, and visiting is this
+    read's, so a read names the same cycle node whatever was read before.
     """
-    if solve.arrivals is not None:
-        return solve.arrivals
-    strengths, node_cap = solve.strengths, comp.node_cap
-    adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
-    for k in itertools.compress(range(len(comp.fets)), solve.flags):
-        d, g, s, _, _ = comp.fets[k]
-        r = comp.fet_r[k]
-        adj[d].append((s, r, g))
-        adj[s].append((d, r, g))
-
-    memo = {i: 0.0 for i, st in enumerate(strengths) if st is Strength.SUPPLY}
-    # node -> (resistance from its driver, Elmore sum, parent, gate of the FET
-    # from the parent); on-resistances are positive, so pins keep parent -1
-    drive = {i: (0.0, 0.0, -1, -1) for i in memo}
-    heap = [(0.0, i) for i in memo]
-    memo.update({~i: 0.0 for i in drive})   # ~i: when the last gate on i's branch settles
-    while heap:
-        dist, cur = heapq.heappop(heap)
-        res, elmore, _, _ = drive[cur]
-        if dist > res:
-            continue
-        for other, r, gate in adj[cur]:
-            nd = dist + r
-            if other not in drive or nd < drive[other][0]:
-                drive[other] = (nd, elmore + nd * node_cap[other], cur, gate)
-                heapq.heappush(heap, (nd, other))
+    strengths, memo, drive, node_cap = solve.strengths, solve.memo, solve.drive, comp.node_cap
+    if drive is None:
+        adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
+        for k in itertools.compress(range(len(comp.fets)), solve.flags):
+            d, g, s, _, _ = comp.fets[k]
+            r = comp.fet_r[k]
+            adj[d].append((s, r, g))
+            adj[s].append((d, r, g))
+        # node -> (resistance from its driver, Elmore sum, parent, gate of the
+        # FET from the parent); on-resistances are positive, so pins keep parent -1
+        drive = solve.drive = {i: (0.0, 0.0, -1, -1)
+                               for i, st in enumerate(strengths) if st is Strength.SUPPLY}
+        heap = [(0.0, i) for i in drive]
+        memo.update((k, 0.0) for i in drive for k in (i, ~i))     # ~i: i's branch, see frame
+        while heap:
+            dist, cur = heapq.heappop(heap)
+            res, elmore, _, _ = drive[cur]
+            if dist > res:
+                continue
+            for other, r, gate in adj[cur]:
+                nd = dist + r
+                if other not in drive or nd < drive[other][0]:
+                    drive[other] = (nd, elmore + nd * node_cap[other], cur, gate)
+                    heapq.heappush(heap, (nd, other))
+    if node in memo:
+        return memo[node]
     visiting: set[int] = set()
 
     def frame(key: int) -> tuple[int, list[int], float, list[float]]:
@@ -504,32 +516,26 @@ def _arrivals(comp: _Compiled, solve: _Solve) -> dict[int, float]:
         return key, [o for o, _ in comp.cap_adj[key]
                      if strengths[o] is not None and strengths[o] >= Strength.DRIVEN], 0.0, []
 
-    def arrival(node: int) -> float:
-        if node in memo:
-            return memo[node]
-        stack = [frame(node)]
-        while True:
-            key, waits, delay, times = stack[-1]
-            while len(times) < len(waits):
-                other = waits[len(times)]
-                if other in memo:
-                    times.append(memo[other])
-                elif other in visiting:
-                    raise NoPath(f"timing cycle through node {comp.names[other]}")
-                else:
-                    stack.append(frame(other))
-                    break
+    stack = [frame(node)]
+    while True:
+        key, waits, delay, times = stack[-1]
+        while len(times) < len(waits):
+            other = waits[len(times)]
+            if other in memo:
+                times.append(memo[other])
+            elif other in visiting:
+                raise NoPath(f"timing cycle through node {comp.names[other]}")
             else:
-                # a key settles its own delay after the last key it waits on
-                t = memo[key] = max(times, default=0.0) + delay
-                visiting.discard(key)
-                stack.pop()
-                if not stack:
-                    return t
-                stack[-1][3].append(t)
-
-    solve.arrivals = {i: arrival(i) for i in range(len(comp.names)) if strengths[i] is not None}
-    return solve.arrivals
+                stack.append(frame(other))
+                break
+        else:
+            # a key settles its own delay after the last key it waits on
+            t = memo[key] = max(times, default=0.0) + delay
+            visiting.discard(key)
+            stack.pop()
+            if not stack:
+                return t
+            stack[-1][3].append(t)
 
 
 def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
@@ -551,7 +557,7 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
         solve = _solved(comp, _pin_map(comp, assign))
         if isinstance(solve.levels[out], str):
             continue    # 'z' (undriven) or 'x'
-        t = _arrivals(comp, solve)[out]
+        t = _arrival(comp, solve, out)
         if worst is None or t > worst:
             worst = t
     if worst is None:
@@ -588,8 +594,8 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     if not stimulus:
         raise ConfigError("stimulus must contain at least one entry")
     times = [t for t, _ in stimulus]
-    if not all(map(math.isfinite, times)):
-        raise ConfigError("stimulus times must be finite")
+    if not _finite(*times):
+        raise ConfigError("stimulus times must be finite numbers")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("stimulus times must be strictly increasing")
 
@@ -605,7 +611,6 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
     for t_edge, assigns in stimulus[1:]:
         current.update(assigns)
         solve = _solved(comp, _pin_map(comp, current))
-        arr = _arrivals(comp, solve)
         batch = []
         for i, node in enumerate(comp.names):
             new = solve.levels[i]
@@ -618,7 +623,7 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
                 energy = 0.0
             else:
                 energy = 0.5 * comp.node_cap[i] * (new - old) ** 2
-            t = t_edge + arr.get(i, 0.0)
+            t = t_edge + (0.0 if solve.strengths[i] is None else _arrival(comp, solve, i))
             if i in last_emit and t <= last_emit[i]:
                 t = math.nextafter(last_emit[i], math.inf)
             last_emit[i] = t
@@ -632,8 +637,8 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
 def measure(w: Waveform, duration: float) -> float:
     """Average switching power in watts: the waveform's event energy over
     the duration.  Delay is delay_estimate's figure, not the waveform's."""
-    if not math.isfinite(duration) or duration <= 0:
-        raise ConfigError("duration must be finite and strictly positive")
+    if not _finite(duration) or duration <= 0:
+        raise ConfigError("duration must be a finite number above 0")
     return sum(e.energy for e in w.events) / duration
 
 

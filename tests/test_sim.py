@@ -381,11 +381,40 @@ def test_explicit_inputs_that_leave_the_output_x_raise():
 
 
 def test_keeper_timing_cycle_raises_nopath():
-    # m's fastest pull-down waits on gate n, and n's pull-up waits on gate m
+    # m's fastest pull-down waits on gate n, and n's pull-up waits on gate m;
+    # the walk from n meets n again first
     keeper = net(".input s\nMP n m VDD pfet 19 0 3\nMN m n GND nfet 19 0 3\n"
                  "Ms m s GND nfet 19 0 1\n.probe n\n")
-    with pytest.raises(NoPath, match=r"^timing cycle through node m$"):
+    with pytest.raises(NoPath, match=r"^timing cycle through node n$"):
         delay_estimate(keeper, "n", CFG, {"s": 0.9})
+
+
+# the keeper above beside an inverter y that waits on nothing in it
+KEEPER_AND_INVERTER = (".input s\n.input a\nMP n m VDD pfet 19 0 3\nMN m n GND nfet 19 0 3\n"
+                       "Ms m s GND nfet 19 0 1\nMp2 y a VDD pfet 19 0 3\n"
+                       "Mn2 y a GND nfet 19 0 3\n.probe n\n.probe y\n")
+
+
+def test_a_timing_cycle_blocks_only_the_nodes_that_wait_on_it():
+    n = net(KEEPER_AND_INVERTER)
+    assert delay_estimate(n, "y", CFG, {"s": 0.9, "a": 0.0}) == 1.0000000000000001e-11
+    w = transient(net(KEEPER_AND_INVERTER),
+                  [(0.0, {"s": 0.9, "a": 0.0}), (1e-9, {"a": 0.9})], CFG)
+    assert [(e.time, e.node) for e in w.events] == [(1e-9, "a"), (1.01e-9, "y")]
+
+
+def test_a_timing_read_does_not_depend_on_the_reads_before_it():
+    def read(n, node):
+        try:
+            return delay_estimate(n, node, CFG, {"s": 0.9, "a": 0.0})
+        except NoPath as e:
+            return str(e)
+
+    n = net(KEEPER_AND_INVERTER)
+    got = [read(n, node) for node in "nynm"]
+    assert got == [read(net(KEEPER_AND_INVERTER), node) for node in "nynm"]
+    assert got == ["timing cycle through node n", 1.0000000000000001e-11,
+                   "timing cycle through node n", "timing cycle through node m"]
 
 
 def test_a_timing_cycle_names_the_gate_reached_along_the_branch():
@@ -419,6 +448,17 @@ def test_transient_validates_stimulus():
         transient(n, [], CFG)
     with pytest.raises(ConfigError):
         transient(n, [(0.0, {"a": 0.0}), (0.0, {"a": 0.9})], CFG)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimConfig(vdd="0.9"),
+    lambda: SimConfig(c_out_load=None),
+    lambda: measure(Waveform(), "1"),
+    lambda: transient(net(".input a\nMn y a GND nfet 19 0 3\n"), [("0", {"a": 0.9})], CFG),
+], ids=["vdd", "c_out_load", "duration", "stimulus-time"])
+def test_a_value_that_is_not_a_number_is_a_config_error(call):
+    with pytest.raises(ConfigError, match="finite"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -614,15 +654,17 @@ def test_a_call_that_raises_leaves_later_results_identical():
 
 def test_a_simulated_netlist_is_freed_without_the_cycle_collector():
     # a netlist without subckts is its own flattened form, which the
-    # compiled form it keeps must not hold
+    # compiled form it keeps must not hold; nor may the timing its solves keep
+    # hold the compiled form
     for build, out in ((lambda: build_design(2), "sum"), (lambda: parse(ripple_text(1)), "c1")):
         n = build()
         delay_estimate(n, out, CFG)
-        ref = weakref.ref(n)
+        transient(n, sim._exhaustive_stimulus(sorted(n.inputs), CFG.vdd, 1e-9), CFG)
+        refs = weakref.ref(n), weakref.ref(n._compiled)
         gc.disable()
         try:
             del n
-            assert ref() is None
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
