@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 from .builders import BuildConfig, build_design
 from .cells import DesignVariant, _variant_of
-from .errors import ConfigError
+from .errors import ConfigError, _finite
 from .sim import SimConfig, _exhaustive_stimulus, delay_estimate, measure, transient
 
 AXES = ("vdd", "load", "frequency")
@@ -70,7 +70,7 @@ class SweepSpec:
             raise ConfigError("at least one design variant is required")
         object.__setattr__(self, "variants", tuple(map(_variant_of, self.variants)))
         object.__setattr__(self, "values", tuple(self.values) or DEFAULT_VALUES[self.axis])
-        if not all(map(math.isfinite, (*self.values, self.vdd, self.load, self.frequency))):
+        if not _finite(*self.values, self.vdd, self.load, self.frequency):
             raise ConfigError("sweep values, vdd, load and frequency must be finite")
         if any(v <= 0 for v in self.values):
             raise ConfigError("sweep values must be strictly positive")

@@ -38,7 +38,7 @@ from operator import itemgetter
 
 from .cells import DesignVariant, _variant_of
 from .cnfet import Chirality, Polarity, is_semiconducting, threshold_voltage
-from .errors import ConfigError
+from .errors import ConfigError, _finite
 from .netlist import Capacitor, Fet, FixedSource, Netlist, parse
 
 FIXTURE_NAMES = ("design1.tnl", "design2.tnl", "sti.tnl", "nti.tnl", "pti.tnl", "tgate.tnl")
@@ -115,8 +115,8 @@ class BuildConfig:
     vdd: float = 0.9
 
     def __post_init__(self):
-        if not 0.6 <= self.vdd <= 1.05:
-            raise ConfigError(f"builders are validated for vdd in [0.6, 1.05], got {self.vdd}")
+        if not (_finite(self.vdd) and 0.6 <= self.vdd <= 1.05):
+            raise ConfigError(f"builders are validated for vdd in [0.6, 1.05], got {self.vdd!r}")
 
 
 class _Builder:

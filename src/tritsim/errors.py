@@ -1,4 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one check that a
+caller's number is a finite real, so that any other value raises one of them."""
+
+import math
+
+
+def _finite(*values) -> bool:
+    """Whether every value is a finite real number; a str or None is not."""
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):      # not a real number, or an int too large
+        return False
 
 
 class TritsimError(Exception):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .cnfet import Chirality, Polarity, is_semiconducting
-from .errors import NetlistSemanticError, NetlistSyntaxError, OutOfRange, ZeroChirality
+from .errors import NetlistSemanticError, NetlistSyntaxError, OutOfRange, ZeroChirality, _finite
 
 VDD = "VDD"
 GND = "GND"
@@ -178,11 +178,11 @@ def _validate_body(devices, inputs, subckts, top: bool) -> set[str]:
                     f"device {d.name}: metallic chirality "
                     f"({d.chirality.n1}, {d.chirality.n2})")
         elif isinstance(d, Capacitor):
-            if not (math.isfinite(d.farads) and d.farads > 0):
+            if not (_finite(d.farads) and d.farads > 0):
                 raise NetlistSemanticError(
                     f"device {d.name}: capacitance must be finite and positive")
         elif isinstance(d, FixedSource):
-            if not math.isfinite(d.volts):
+            if not _finite(d.volts):
                 raise NetlistSemanticError(f"device {d.name}: voltage must be finite")
             if d.node in (VDD, GND):
                 raise NetlistSemanticError(f"device {d.name}: {d.node} is already a rail")

@@ -29,9 +29,21 @@ Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
 region (see _regions), so a region's next state depends only on its own
-conducting FETs and the pins.  The first sweep resolves every region;
-later ones re-evaluate only the FETs reading a node whose level changed and
-re-resolve only the regions where one switched: exactly a full sweep's state.
+conducting FETs and the pins, and its FETs read only its nodes, pins and
+their gates.  Regions settle in rank order (see _rank), as in COSMOS (Bryant
+et al., DAC 1987): region A feeds region B when a FET of B has its gate in A,
+and B settles from all-'z' after every region that feeds it.  Nothing of B
+feeds those regions, so the gates B reads from other regions are final when
+it settles, and each region settles once.  A component's first sweep
+evaluates its FETs and resolves its regions; later ones re-evaluate only its
+FETs reading a node whose level changed and re-resolve only the regions where
+one switched: exactly a full sweep of the component.  The FETs with both
+channel terminals pinned join no region; they are evaluated last, once every
+gate is final.  When the regions feed each other in a cycle, one component
+holds every region and FET, and its sweeps are the global loop of a full
+sweep at a time.  A region with two fixpoints under its final gates could in
+principle settle elsewhere from all-'z' than in the global loop, so
+tests/test_rank_order.py compares the two on a seeded family.
 A region's shape is its channels and capacitors in region-local node and
 pin slots; its key is the conduction flags of its channels and the levels of
 the pins it reads (those on its feeds and its nodes' pinned capacitor
@@ -43,9 +55,11 @@ float and -0.0 V is 0.0 V, so equal keys are equal inputs.  A table is
 cleared when it reaches TABLE_ROWS rows, which bounds it under an analog
 input sweep.
 A sweep's new state depends only on its conducting set and the pins, so a
-conducting set that comes back before the state repeats is a limit cycle:
-the solve raises NonConvergent, naming the period and the nodes that keep
-changing.  There are finitely many conducting sets, so every solve ends.
+component's conducting set that comes back before its state repeats is a
+limit cycle.  In rank order the solve then runs again as one component, so
+NonConvergent always comes from the global loop, naming the period and the
+nodes that keep changing there.  There are finitely many conducting sets, so
+every solve ends.
 
 Timing is first-order RC, and on demand: delay_estimate times its output and
 transient the nodes whose level changed.  A solve's first timing read grows
@@ -71,10 +85,10 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
-from .errors import ConfigError, NoPath, NonConvergent, Unresolvable
+from .errors import ConfigError, NoPath, NonConvergent, Unresolvable, _finite
 from .netlist import Capacitor, Fet, FixedSource, GND, Netlist, VDD, flatten
 from .trits import VoltageMap, voltage_to_trit
 
@@ -106,14 +120,6 @@ R_ON_PER_TUBE = 30e3
 TABLE_ROWS = 1024
 
 
-def _finite(*values) -> bool:
-    """Whether every value is a finite real number; a str or None is not."""
-    try:
-        return all(map(math.isfinite, values))
-    except (TypeError, OverflowError):      # not a real number, or an int too large
-        return False
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """The operating point: supply voltage and the load on each probed node."""
@@ -141,9 +147,10 @@ class _Compiled:
     """A flattened, validated netlist on integer node indices, with the
     solves run on it; see _compile.  It holds no reference to the Netlist, so
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
-    order, so the smallest index is also the smallest name.  Its regions are
-    built once per pinned set, on the first solve that pins it (see _solve),
-    and keep their result tables for as long as the compiled form lives."""
+    order, so the smallest index is also the smallest name.  Its regions and
+    their rank are built once per pinned set, on the first solve that pins it
+    (see _solve), and keep their result tables for as long as the compiled
+    form lives."""
 
     cfg: SimConfig
     contents: tuple                                 # Netlist._contents()
@@ -156,8 +163,8 @@ class _Compiled:
     node_cap: list[float]                           # per node, probes carry c_out_load
     fixed: list[tuple[int, float]]                  # rails, then fixed sources
     readers: list[list[int]]                        # per node, FETs it is a terminal of
-    # pinned flag per node -> (its regions, each FET's region or -1), see _regions
-    regions: dict[tuple, tuple[list[_Region], list[int]]] = field(default_factory=dict)
+    # pinned flag per node -> its regions, each FET's region and their rank
+    regions: dict[tuple, _Partition] = field(default_factory=dict)
     solves: dict[tuple, _Solve] = field(default_factory=dict)  # this call's, see _solved
     kept: dict[tuple, _Solve] = field(default_factory=dict)    # the previous call's
 
@@ -174,6 +181,20 @@ class _Region(NamedTuple):
     pins_of: Callable[[Sequence], tuple]    # a per-node list's items at its pins
     shape: tuple                            # (node count, channels, capacitors) in slots
     table: dict[tuple, tuple[tuple, tuple]]     # key -> (levels, strengths) of nodes
+
+
+# A component: its regions, its FETs, and a getter of their flags from the
+# per-FET flags, the record of its conducting set.
+_Component = tuple[Sequence[int], Sequence[int], Callable[[bytearray], Hashable]]
+
+
+class _Partition(NamedTuple):
+    """The regions of one pinned set, with their rank; see _regions and _rank."""
+
+    regions: list[_Region]
+    fet_region: list[int]       # per FET, its region; -1 when both channel terminals are pinned
+    ranks: list[_Component] | None      # in rank order; None when the regions feed a cycle
+    readers: list[list[int]] | None     # per node, the FETs of its component that read it
 
 
 @dataclass
@@ -295,13 +316,13 @@ def _items(idx: list[int]) -> Callable[[Sequence], tuple]:
 
 def _regions(fets: list[tuple[int, int, int, bool, float]],
              cap_adj: list[list[tuple[int, float]]],
-             pinned: Sequence[bool]) -> tuple[list[_Region], list[int]]:
+             pinned: Sequence[bool]) -> _Partition:
     """The regions for a pinned set: unpinned nodes joined by the channels and
     capacitors between unpinned nodes.  Also each FET's region: that of an
-    unpinned channel terminal, -1 when both are pinned.  A region's shape is
-    its channels (links, then feeds) and capacitors in its own node slots
-    (position in nodes) and pin slots (~position in pins); regions of one
-    shape share a table."""
+    unpinned channel terminal, -1 when both are pinned; and their rank (see
+    _rank).  A region's shape is its channels (links, then feeds) and
+    capacitors in its own node slots (position in nodes) and pin slots
+    (~position in pins); regions of one shape share a table."""
     parent = list(range(len(pinned)))
     for a, b in itertools.chain(((d, s) for d, _, s, _, _ in fets),
                                 ((a, b) for a, adj in enumerate(cap_adj) for b, _ in adj)):
@@ -334,7 +355,45 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
                  tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
         regions.append(_Region(nodes, _items([k for _, k, _, _ in rchannels]), _items(pins),
                                shape, tables.setdefault(shape, {})))
-    return regions, fet_region
+    return _Partition(regions, fet_region, *_rank(fets, node_region, fet_region, len(regions)))
+
+
+def _rank(fets: list[tuple[int, int, int, bool, float]], node_region: list[int],
+          fet_region: list[int], count: int) -> tuple[list[_Component] | None, list | None]:
+    """The components of a partition of count regions, in rank order, and
+    per node the FETs of its own component that read it.  Region A feeds
+    region B when a FET of B has its gate in A; each region is a component,
+    after every region that feeds it (Kahn, ties by region index), and the
+    FETs with both channel terminals pinned come last, in a component of no
+    region, which one sweep settles.  (None, None) when the regions feed each
+    other in a cycle."""
+    feeds: list[list[int]] = [[] for _ in range(count)]
+    waits = [0] * count                     # per region, the feeds from regions not yet ranked
+    own: list[list[int]] = [[] for _ in range(count)]     # per region, its FETs
+    unranked: list[int] = []                # FETs in no region
+    for k, (_, g, _, _, _) in enumerate(fets):
+        a, b = node_region[g], fet_region[k]
+        (own[b] if b >= 0 else unranked).append(k)
+        if a >= 0 and b >= 0 and a != b:
+            feeds[a].append(b)
+            waits[b] += 1
+    ready = [r for r in range(count) if not waits[r]]      # ascending, so a heap
+    order = []
+    while ready:
+        order.append(a := heapq.heappop(ready))
+        for b in feeds[a]:
+            waits[b] -= 1
+            if not waits[b]:
+                heapq.heappush(ready, b)
+    if len(order) < count:
+        return None, None
+    readers: list[list[int]] = [[] for _ in node_region]
+    for k, (d, g, s, _, _) in enumerate(fets):
+        if (r := fet_region[k]) >= 0:
+            for i in {d, g, s}:
+                if node_region[i] == r:     # its channel terminals, and its gate if in r
+                    readers[i].append(k)
+    return [([r], own[r], _items(own[r])) for r in order] + [((), unranked, bytes)], readers
 
 
 def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
@@ -388,56 +447,73 @@ def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
-    fets, readers = comp.fets, comp.readers
+    """The steady state under pins: settled in rank order, or as one
+    component of every region and FET when the regions feed a cycle or a
+    component in rank order repeats a conducting set."""
     pinned = tuple(p is not None for p in pins)
     if pinned not in comp.regions:
-        comp.regions[pinned] = _regions(fets, comp.cap_adj, pinned)
-    regions, fet_region = comp.regions[pinned]
+        comp.regions[pinned] = _regions(comp.fets, comp.cap_adj, pinned)
+    part = comp.regions[pinned]
+    if part.ranks is not None:
+        try:
+            return _settle(comp, pins, part)
+        except NonConvergent:
+            pass        # a component repeated a conducting set: settle as one, below
+    whole = (range(len(part.regions)), range(len(comp.fets)), bytes)
+    return _settle(comp, pins, part._replace(ranks=[whole], readers=comp.readers))
+
+
+def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Solve:
+    """The steady state from all-'z': each component of part.ranks in turn,
+    settled by incremental sweeps.  Raises NonConvergent when a component
+    repeats a conducting set of its FETs."""
+    fets = comp.fets
+    regions, fet_region, components, readers = part
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
     flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
-    todo: Iterable[int] = range(len(fets))
-
-    # conducting set -> sweep it was seen at, packed one byte a FET
-    seen: dict[bytes, int] = {}
-    for sweep in itertools.count():
-        # conduction from the previous sweep's snapshot, for the FETs that
-        # read a node it changed; only a region whose FETs toggled can change
-        toggled = set()
-        for k in todo:
-            d, g, s, is_nfet, vth = fets[k]
-            vg, vd, vs = levels[g], levels[d], levels[s]
-            if type(vg) is str or type(vd) is str and type(vs) is str:     # 'x' or 'z'
-                on = False
-            else:
-                ref = vs if type(vd) is str else vd if type(vs) is str \
-                    else (vd if vd <= vs else vs) if is_nfet else (vd if vd >= vs else vs)
-                on = switch_on(is_nfet, vg, ref, vth)
-            if on != flags[k]:
-                flags[k] = on
-                toggled.add(fet_region[k])
-        changed: list[int] = []         # nodes whose level or strength changed
-        todo = set()                    # a strength alone does not change conduction
-        for r in (toggled - {-1} if sweep else range(len(regions))):
-            nodes, flags_of, pins_of, shape, table = regions[r]
-            key = flags_of(flags), pins_of(pins)
-            row = table.get(key)
-            if row is None:
-                if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
-                    table.clear()
-                row = table[key] = _resolve(shape, *key)
-            for m, lvl, st in zip(nodes, *row):
-                if levels[m] != lvl:
-                    changed.append(m)
-                    todo.update(readers[m])
-                elif strengths[m] is not st:
-                    changed.append(m)
-                levels[m], strengths[m] = lvl, st
-        if not changed:
-            return _Solve(levels, strengths, flags)
-        first = seen.setdefault(bytes(flags), sweep)
-        if first != sweep:
-            raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
+    for own_regions, own_fets, record in components:
+        todo: Iterable[int] = own_fets
+        seen: dict[Hashable, int] = {}      # its conducting set's record -> sweep seen at
+        for sweep in itertools.count():
+            # conduction from the previous sweep's snapshot, for the FETs that
+            # read a node it changed; only a region whose FETs toggled can change
+            toggled = set()
+            for k in todo:
+                d, g, s, is_nfet, vth = fets[k]
+                vg, vd, vs = levels[g], levels[d], levels[s]
+                if type(vg) is str or type(vd) is str and type(vs) is str:     # 'x' or 'z'
+                    on = False
+                else:
+                    ref = vs if type(vd) is str else vd if type(vs) is str \
+                        else (vd if vd <= vs else vs) if is_nfet else (vd if vd >= vs else vs)
+                    on = switch_on(is_nfet, vg, ref, vth)
+                if on != flags[k]:
+                    flags[k] = on
+                    toggled.add(fet_region[k])
+            changed: list[int] = []         # nodes whose level or strength changed
+            todo = set()                    # a strength alone does not change conduction
+            for r in (toggled - {-1} if sweep else own_regions):
+                nodes, flags_of, pins_of, shape, table = regions[r]
+                key = flags_of(flags), pins_of(pins)
+                row = table.get(key)
+                if row is None:
+                    if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
+                        table.clear()
+                    row = table[key] = _resolve(shape, *key)
+                for m, lvl, st in zip(nodes, *row):
+                    if levels[m] != lvl:
+                        changed.append(m)
+                        todo.update(readers[m])
+                    elif strengths[m] is not st:
+                        changed.append(m)
+                    levels[m], strengths[m] = lvl, st
+            if not changed:
+                break
+            first = seen.setdefault(record(flags), sweep)
+            if first != sweep:
+                raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
+    return _Solve(levels, strengths, flags)
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:

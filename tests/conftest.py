@@ -17,6 +17,21 @@ def sim_trits(sigs, cfg: SimConfig, *nodes: str) -> tuple:
     return tuple(sim_symbol(sigs[n], cfg) for n in nodes)
 
 
+def inverter_chain(depth: int, cap: str | None = None,
+                   names: list[str] | None = None) -> str:
+    """depth inverters from input a; stage k drives names[k], n{k} by default."""
+    lines = [".input a"]
+    prev = "a"
+    for k in range(depth):
+        out = names[k] if names else f"n{k}"
+        lines.append(f"M{k}p {out} {prev} VDD pfet 19 0 1")
+        lines.append(f"M{k}n {out} {prev} GND nfet 19 0 1")
+        if cap:
+            lines.append(f"C{k} {out} GND {cap}")
+        prev = out
+    return "\n".join(lines) + "\n"
+
+
 def ripple_text(width: int) -> str:
     """A width-trit ripple adder of design2 cells, one subcircuit per trit,
     each carry-out wired to the next carry-in."""

@@ -33,7 +33,8 @@ def _random_subckt(rng: random.Random, name: str) -> Subckt:
     return Subckt(name, ports, tuple(body))
 
 
-def random_netlist(rng: random.Random, index: int) -> Netlist:
+def random_netlist(rng: random.Random, index: int, pool: list[str] = NODE_POOL) -> Netlist:
+    """A netlist of 3-10 top-level cards on the nodes of pool and the rails."""
     subckts = {}
     for si in range(rng.randint(0, 2)):
         name = f"sub{si}"
@@ -46,23 +47,23 @@ def random_netlist(rng: random.Random, index: int) -> Netlist:
         roll = rng.random()
         if roll < 0.5:
             n1, n2 = rng.choice(CHIRALITIES)
-            d, g, s = (rng.choice(NODE_POOL + ["VDD", "GND"]) for _ in range(3))
+            d, g, s = (rng.choice(pool + ["VDD", "GND"]) for _ in range(3))
             devices.append(Fet(f"M{seq}", rng.choice([Polarity.NFET, Polarity.PFET]),
                                Chirality(n1, n2), rng.randint(1, 4), d, g, s))
             referenced.update((d, g, s))
         elif roll < 0.72:
-            a = rng.choice(NODE_POOL)
-            b = rng.choice(NODE_POOL + ["GND"])
+            a = rng.choice(pool)
+            b = rng.choice(pool + ["GND"])
             value = rng.choice([1e-15, 4e-15, 2.5e-16, 7.5e-13, rng.uniform(1e-16, 1e-12)])
             devices.append(Capacitor(f"C{seq}", a, b, value))
             referenced.update((a, b))
         elif roll < 0.88 and subckts:
             sname = rng.choice(sorted(subckts))
-            bindings = tuple(rng.choice(NODE_POOL) for _ in subckts[sname].ports)
+            bindings = tuple(rng.choice(pool) for _ in subckts[sname].ports)
             devices.append(Instance(f"X{seq}", bindings, sname))
             referenced.update(bindings)
         else:
-            free = [n for n in NODE_POOL if n not in source_nodes]
+            free = [n for n in pool if n not in source_nodes]
             if not free:
                 continue
             node = rng.choice(free)

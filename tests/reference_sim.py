@@ -7,12 +7,14 @@ between them in one union-find, drives a group to the levels of the pinned
 terminals of its conducting channels, and merges the undriven groups through
 capacitors into clusters that share charge, summed with math.fsum.  A
 conducting set that comes back before the state stops changing raises
-NonConvergent.  It has no regions, tables or incremental sweeps.
+NonConvergent.  It has no regions, tables or incremental sweeps.  check()
+compares tritsim's steady_state with it.
 """
 
 import itertools
 import math
 
+import tritsim
 from tritsim import NonConvergent, Polarity, SimConfig
 from tritsim.cnfet import switch_on, threshold_voltage
 from tritsim.netlist import GND, VDD, Capacitor, Fet, FixedSource, flatten
@@ -90,3 +92,20 @@ def steady_state(n, inputs, cfg: SimConfig = SimConfig()) -> dict[str, Signal]:
         first = seen.setdefault(on, sweep)
         if first != sweep:
             raise NonConvergent(sweep - first, changed)
+
+
+def _outcome(steady, n, inputs, cfg) -> list | str:
+    try:
+        return [(node, repr(sig.level), sig.strength)
+                for node, sig in sorted(steady(n, inputs, cfg).items())]
+    except NonConvergent as e:
+        return str(e)
+
+
+def check(n, inputs, cfg: SimConfig = SimConfig()) -> None:
+    """Assert that tritsim.steady_state gives this one's result on n under
+    inputs: levels by repr, strengths by identity, NonConvergent by message."""
+    got = _outcome(tritsim.steady_state, n, inputs, cfg)
+    want = _outcome(steady_state, n, inputs, cfg)
+    assert got == want
+    assert isinstance(got, str) or all(g[2] is w[2] for g, w in zip(got, want))

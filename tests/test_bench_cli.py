@@ -72,6 +72,13 @@ def test_spec_validates_fields():
             SweepSpec(values=(1e-15, bad))
 
 
+@pytest.mark.parametrize("field", [{"values": ("1e-15",)}, {"vdd": "0.9"}, {"frequency": None}],
+                         ids=["values", "vdd", "frequency"])
+def test_spec_rejects_a_value_that_is_not_a_number(field):
+    with pytest.raises(ConfigError, match="finite"):
+        SweepSpec(**field)
+
+
 def test_spec_reads_each_variant_as_the_other_calls_do():
     assert SweepSpec(variants=("2", 1)).variants == (DesignVariant.DESIGN2, DesignVariant.DESIGN1)
     header, _, design2 = LOAD_POINT_CSV.splitlines(keepends=True)

@@ -53,6 +53,12 @@ def test_build_config_validates_scalars():
             BuildConfig(vdd=bad)
 
 
+@pytest.mark.parametrize("bad", ["0.9", None])
+def test_build_config_rejects_a_vdd_that_is_not_a_number(bad):
+    with pytest.raises(ConfigError, match="validated for vdd"):
+        BuildConfig(vdd=bad)
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(OutOfRange):
         build_design("design3")

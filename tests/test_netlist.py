@@ -182,6 +182,13 @@ def test_validate_rejects_non_finite_values_built_in_code():
                          Capacitor("C1", "a", "b", 1e-15)]).validate()
 
 
+@pytest.mark.parametrize("device", [Capacitor("C1", "a", "GND", "1f"),
+                                    FixedSource("V1", "a", "0.45")], ids=["farads", "volts"])
+def test_flatten_rejects_a_value_that_is_not_a_number(device):
+    with pytest.raises(NetlistSemanticError, match="finite"):
+        flatten(Netlist("hand", [device, Capacitor("C2", "a", "b", 1e-15)]))
+
+
 def test_syntax_error_column_tracks_indentation():
     with pytest.raises(NetlistSyntaxError) as e:
         parse("   Q1 a b c\n.end\n")

@@ -1,0 +1,70 @@
+"""Rank order against the reference: steady_state settles each region once the
+regions holding its gates have settled, from all-'z'.  That is not exact by
+construction: a pass FET's reference level reads its own region's level, so a
+region started from 'z' could reach another fixpoint than the global loop of
+tests/reference_sim.py, which sweeps every region from the start.  So the two
+are compared on a seeded family wider than the golden corpus: netlists drawn
+from a larger node pool, inverter chains with a capacitor on every stage,
+rings (whose rank graph is cyclic) and ripple adds."""
+
+import random
+
+import reference_sim
+from conftest import inverter_chain, ripple_text
+from gen_netlists import NODE_POOL, random_netlist
+from tritsim import SimConfig, parse
+
+CFG = SimConfig()
+LEVELS = CFG.vmap().levels()
+POOL = NODE_POOL + [f"m{k}" for k in range(8)]
+
+
+def _assigns(rng: random.Random, inputs, count: int) -> list[dict[str, float]]:
+    return [{node: LEVELS[rng.randrange(3)] for node in sorted(inputs)} for _ in range(count)]
+
+
+def _ring(length: int, gated: bool) -> str:
+    """length inverters in a ring, kicked through a capacitor from input a;
+    gated, the first stage is a NAND of en and the last stage's output."""
+    last = f"n{length - 1}"
+    lines = [".input a", "C0 a n0 1f"]
+    if gated:
+        lines += [".input en", f"Mgp n0 {last} VDD pfet 19 0 1", "Mgq n0 en VDD pfet 19 0 1",
+                  f"Mgn n0 {last} g nfet 19 0 1", "Mgm g en GND nfet 19 0 1"]
+    else:
+        lines += [f"Mgp n0 {last} VDD pfet 19 0 1", f"Mgn n0 {last} GND nfet 19 0 1"]
+    for k in range(1, length):
+        lines += [f"M{k}p n{k} n{k - 1} VDD pfet 19 0 1", f"M{k}n n{k} n{k - 1} GND nfet 19 0 1"]
+    return "* ring\n" + "\n".join(lines) + "\n.end\n"
+
+
+def test_random_netlists_from_a_larger_pool_match_the_reference():
+    rng = random.Random(2024)
+    for i in range(300):
+        n = random_netlist(rng, i, POOL)
+        for assign in _assigns(rng, n.inputs, 3):
+            reference_sim.check(n, assign)
+
+
+def test_chains_with_a_capacitor_per_stage_match_the_reference():
+    for cap in ("1f", None):
+        n = parse("* chain\n" + inverter_chain(50, cap) + ".end\n")
+        for volts in LEVELS:
+            reference_sim.check(n, {"a": volts})
+
+
+def test_rings_match_the_reference():
+    for length in (2, 3, 4, 5):
+        for gated in (False, True):
+            n = parse(_ring(length, gated))
+            for assign in _assigns(random.Random(length), n.inputs, 4):
+                reference_sim.check(n, assign)
+
+
+def test_ripple_adds_match_the_reference():
+    rng = random.Random(31)
+    for width in (2, 3, 4):
+        n = parse(ripple_text(width))
+        names = [f"{p}{i}" for p in "ab" for i in range(width)] + ["c0"]
+        for assign in _assigns(rng, names, 4):
+            reference_sim.check(n, assign)

@@ -11,11 +11,12 @@ import inspect
 import itertools
 import re
 import sys
+import tracemalloc
 import weakref
 
 import pytest
 
-from conftest import ripple_text, sim_symbol
+from conftest import inverter_chain, ripple_text, sim_symbol
 from tritsim import (Capacitor, Chirality, ConfigError, Fet, FixedSource, Instance,
                      NetlistSemanticError, Netlist, NoPath, NonConvergent, Polarity,
                      Signal, SimConfig, Strength, Subckt, WaveEvent, Waveform, build_design,
@@ -173,30 +174,15 @@ def test_sim_config_validation():
     assert SimConfig().tol() == pytest.approx(0.09)
 
 
-def _inverter_chain(depth: int, cap: str | None = None,
-                    names: list[str] | None = None) -> str:
-    """depth inverters from input a; stage k drives names[k], n{k} by default."""
-    lines = [".input a"]
-    prev = "a"
-    for k in range(depth):
-        out = names[k] if names else f"n{k}"
-        lines.append(f"M{k}p {out} {prev} VDD pfet 19 0 1")
-        lines.append(f"M{k}n {out} {prev} GND nfet 19 0 1")
-        if cap:
-            lines.append(f"C{k} {out} GND {cap}")
-        prev = out
-    return "\n".join(lines) + "\n"
-
-
 def test_deep_chain_needs_iterations():
-    n = net(_inverter_chain(10))
+    n = net(inverter_chain(10))
     sigs = steady_state(n, {"a": 0.0}, SimConfig())
     assert sigs["n9"].level == 0.0          # ten inversions of a low input
 
 
 def test_chain_deeper_than_any_sweep_budget_settles():
     # one stage settles per sweep, so this needs over 200 sweeps
-    sigs = steady_state(net(_inverter_chain(200)), {"a": 0.0}, CFG)
+    sigs = steady_state(net(inverter_chain(200)), {"a": 0.0}, CFG)
     assert sigs["n199"].level == 0.0
     assert sigs["n198"].level == pytest.approx(0.9)
 
@@ -215,8 +201,8 @@ def test_ring_oscillator_reports_its_limit_cycle():
             steady_state(n, {"a": 0.0}, CFG)
         assert str(e.value) == "no fixpoint: limit cycle of period 6 sweeps, changing n0"
         assert (e.value.period, e.value.changing) == (6, ("n0",))
-        assert all(region.table for regions, _ in n._compiled.regions.values()
-                   for region in regions)
+        assert all(region.table for part in n._compiled.regions.values()
+                   for region in part.regions)
 
 
 def test_a_limit_cycle_names_eight_nodes_and_counts_the_rest():
@@ -244,13 +230,53 @@ def test_two_trit_ripple_adds_match_ripple_add():
 
 
 def test_deep_chain_settles_and_is_timed():
-    # 1201 sweeps, each re-evaluating only the stage that changed last; each
-    # probe adds c_out_load, 1 fF, to its node's capacitance
-    n = net(_inverter_chain(1200) + "".join(f".probe n{k}\n" for k in range(1200)))
+    # each stage is a region, settled once its input has; each probe adds
+    # c_out_load, 1 fF, to its node's capacitance
+    n = net(inverter_chain(1200) + "".join(f".probe n{k}\n" for k in range(1200)))
     sigs = steady_state(n, {"a": 0.0}, CFG)
     assert sigs["n1199"] == Signal(0.0, Strength.DRIVEN)
     assert sigs["n1198"] == Signal(0.9, Strength.DRIVEN)
     assert delay_estimate(n, "n1199", CFG, {"a": 0.0}) == pytest.approx(1200 * 30e3 * 1e-15)
+
+
+def test_a_chain_with_a_capacitor_per_stage_settles_and_is_timed():
+    # swept all at once from all-'z', every stage behind the settled front
+    # flipped on each sweep, which took seconds at this depth
+    n = net(inverter_chain(1200, cap="1f"))
+    sigs = steady_state(n, {"a": 0.0}, CFG)
+    assert sigs["n1199"] == Signal(0.0, Strength.DRIVEN)
+    assert sigs["n1198"] == Signal(0.9, Strength.DRIVEN)
+    assert delay_estimate(n, "n1199", CFG, {"a": 0.0}) == pytest.approx(1200 * 30e3 * 1e-15)
+
+
+def test_a_chain_evaluates_fets_in_proportion_to_its_depth(monkeypatch):
+    evaluations = 0
+
+    def counted(*args, _real=sim.switch_on):
+        nonlocal evaluations
+        evaluations += 1
+        return _real(*args)
+    monkeypatch.setattr(sim, "switch_on", counted)
+    counts = []
+    for depth in (300, 600):
+        evaluations = 0
+        steady_state(net(inverter_chain(depth, cap="1f")), {"a": 0.0}, CFG)
+        counts.append(evaluations)
+    assert counts[1] <= 2.1 * counts[0]
+
+
+def test_a_chain_solve_peaks_in_proportion_to_its_depth():
+    # a record of the whole conducting set per sweep grew with depth squared
+    peaks = []
+    for depth in (2000, 4000):
+        n = net(inverter_chain(depth))
+        tracemalloc.start()
+        try:
+            steady_state(n, {"a": 0.0}, CFG)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
 
 
 def test_deep_chain_timing_does_not_recurse():
@@ -259,7 +285,7 @@ def test_deep_chain_timing_does_not_recurse():
     # frames a stage.
     depth = 50
     names = [f"m{depth - k:03d}" for k in range(depth)]
-    n = net(_inverter_chain(depth, cap="1f", names=names))
+    n = net(inverter_chain(depth, cap="1f", names=names))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + depth)
     try:
@@ -271,8 +297,8 @@ def test_deep_chain_timing_does_not_recurse():
 
 def test_sweep_order_independence():
     # the same chain written in reverse device order resolves identically
-    fwd = net(_inverter_chain(6))
-    body = _inverter_chain(6).splitlines()
+    fwd = net(inverter_chain(6))
+    body = inverter_chain(6).splitlines()
     rev = net("\n".join([body[0]] + body[:0:-1]) + "\n")
     a = steady_state(fwd, {"a": 0.9}, CFG)
     b = steady_state(rev, {"a": 0.9}, CFG)
