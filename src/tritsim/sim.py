@@ -30,19 +30,23 @@ capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
 region (see _regions), so a region's next state depends only on its own
 conducting FETs and the pins, and its FETs read only its nodes, pins and
-their gates.  Regions settle in rank order (see _rank), as in COSMOS (Bryant
-et al., DAC 1987): region A feeds region B when a FET of B has its gate in A,
-and B settles from all-'z' after every region that feeds it.  Nothing of B
-feeds those regions, so the gates B reads from other regions are final when
-it settles, and each region settles once.  A component's first sweep
-evaluates its FETs and resolves its regions; later ones re-evaluate only its
-FETs reading a node whose level changed and re-resolve only the regions where
-one switched: exactly a full sweep of the component.  The FETs with both
-channel terminals pinned join no region; they are evaluated last, once every
-gate is final.  When the regions feed each other in a cycle, one component
+their gates.  Regions settle in rank order, as in COSMOS (Bryant et al., DAC
+1987): region A feeds region B when a FET of B has its gate in A, and B
+settles from all-'z' after every region that feeds it.  Nothing of B feeds
+those regions, so the gates B reads from other regions are final when it
+settles, and each region settles once.  A component's first sweep evaluates
+its FETs and resolves its regions; later ones re-evaluate only its FETs
+reading a node whose level changed and re-resolve only the regions where one
+switched: exactly a full sweep of the component.  In rank order a component
+is one region, and the flags of its channels, read for its key, are also the
+record of its conducting set.  A FET with both channel terminals pinned joins
+no region, and rank order never evaluates it: no region reads its flag, and
+timing never relaxes a channel between two pins, as every pin starts at
+resistance 0.  When the regions feed each other in a cycle, one component
 holds every region and FET, and its sweeps are the global loop of a full
-sweep at a time.  A region with two fixpoints under its final gates could in
-principle settle elsewhere from all-'z' than in the global loop, so
+sweep at a time; its record includes the FETs between two pins, as the
+global loop's does.  A region with two fixpoints under its final gates could
+in principle settle elsewhere from all-'z' than in the global loop, so
 tests/test_rank_order.py compares the two on a seeded family.
 A region's shape is its channels and capacitors in region-local node and
 pin slots; its key is the conduction flags of its channels and the levels of
@@ -147,23 +151,22 @@ class _Compiled:
     """A flattened, validated netlist on integer node indices, with the
     solves run on it; see _compile.  It holds no reference to the Netlist, so
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
-    order, so the smallest index is also the smallest name.  Its regions and
-    their rank are built once per pinned set, on the first solve that pins it
-    (see _solve), and keep their result tables for as long as the compiled
-    form lives."""
+    order, so the smallest index is also the smallest name.  Its partitions
+    are built once per pinned set, on the first solve that pins it (see
+    _solve), and keep their result tables for as long as the compiled form
+    lives."""
 
     cfg: SimConfig
     contents: tuple                                 # Netlist._contents()
     inputs: list[str]                               # declared inputs, sorted
     names: list[str]
     index: dict[str, int]
-    fets: list[tuple[int, int, int, bool, float]]   # drain, gate, source, is_nfet, vth
-    fet_r: list[float]                              # on-resistance per FET
+    # drain, gate, source, is_nfet, vth, on-resistance
+    fets: list[tuple[int, int, int, bool, float, float]]
     cap_adj: list[list[tuple[int, float]]]          # per node (neighbor, farads), device order
     node_cap: list[float]                           # per node, probes carry c_out_load
     fixed: list[tuple[int, float]]                  # rails, then fixed sources
-    readers: list[list[int]]                        # per node, FETs it is a terminal of
-    # pinned flag per node -> its regions, each FET's region and their rank
+    # pinned flag per node -> its partition: regions, rank and readers
     regions: dict[tuple, _Partition] = field(default_factory=dict)
     solves: dict[tuple, _Solve] = field(default_factory=dict)  # this call's, see _solved
     kept: dict[tuple, _Solve] = field(default_factory=dict)    # the previous call's
@@ -171,8 +174,9 @@ class _Compiled:
 
 class _Region(NamedTuple):
     """Unpinned nodes joined by channels and capacitors, with getters for
-    its key: the flags of its channels and the levels of its pins, the pinned
-    nodes on its feeds and its nodes' pinned capacitor neighbors.  Its table
+    its key: the flags of its channels (its FETs) and the levels of its pins,
+    the pinned nodes on its feeds and its nodes' pinned capacitor neighbors.
+    In rank order the flags are also its conducting set's record.  Its table
     maps a key to _resolve of its shape and that key; regions of one shape in
     a partition hold the same table (see _regions)."""
 
@@ -183,18 +187,16 @@ class _Region(NamedTuple):
     table: dict[tuple, tuple[tuple, tuple]]     # key -> (levels, strengths) of nodes
 
 
-# A component: its regions, its FETs, and a getter of their flags from the
-# per-FET flags, the record of its conducting set.
-_Component = tuple[Sequence[int], Sequence[int], Callable[[bytearray], Hashable]]
-
-
 class _Partition(NamedTuple):
-    """The regions of one pinned set, with their rank; see _regions and _rank."""
+    """The regions of one pinned set, their rank and their readers; see
+    _regions.  A component of ranks is its regions, its FETs and a getter of
+    the record of their conducting set from the per-FET flags."""
 
     regions: list[_Region]
     fet_region: list[int]       # per FET, its region; -1 when both channel terminals are pinned
-    ranks: list[_Component] | None      # in rank order; None when the regions feed a cycle
-    readers: list[list[int]] | None     # per node, the FETs of its component that read it
+    ranks: list[tuple] | None   # one component per region, in rank order; None on a cycle
+    readers: list[list[int]]    # per node, the FETs of its region that read it
+    gated: list[list[int]]      # per node, the FETs it gates in another region or in none
 
 
 @dataclass
@@ -218,8 +220,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     flat = flatten(n)
     names = sorted(flat.node_ids())
     index = {name: i for i, name in enumerate(names)}
-    fets: list[tuple[int, int, int, bool, float]] = []
-    fet_r: list[float] = []
+    fets: list[tuple[int, int, int, bool, float, float]] = []
     cap_adj: list[list[tuple[int, float]]] = [[] for _ in names]
     fixed: list[tuple[int, float]] = []
     if VDD in index:
@@ -229,8 +230,8 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     for d in flat.devices:
         if isinstance(d, Fet):
             fets.append((index[d.drain], index[d.gate], index[d.source],
-                         d.polarity is Polarity.NFET, threshold_voltage(d.chirality)))
-            fet_r.append(R_ON_PER_TUBE / d.tubes)
+                         d.polarity is Polarity.NFET, threshold_voltage(d.chirality),
+                         R_ON_PER_TUBE / d.tubes))
         elif isinstance(d, Capacitor):
             a, b = index[d.a], index[d.b]
             cap_adj[a].append((b, d.farads))
@@ -241,12 +242,8 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     for node in flat.probes:
         terms[index[node]].append(cfg.c_out_load)
     node_cap = list(map(math.fsum, terms))      # exact, so device order cannot matter
-    readers: list[list[int]] = [[] for _ in names]
-    for k, (d, g, s, _, _) in enumerate(fets):
-        for i in {d, g, s}:
-            readers[i].append(k)
     comp = n._compiled = _Compiled(cfg, contents, sorted(flat.inputs), names, index, fets,
-                                   fet_r, cap_adj, node_cap, fixed, readers)
+                                   cap_adj, node_cap, fixed)
     return comp
 
 
@@ -283,13 +280,9 @@ def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]
         if pins[i] is not None:
             what = "rail" if node in (VDD, GND) else "fixed-source node"
             raise ConfigError(f"cannot reassign {what} {node}")
-        try:
-            level = float(volts) + 0.0      # -0.0 V is 0.0 V
-        except (TypeError, ValueError, OverflowError):
-            level = math.nan
-        if not math.isfinite(level):
+        if not _finite(volts):
             raise ConfigError(f"input {node} must be a finite voltage, got {volts!r}")
-        pins[i] = level
+        pins[i] = float(volts) + 0.0        # -0.0 V is 0.0 V
     missing = [n for n in comp.inputs if pins[comp.index[n]] is None]
     if missing:
         raise ConfigError(f"unassigned input nodes: {', '.join(missing)}")
@@ -314,17 +307,21 @@ def _items(idx: list[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: tuple(seq[i] for i in idx)
 
 
-def _regions(fets: list[tuple[int, int, int, bool, float]],
+def _regions(fets: list[tuple[int, int, int, bool, float, float]],
              cap_adj: list[list[tuple[int, float]]],
              pinned: Sequence[bool]) -> _Partition:
-    """The regions for a pinned set: unpinned nodes joined by the channels and
-    capacitors between unpinned nodes.  Also each FET's region: that of an
-    unpinned channel terminal, -1 when both are pinned; and their rank (see
-    _rank).  A region's shape is its channels (links, then feeds) and
-    capacitors in its own node slots (position in nodes) and pin slots
-    (~position in pins); regions of one shape share a table."""
+    """The partition of a pinned set.  Its regions are the unpinned nodes
+    joined by the channels and capacitors between unpinned nodes, and a FET's
+    region is that of an unpinned channel terminal, -1 when both are pinned.
+    One walk of the FETs also gives each node's readers and gated FETs, and
+    the feeds: region A feeds region B when a FET of B has its gate in A.
+    Each region is a component of the rank, after every region that feeds it
+    (Kahn); ranks is None when the regions feed each other in a cycle.  A
+    region's shape is its channels (links, then feeds) and capacitors in its
+    own node slots (position in nodes) and pin slots (~position in pins);
+    regions of one shape share a table."""
     parent = list(range(len(pinned)))
-    for a, b in itertools.chain(((d, s) for d, _, s, _, _ in fets),
+    for a, b in itertools.chain(((d, s) for d, _, s, _, _, _ in fets),
                                 ((a, b) for a, adj in enumerate(cap_adj) for b, _ in adj)):
         if not (pinned[a] or pinned[b]):
             _union(parent, a, b)
@@ -333,19 +330,39 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
                    for i, p in enumerate(pinned)]
     members: list[list[int]] = [[] for _ in roots]
     channels: list[list[tuple[bool, int, int, int]]] = [[] for _ in roots]
+    feeds: list[list[int]] = [[] for _ in roots]
+    waits = [0] * len(roots)                # per region, the feeds from regions not yet ranked
     for i, r in enumerate(node_region):
         if r >= 0:
             members[r].append(i)
     fet_region: list[int] = []
-    for k, (d, _, s, _, _) in enumerate(fets):
+    readers: list[list[int]] = [[] for _ in pinned]
+    gated: list[list[int]] = [[] for _ in pinned]
+    for k, (d, g, s, _, _, _) in enumerate(fets):
         a, b = (s, d) if pinned[d] else (d, s)      # a is unpinned unless both are
         fet_region.append(r := node_region[a])
         if r >= 0:
             channels[r].append((pinned[b], k, a, b))
+            for i in {d, g, s}:
+                if node_region[i] == r:     # its channel terminals, and its gate if in r
+                    readers[i].append(k)
+        if (q := node_region[g]) >= 0 and q != r:
+            gated[g].append(k)
+            if r >= 0:
+                feeds[q].append(r)
+                waits[r] += 1
+    order = [r for r, wait in enumerate(waits) if not wait]
+    for q in order:
+        for r in feeds[q]:
+            waits[r] -= 1
+            if not waits[r]:
+                order.append(r)
     tables: dict[tuple, dict] = {}
     regions = []
-    for nodes, rchannels in zip(members, channels):
+    components = []                         # per region, itself as a component
+    for r, (nodes, rchannels) in enumerate(zip(members, channels)):
         rchannels.sort()                    # links, then feeds, each in FET order
+        own = [k for _, k, _, _ in rchannels]
         caps = [(m, other, farads) for m in nodes for other, farads in cap_adj[m]]
         pins = list(dict.fromkeys(itertools.chain((b for fed, _, _, b in rchannels if fed),
                                                   (o for _, o, _ in caps if pinned[o]))))
@@ -353,47 +370,11 @@ def _regions(fets: list[tuple[int, int, int, bool, float]],
         slot.update((p, ~j) for j, p in enumerate(pins))
         shape = (len(nodes), tuple((slot[a], slot[b]) for _, _, a, b in rchannels),
                  tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
-        regions.append(_Region(nodes, _items([k for _, k, _, _ in rchannels]), _items(pins),
-                               shape, tables.setdefault(shape, {})))
-    return _Partition(regions, fet_region, *_rank(fets, node_region, fet_region, len(regions)))
-
-
-def _rank(fets: list[tuple[int, int, int, bool, float]], node_region: list[int],
-          fet_region: list[int], count: int) -> tuple[list[_Component] | None, list | None]:
-    """The components of a partition of count regions, in rank order, and
-    per node the FETs of its own component that read it.  Region A feeds
-    region B when a FET of B has its gate in A; each region is a component,
-    after every region that feeds it (Kahn, ties by region index), and the
-    FETs with both channel terminals pinned come last, in a component of no
-    region, which one sweep settles.  (None, None) when the regions feed each
-    other in a cycle."""
-    feeds: list[list[int]] = [[] for _ in range(count)]
-    waits = [0] * count                     # per region, the feeds from regions not yet ranked
-    own: list[list[int]] = [[] for _ in range(count)]     # per region, its FETs
-    unranked: list[int] = []                # FETs in no region
-    for k, (_, g, _, _, _) in enumerate(fets):
-        a, b = node_region[g], fet_region[k]
-        (own[b] if b >= 0 else unranked).append(k)
-        if a >= 0 and b >= 0 and a != b:
-            feeds[a].append(b)
-            waits[b] += 1
-    ready = [r for r in range(count) if not waits[r]]      # ascending, so a heap
-    order = []
-    while ready:
-        order.append(a := heapq.heappop(ready))
-        for b in feeds[a]:
-            waits[b] -= 1
-            if not waits[b]:
-                heapq.heappush(ready, b)
-    if len(order) < count:
-        return None, None
-    readers: list[list[int]] = [[] for _ in node_region]
-    for k, (d, g, s, _, _) in enumerate(fets):
-        if (r := fet_region[k]) >= 0:
-            for i in {d, g, s}:
-                if node_region[i] == r:     # its channel terminals, and its gate if in r
-                    readers[i].append(k)
-    return [([r], own[r], _items(own[r])) for r in order] + [((), unranked, bytes)], readers
+        regions.append(_Region(nodes, _items(own), _items(pins), shape,
+                               tables.setdefault(shape, {})))
+        components.append(((r,), own, regions[r].flags_of))
+    ranks = [components[r] for r in order] if len(order) == len(regions) else None
+    return _Partition(regions, fet_region, ranks, readers, gated)
 
 
 def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
@@ -449,26 +430,29 @@ def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     """The steady state under pins: settled in rank order, or as one
     component of every region and FET when the regions feed a cycle or a
-    component in rank order repeats a conducting set."""
+    region in rank order repeats a conducting set."""
     pinned = tuple(p is not None for p in pins)
     if pinned not in comp.regions:
         comp.regions[pinned] = _regions(comp.fets, comp.cap_adj, pinned)
     part = comp.regions[pinned]
     if part.ranks is not None:
         try:
-            return _settle(comp, pins, part)
+            return _settle(comp, pins, part, part.ranks)
         except NonConvergent:
-            pass        # a component repeated a conducting set: settle as one, below
+            pass        # a region repeated a conducting set: settle as one, below
     whole = (range(len(part.regions)), range(len(comp.fets)), bytes)
-    return _settle(comp, pins, part._replace(ranks=[whole], readers=comp.readers))
+    return _settle(comp, pins, part, [whole], part.gated)
 
 
-def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Solve:
-    """The steady state from all-'z': each component of part.ranks in turn,
-    settled by incremental sweeps.  Raises NonConvergent when a component
-    repeats a conducting set of its FETs."""
+def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
+            components: list[tuple], gated: list[list[int]] | None = None) -> _Solve:
+    """The steady state from all-'z': each component in turn, settled by
+    incremental sweeps.  A level change re-evaluates the FETs of its region
+    that read the node, and with gated (one component) those it gates
+    elsewhere too.  Raises NonConvergent when a component repeats a
+    conducting set of its FETs."""
     fets = comp.fets
-    regions, fet_region, components, readers = part
+    regions, fet_region, _, readers, _ = part
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
     flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
@@ -480,7 +464,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
             # read a node it changed; only a region whose FETs toggled can change
             toggled = set()
             for k in todo:
-                d, g, s, is_nfet, vth = fets[k]
+                d, g, s, is_nfet, vth, _ = fets[k]
                 vg, vd, vs = levels[g], levels[d], levels[s]
                 if type(vg) is str or type(vd) is str and type(vs) is str:     # 'x' or 'z'
                     on = False
@@ -505,6 +489,8 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
                     if levels[m] != lvl:
                         changed.append(m)
                         todo.update(readers[m])
+                        if gated:
+                            todo.update(gated[m])
                     elif strengths[m] is not st:
                         changed.append(m)
                     levels[m], strengths[m] = lvl, st
@@ -554,8 +540,7 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     if drive is None:
         adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
         for k in itertools.compress(range(len(comp.fets)), solve.flags):
-            d, g, s, _, _ = comp.fets[k]
-            r = comp.fet_r[k]
+            d, g, s, _, _, r = comp.fets[k]
             adj[d].append((s, r, g))
             adj[s].append((d, r, g))
         # node -> (resistance from its driver, Elmore sum, parent, gate of the

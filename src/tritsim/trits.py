@@ -7,11 +7,10 @@ add of three trits a + b + cin = 3*cout + sum, so the carry is itself a trit.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import Overflow, OutOfRange, Unresolvable, WidthMismatch
+from .errors import Overflow, OutOfRange, Unresolvable, WidthMismatch, _finite
 
 
 class Trit(IntEnum):
@@ -39,7 +38,7 @@ class VoltageMap:
     vdd: float = 0.9
 
     def __post_init__(self):
-        if not (math.isfinite(self.vdd) and self.vdd > 0):
+        if not (_finite(self.vdd) and self.vdd > 0):
             raise OutOfRange("vdd must be finite and strictly positive")
 
     def levels(self) -> tuple[float, float, float]:
@@ -55,14 +54,15 @@ def voltage_to_trit(v: float, m: VoltageMap = VoltageMap(),
     """Snap a voltage to the nearest lattice level within tol (default vdd/10).
 
     Raises Unresolvable when the voltage is further than tol from every level
-    or is not finite.
+    or is not a finite number, and OutOfRange when tol is not a number in
+    (0, vdd/4).
     """
     if tol is None:
         tol = m.vdd / 10.0
-    if not 0 < tol < m.vdd / 4.0:
-        raise OutOfRange(f"tolerance must be in (0, vdd/4), got {tol}")
-    if not math.isfinite(v):
-        raise Unresolvable(f"{v} V is not a finite voltage")
+    if not (_finite(tol) and 0 < tol < m.vdd / 4.0):
+        raise OutOfRange(f"tolerance must be in (0, vdd/4), got {tol!r}")
+    if not _finite(v):
+        raise Unresolvable(f"{v!r} V is not a finite voltage")
     best = min(range(3), key=lambda i: abs(v - m.levels()[i]))
     if abs(v - m.levels()[best]) > tol:
         raise Unresolvable(f"{v} V is more than {tol} V from every level of {m.levels()}")

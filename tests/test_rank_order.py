@@ -5,11 +5,14 @@ region started from 'z' could reach another fixpoint than the global loop of
 tests/reference_sim.py, which sweeps every region from the start.  So the two
 are compared on a seeded family wider than the golden corpus: netlists drawn
 from a larger node pool, inverter chains with a capacitor on every stage,
-rings (whose rank graph is cyclic) and ripple adds."""
+rings (whose rank graph is cyclic; some gate a FET between two inputs, whose
+flag only the cycle's record reads) and ripple adds."""
 
+import itertools
 import random
 
 import reference_sim
+from capture_signals import VDDS
 from conftest import inverter_chain, ripple_text
 from gen_netlists import NODE_POOL, random_netlist
 from tritsim import SimConfig, parse
@@ -23,11 +26,12 @@ def _assigns(rng: random.Random, inputs, count: int) -> list[dict[str, float]]:
     return [{node: LEVELS[rng.randrange(3)] for node in sorted(inputs)} for _ in range(count)]
 
 
-def _ring(length: int, gated: bool) -> str:
-    """length inverters in a ring, kicked through a capacitor from input a;
-    gated, the first stage is a NAND of en and the last stage's output."""
+def _ring(length: int, gated: bool, kick: str = "a", extra: tuple[str, ...] = ()) -> str:
+    """length inverters in a ring, kicked through a capacitor from input kick;
+    gated, the first stage is a NAND of en and the last stage's output; then
+    the extra lines."""
     last = f"n{length - 1}"
-    lines = [".input a", "C0 a n0 1f"]
+    lines = [f".input {kick}", f"C0 {kick} n0 1f"]
     if gated:
         lines += [".input en", f"Mgp n0 {last} VDD pfet 19 0 1", "Mgq n0 en VDD pfet 19 0 1",
                   f"Mgn n0 {last} g nfet 19 0 1", "Mgm g en GND nfet 19 0 1"]
@@ -35,7 +39,7 @@ def _ring(length: int, gated: bool) -> str:
         lines += [f"Mgp n0 {last} VDD pfet 19 0 1", f"Mgn n0 {last} GND nfet 19 0 1"]
     for k in range(1, length):
         lines += [f"M{k}p n{k} n{k - 1} VDD pfet 19 0 1", f"M{k}n n{k} n{k - 1} GND nfet 19 0 1"]
-    return "* ring\n" + "\n".join(lines) + "\n.end\n"
+    return "* ring\n" + "\n".join([*lines, *extra]) + "\n.end\n"
 
 
 def test_random_netlists_from_a_larger_pool_match_the_reference():
@@ -59,6 +63,17 @@ def test_rings_match_the_reference():
             n = parse(_ring(length, gated))
             for assign in _assigns(random.Random(length), n.inputs, 4):
                 reference_sim.check(n, assign)
+    # an odd ring drives y, the gate of a FET between the inputs a and b: no
+    # region holds that FET, and only a cycle's one component sweeps it
+    for length, kick, polarity, vdd in itertools.product((3, 5, 7), "ab", ("nfet", "pfet"),
+                                                         VDDS):
+        last = f"n{length - 1}"
+        n = parse(_ring(length, False, kick, (
+            f".input {'b' if kick == 'a' else 'a'}", f"Myp y {last} VDD pfet 19 0 1",
+            f"Myn y {last} GND nfet 19 0 1", f"Mpp b y a {polarity} 19 0 1")))
+        cfg = SimConfig(vdd=vdd)
+        for a, b in itertools.product(cfg.vmap().levels(), repeat=2):
+            reference_sim.check(n, {"a": a, "b": b}, cfg)
 
 
 def test_ripple_adds_match_the_reference():

@@ -25,31 +25,29 @@ def _tables(n) -> list[dict]:
 def check(monkeypatch):
     """A checker of steady_state against the reference on one assignment:
     levels by repr, strengths by identity, NonConvergent by message.  Its
-    hits() counts the table hits so far: each lookup reads its region's
-    flags once, and each miss runs _resolve once."""
-    counts = {"lookups": 0, "misses": 0}
+    hits() counts the table hits so far, the lookups that found a row, at
+    the tables themselves: a read of a region's flags for its conducting
+    set's record is no lookup."""
+    counts = {"hits": 0}
 
-    def counted(flags_of):
-        def get(flags):
-            counts["lookups"] += 1
-            return flags_of(flags)
-        return get
+    class Counted(dict):
+        def get(self, key, default=None):
+            row = super().get(key, default)
+            counts["hits"] += row is not None
+            return row
 
     def regions(fets, cap_adj, pinned, _real=sim._regions):
         part = _real(fets, cap_adj, pinned)
-        return part._replace(regions=[region._replace(flags_of=counted(region.flags_of))
-                                      for region in part.regions])
-
-    def resolve(shape, flags, pins, _real=sim._resolve):
-        counts["misses"] += 1
-        return _real(shape, flags, pins)
+        counted: dict[int, Counted] = {}    # one per table, so regions of a shape still share
+        return part._replace(regions=[
+            region._replace(table=counted.setdefault(id(region.table), Counted()))
+            for region in part.regions])
 
     def checker(n, inputs, cfg=CFG):
         reference_sim.check(n, inputs, cfg)
 
-    checker.hits = lambda: counts["lookups"] - counts["misses"]
+    checker.hits = lambda: counts["hits"]
     monkeypatch.setattr(sim, "_regions", regions)
-    monkeypatch.setattr(sim, "_resolve", resolve)
     return checker
 
 

@@ -156,7 +156,7 @@ def test_input_validation():
                      {"a": 0.9, "h": 0.1}, CFG)
     with pytest.raises(ConfigError):
         steady_state(n, {}, CFG)          # declared input left unassigned
-    for volts in (float("nan"), float("inf"), -float("inf"), None, "abc", 10 ** 400):
+    for volts in (float("nan"), float("inf"), -float("inf"), None, "abc", "0.9", 10 ** 400):
         with pytest.raises(ConfigError, match=f"input a must be a finite voltage, got {volts!r}"):
             steady_state(n, {"a": volts}, CFG)
 

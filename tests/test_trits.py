@@ -42,8 +42,11 @@ def test_voltage_levels():
     lambda: TritVector((0, "1")),
     lambda: VoltageMap(float("nan")),
     lambda: VoltageMap(float("inf")),
+    lambda: VoltageMap("0.9"),
+    lambda: VoltageMap(None),
 ], ids=["full-add-3", "full-add-1.5", "voltage-of-minus-1", "sti-of-5", "tgate-of-3",
-        "selectors-of-4", "adder-cin-3", "vector-of-str", "vdd-nan", "vdd-inf"])
+        "selectors-of-4", "adder-cin-3", "vector-of-str", "vdd-nan", "vdd-inf", "vdd-str",
+        "vdd-none"])
 def test_a_value_out_of_range_raises_out_of_range(call):
     with pytest.raises(OutOfRange, match="^(a trit is 0, 1 or 2, got|vdd must be finite)"):
         call()
@@ -67,7 +70,7 @@ def test_voltage_to_trit_tolerance():
     assert voltage_to_trit(0.60, m, 0.16) == Trit.ONE
 
 
-@pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf"), "0.4"])
 def test_voltage_to_trit_rejects_non_finite(v):
     with pytest.raises(Unresolvable):
         voltage_to_trit(v, VoltageMap(0.9))
@@ -79,6 +82,8 @@ def test_voltage_tolerance_domain():
         voltage_to_trit(0.45, m, 0.0)
     with pytest.raises(OutOfRange):
         voltage_to_trit(0.45, m, 0.3)                   # >= vdd/4 would be ambiguous
+    with pytest.raises(OutOfRange):
+        voltage_to_trit(0.4, m, "0.1")                  # not a number
 
 
 def test_trit_vector_shape():
