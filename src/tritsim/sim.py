@@ -17,9 +17,9 @@ validated supply range.
 The public calls (steady_state, delay_estimate, transient) run on the
 netlist flattened (flatten validates it and what it builds) and compiled to
 integer node indices, sorted by node name, with per-FET threshold voltage
-and on-resistance, capacitor adjacency and per-node capacitance.  A Netlist
-keeps one compiled form, for the contents and SimConfig of its last call;
-an in-place change recompiles.
+and on-resistance, and per node its FETs and channels, capacitor adjacency
+and capacitance.  A Netlist keeps one compiled form, for the contents and
+SimConfig of its last call; an in-place change recompiles.
 The compiled form memoizes its solves by the tuple of pinned voltages, each
 with the timing read from it so far, and keeps a solve through the next call:
 delay_estimate then transient, or steady_state then delay_estimate, solve each
@@ -34,20 +34,20 @@ their gates.  Regions settle in rank order, as in COSMOS (Bryant et al., DAC
 1987): region A feeds region B when a FET of B has its gate in A, and B
 settles from all-'z' after every region that feeds it.  Nothing of B feeds
 those regions, so the gates B reads from other regions are final when it
-settles, and each region settles once.  A component's first sweep evaluates
-its FETs and resolves its regions; later ones re-evaluate only its FETs
-reading a node whose level changed and re-resolve only the regions where one
-switched: exactly a full sweep of the component.  In rank order a component
-is one region, and the flags of its channels, read for its key, are also the
+settles, and each region settles once.  In rank order a component is one
+region: each sweep re-evaluates all its FETs and re-resolves it if one
+switched, and the flags of its channels, read for its key, are also the
 record of its conducting set.  A FET with both channel terminals pinned joins
 no region, and rank order never evaluates it: no region reads its flag, and
 timing never relaxes a channel between two pins, as every pin starts at
 resistance 0.  When the regions feed each other in a cycle, one component
-holds every region and FET, and its sweeps are the global loop of a full
-sweep at a time; its record includes the FETs between two pins, as the
-global loop's does.  A region with two fixpoints under its final gates could
-in principle settle elsewhere from all-'z' than in the global loop, so
-tests/test_rank_order.py compares the two on a seeded family.
+holds every region and FET.  Its first sweep evaluates every FET; later ones
+re-evaluate the compiled fanout of each node whose level changed (the FETs it
+is a terminal of) and re-resolve only the regions where one switched: the
+global loop, a full sweep at a time.  Its record includes the FETs between
+two pins, as the global loop's does.  A region with two fixpoints under its
+final gates could in principle settle elsewhere from all-'z' than in the
+global loop, so tests/test_rank_order.py compares the two on a seeded family.
 A region's shape is its channels and capacitors in region-local node and
 pin slots; its key is the conduction flags of its channels and the levels of
 the pins it reads (those on its feeds and its nodes' pinned capacitor
@@ -70,15 +70,17 @@ transient the nodes whose level changed.  A solve's first timing read grows
 one shortest-path forest by accumulated on-resistance (R_ON_PER_TUBE / tubes
 per device) from every pinned node over the conducting FETs, and the solve
 keeps it with the times settled so far.  On equal resistance a node keeps the
-parent popped first, the lower (resistance, node index).  A driven node's
-stage delay is the Elmore sum along its branch of accumulated on-resistance
-times node capacitance; the stage starts when the last gate on the branch
-settles.  A branch waits on its parent's and one gate more, so timing is
-linear in path depth.  A timing cycle raises NoPath only for a node that waits
-on it, naming the first node the walk from that node meets twice.
-Charge-shared nodes track their neighbors with no delay of their own;
-delay_estimate's worst settling time is the one delay figure.  Event energy is
-0.5 * C * dV**2, and measure turns a waveform's energy into average power.
+parent popped first, the lower (resistance, node index), and of parallel FETs
+from that parent the gate of the one listed first: the forest relaxes the
+compiled channels in device order (ROADMAP item 2).  A driven node's stage
+delay is the Elmore sum along its branch of accumulated on-resistance times
+node capacitance; the stage starts when the last gate on the branch settles.
+A branch waits on its parent's and one gate more, so timing is linear in path
+depth.  A timing cycle raises NoPath only for a node that waits on it, naming
+the first node the walk from that node meets twice.  Charge-shared nodes
+track their neighbors with no delay of their own; delay_estimate's worst
+settling time is the one delay figure.  Event energy is 0.5 * C * dV**2, and
+measure turns a waveform's energy into average power.
 """
 
 from __future__ import annotations
@@ -138,12 +140,14 @@ class SimConfig:
             raise ConfigError("vdd must be strictly positive")
         if self.c_out_load < 0:
             raise ConfigError("c_out_load must be non-negative")
+        # built once, and not a field: ==, hash and repr read vdd and c_out_load only
+        object.__setattr__(self, "_vmap", VoltageMap(self.vdd))
 
     def tol(self) -> float:
         return self.vdd / 10
 
     def vmap(self) -> VoltageMap:
-        return VoltageMap(self.vdd)
+        return self._vmap
 
 
 @dataclass
@@ -151,10 +155,10 @@ class _Compiled:
     """A flattened, validated netlist on integer node indices, with the
     solves run on it; see _compile.  It holds no reference to the Netlist, so
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
-    order, so the smallest index is also the smallest name.  Its partitions
-    are built once per pinned set, on the first solve that pins it (see
-    _solve), and keep their result tables for as long as the compiled form
-    lives."""
+    order, so the smallest index is also the smallest name.  Its per-node FET
+    lists are built once, in one walk of the devices; its partitions once per
+    pinned set, on the first solve that pins it (see _solve), and they keep
+    their result tables for as long as the compiled form lives."""
 
     cfg: SimConfig
     contents: tuple                                 # Netlist._contents()
@@ -163,11 +167,14 @@ class _Compiled:
     index: dict[str, int]
     # drain, gate, source, is_nfet, vth, on-resistance
     fets: list[tuple[int, int, int, bool, float, float]]
+    fanout: list[list[int]]                         # per node, the FETs it is a terminal of
+    # per node, (other terminal, on-resistance, gate, FET) per channel, in device
+    # order: timing keeps the gate of the first of tied parallel FETs (ROADMAP item 2)
+    channels: list[list[tuple[int, float, int, int]]]
     cap_adj: list[list[tuple[int, float]]]          # per node (neighbor, farads), device order
     node_cap: list[float]                           # per node, probes carry c_out_load
-    fixed: list[tuple[int, float]]                  # rails, then fixed sources
-    # pinned flag per node -> its partition: regions, rank and readers
-    regions: dict[tuple, _Partition] = field(default_factory=dict)
+    fixed: list[float | None]                       # per node, a rail's or fixed source's volts
+    regions: dict[tuple, _Partition] = field(default_factory=dict)  # pinned flags -> partition
     solves: dict[tuple, _Solve] = field(default_factory=dict)  # this call's, see _solved
     kept: dict[tuple, _Solve] = field(default_factory=dict)    # the previous call's
 
@@ -188,15 +195,13 @@ class _Region(NamedTuple):
 
 
 class _Partition(NamedTuple):
-    """The regions of one pinned set, their rank and their readers; see
-    _regions.  A component of ranks is its regions, its FETs and a getter of
-    the record of their conducting set from the per-FET flags."""
+    """The regions of one pinned set and their rank; see _regions.  A
+    component of ranks is its regions, its FETs and a getter of the record of
+    their conducting set from the per-FET flags."""
 
     regions: list[_Region]
     fet_region: list[int]       # per FET, its region; -1 when both channel terminals are pinned
     ranks: list[tuple] | None   # one component per region, in rank order; None on a cycle
-    readers: list[list[int]]    # per node, the FETs of its region that read it
-    gated: list[list[int]]      # per node, the FETs it gates in another region or in none
 
 
 @dataclass
@@ -221,29 +226,31 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     names = sorted(flat.node_ids())
     index = {name: i for i, name in enumerate(names)}
     fets: list[tuple[int, int, int, bool, float, float]] = []
+    fanout: list[list[int]] = [[] for _ in names]
+    channels: list[list[tuple[int, float, int, int]]] = [[] for _ in names]
     cap_adj: list[list[tuple[int, float]]] = [[] for _ in names]
-    fixed: list[tuple[int, float]] = []
-    if VDD in index:
-        fixed.append((index[VDD], float(cfg.vdd)))
-    if GND in index:
-        fixed.append((index[GND], 0.0))
+    fixed = [float(cfg.vdd) if m == VDD else 0.0 if m == GND else None for m in names]
     for d in flat.devices:
         if isinstance(d, Fet):
-            fets.append((index[d.drain], index[d.gate], index[d.source],
-                         d.polarity is Polarity.NFET, threshold_voltage(d.chirality),
-                         R_ON_PER_TUBE / d.tubes))
+            k, r = len(fets), R_ON_PER_TUBE / d.tubes
+            dr, g, s = index[d.drain], index[d.gate], index[d.source]
+            fets.append((dr, g, s, d.polarity is Polarity.NFET, threshold_voltage(d.chirality), r))
+            for i in {dr, g, s}:
+                fanout[i].append(k)
+            channels[dr].append((s, r, g, k))
+            channels[s].append((dr, r, g, k))
         elif isinstance(d, Capacitor):
             a, b = index[d.a], index[d.b]
             cap_adj[a].append((b, d.farads))
             cap_adj[b].append((a, d.farads))
         elif isinstance(d, FixedSource):
-            fixed.append((index[d.node], d.volts + 0.0))    # -0.0 V is 0.0 V
+            fixed[index[d.node]] = d.volts + 0.0    # -0.0 V is 0.0 V
     terms = [[farads for _, farads in adj] for adj in cap_adj]
     for node in flat.probes:
         terms[index[node]].append(cfg.c_out_load)
     node_cap = list(map(math.fsum, terms))      # exact, so device order cannot matter
     comp = n._compiled = _Compiled(cfg, contents, sorted(flat.inputs), names, index, fets,
-                                   cap_adj, node_cap, fixed)
+                                   fanout, channels, cap_adj, node_cap, fixed)
     return comp
 
 
@@ -270,9 +277,7 @@ def _exhaustive_stimulus(nodes: Sequence[str], vdd: float,
 
 def _pin_map(comp: _Compiled, inputs: Mapping[str, float]) -> list[float | None]:
     """Pinned voltage per node index, None where the node is not pinned."""
-    pins: list[float | None] = [None] * len(comp.names)
-    for i, volts in comp.fixed:
-        pins[i] = volts
+    pins = list(comp.fixed)
     for node, volts in inputs.items():
         i = comp.index.get(node)
         if i is None:
@@ -313,8 +318,8 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
     """The partition of a pinned set.  Its regions are the unpinned nodes
     joined by the channels and capacitors between unpinned nodes, and a FET's
     region is that of an unpinned channel terminal, -1 when both are pinned.
-    One walk of the FETs also gives each node's readers and gated FETs, and
-    the feeds: region A feeds region B when a FET of B has its gate in A.
+    One walk of the FETs also gives the feeds: region A feeds region B when a
+    FET of B has its gate in A.
     Each region is a component of the rank, after every region that feeds it
     (Kahn); ranks is None when the regions feed each other in a cycle.  A
     region's shape is its channels (links, then feeds) and capacitors in its
@@ -336,19 +341,12 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
         if r >= 0:
             members[r].append(i)
     fet_region: list[int] = []
-    readers: list[list[int]] = [[] for _ in pinned]
-    gated: list[list[int]] = [[] for _ in pinned]
     for k, (d, g, s, _, _, _) in enumerate(fets):
         a, b = (s, d) if pinned[d] else (d, s)      # a is unpinned unless both are
         fet_region.append(r := node_region[a])
         if r >= 0:
             channels[r].append((pinned[b], k, a, b))
-            for i in {d, g, s}:
-                if node_region[i] == r:     # its channel terminals, and its gate if in r
-                    readers[i].append(k)
-        if (q := node_region[g]) >= 0 and q != r:
-            gated[g].append(k)
-            if r >= 0:
+            if (q := node_region[g]) >= 0 and q != r:
                 feeds[q].append(r)
                 waits[r] += 1
     order = [r for r, wait in enumerate(waits) if not wait]
@@ -374,7 +372,7 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
                                tables.setdefault(shape, {})))
         components.append(((r,), own, regions[r].flags_of))
     ranks = [components[r] for r in order] if len(order) == len(regions) else None
-    return _Partition(regions, fet_region, ranks, readers, gated)
+    return _Partition(regions, fet_region, ranks)
 
 
 def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
@@ -441,18 +439,18 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
         except NonConvergent:
             pass        # a region repeated a conducting set: settle as one, below
     whole = (range(len(part.regions)), range(len(comp.fets)), bytes)
-    return _settle(comp, pins, part, [whole], part.gated)
+    return _settle(comp, pins, part, [whole], comp.fanout)
 
 
 def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
-            components: list[tuple], gated: list[list[int]] | None = None) -> _Solve:
+            components: list[tuple], fanout: list[list[int]] | None = None) -> _Solve:
     """The steady state from all-'z': each component in turn, settled by
-    incremental sweeps.  A level change re-evaluates the FETs of its region
-    that read the node, and with gated (one component) those it gates
-    elsewhere too.  Raises NonConvergent when a component repeats a
-    conducting set of its FETs."""
+    sweeps.  Without fanout (rank order) each sweep re-evaluates all of the
+    component's FETs; with it (one component) only the fanout of each node
+    whose level the last sweep changed.  Raises NonConvergent when a
+    component repeats a conducting set of its FETs."""
     fets = comp.fets
-    regions, fet_region, _, readers, _ = part
+    regions, fet_region, _ = part
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
     flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
@@ -461,7 +459,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
         seen: dict[Hashable, int] = {}      # its conducting set's record -> sweep seen at
         for sweep in itertools.count():
             # conduction from the previous sweep's snapshot, for the FETs that
-            # read a node it changed; only a region whose FETs toggled can change
+            # can have toggled; only a region whose FETs toggled can change
             toggled = set()
             for k in todo:
                 d, g, s, is_nfet, vth, _ = fets[k]
@@ -476,7 +474,8 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
                     flags[k] = on
                     toggled.add(fet_region[k])
             changed: list[int] = []         # nodes whose level or strength changed
-            todo = set()                    # a strength alone does not change conduction
+            if fanout is not None:
+                todo = set()                # a strength alone does not change conduction
             for r in (toggled - {-1} if sweep else own_regions):
                 nodes, flags_of, pins_of, shape, table = regions[r]
                 key = flags_of(flags), pins_of(pins)
@@ -488,9 +487,8 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
                 for m, lvl, st in zip(nodes, *row):
                     if levels[m] != lvl:
                         changed.append(m)
-                        todo.update(readers[m])
-                        if gated:
-                            todo.update(gated[m])
+                        if fanout is not None:
+                            todo.update(fanout[m])
                     elif strengths[m] is not st:
                         changed.append(m)
                     levels[m], strengths[m] = lvl, st
@@ -536,13 +534,8 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     forest and the memo of settled keys, but not comp, and visiting is this
     read's, so a read names the same cycle node whatever was read before.
     """
-    strengths, memo, drive, node_cap = solve.strengths, solve.memo, solve.drive, comp.node_cap
+    strengths, memo, drive, flags = solve.strengths, solve.memo, solve.drive, solve.flags
     if drive is None:
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in comp.names]
-        for k in itertools.compress(range(len(comp.fets)), solve.flags):
-            d, g, s, _, _, r = comp.fets[k]
-            adj[d].append((s, r, g))
-            adj[s].append((d, r, g))
         # node -> (resistance from its driver, Elmore sum, parent, gate of the
         # FET from the parent); on-resistances are positive, so pins keep parent -1
         drive = solve.drive = {i: (0.0, 0.0, -1, -1)
@@ -554,10 +547,10 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
             res, elmore, _, _ = drive[cur]
             if dist > res:
                 continue
-            for other, r, gate in adj[cur]:
+            for other, r, gate, k in comp.channels[cur]:
                 nd = dist + r
-                if other not in drive or nd < drive[other][0]:
-                    drive[other] = (nd, elmore + nd * node_cap[other], cur, gate)
+                if flags[k] and (other not in drive or nd < drive[other][0]):
+                    drive[other] = (nd, elmore + nd * comp.node_cap[other], cur, gate)
                     heapq.heappush(heap, (nd, other))
     if node in memo:
         return memo[node]

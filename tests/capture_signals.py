@@ -13,7 +13,9 @@ digests and compares.  Cases:
 - the seeded generated corpus (tests/gen_netlists.py, the 100 netlists of
   random.Random(90210)): steady state under every input assignment,
   delay_estimate of every probed node and the exhaustive transient.  Library
-  errors are part of the text as "ErrorType: message".
+  errors are part of the text as "ErrorType: message";
+- the command line: the exit code and stdout of the truth-table, simulate,
+  verify and sweep commands in CLI_COMMANDS, which must stay byte-identical.
 
 Re-capture only when a change is meant to alter a simulated result:
 
@@ -22,16 +24,20 @@ Re-capture only when a change is meant to alter a simulated result:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
+from importlib import resources
 from pathlib import Path
 
 from gen_netlists import random_netlist
 from tritsim import (AXES, BOTH_VARIANTS, BuildConfig, SimConfig, SweepSpec, TritsimError,
                      benchmark_stimulus, build_design, delay_estimate, run_sweep, steady_state,
                      transient)
+from tritsim.cli import main
 from tritsim.sim import _exhaustive_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "signals.json"
@@ -39,6 +45,18 @@ VDDS = (0.6, 0.8, 0.9, 1.0, 1.05)
 PERIOD = 4e-9
 CORPUS_SEED = 90210
 CORPUS_SIZE = 100
+FIXTURES = resources.files("tritsim") / "fixtures"
+# argv of each CLI case; a bundled fixture is named by its file name
+CLI_COMMANDS = (
+    ("truth-table", "--design", "both"),
+    *((("simulate", "--design", d, *extra) for d in "12" for extra in (
+        (), ("--format", "vcd"), ("--inputs", "a=0,b=1,cin=2"),
+        ("--inputs", "a=0,b=0.45,cin=0.9")))),
+    ("verify", "design1.tnl"),
+    ("verify", "design2.tnl"),
+    *(("verify", f"{cell}.tnl", "--cell", cell) for cell in ("sti", "nti", "pti")),
+    *(("sweep", "--axis", axis) for axis in ("load", "vdd", "frequency")),
+)
 
 
 def _signals_text(sigs) -> str:
@@ -77,6 +95,14 @@ def corpus_text(net, cfg) -> str:
     return "\n".join(parts)
 
 
+def cli_text(argv) -> str:
+    """A CLI case: its exit code, then its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(FIXTURES / a) if a.endswith(".tnl") else a for a in argv])
+    return f"exit {code}\n{out.getvalue()}"
+
+
 def cases():
     """(case name, canonical text) pairs, in a fixed order."""
     for variant in BOTH_VARIANTS:
@@ -98,6 +124,8 @@ def cases():
     for i in range(CORPUS_SIZE):
         net = random_netlist(rng, i)
         yield net.name, corpus_text(net, cfg)
+    for argv in CLI_COMMANDS:
+        yield f"cli:{' '.join(argv)}", cli_text(argv)
 
 
 def digests() -> dict[str, str]:

@@ -5,8 +5,9 @@ region started from 'z' could reach another fixpoint than the global loop of
 tests/reference_sim.py, which sweeps every region from the start.  So the two
 are compared on a seeded family wider than the golden corpus: netlists drawn
 from a larger node pool, inverter chains with a capacitor on every stage,
-rings (whose rank graph is cyclic; some gate a FET between two inputs, whose
-flag only the cycle's record reads) and ripple adds."""
+uncapped pass chains (one region that settles a stage per sweep), rings
+(whose rank graph is cyclic; some gate a FET between two inputs, whose flag
+only the cycle's record reads) and ripple adds."""
 
 import itertools
 import random
@@ -74,6 +75,19 @@ def test_rings_match_the_reference():
         cfg = SimConfig(vdd=vdd)
         for a, b in itertools.product(cfg.vmap().levels(), repeat=2):
             reference_sim.check(n, {"a": a, "b": b}, cfg)
+
+
+def test_pass_chains_match_the_reference():
+    # one region that needs a sweep per stage: a cap on the sweeps a region
+    # in rank order runs would leave the far end of the long chain 'z'
+    for stages, polarity, gate, vdd in itertools.product((2, 5, 24), ("nfet", "pfet"),
+                                                         ("VDD", "GND", "g"), VDDS):
+        lines = [".input a", *[".input g"] * (gate == "g"), f"Md n0 {gate} a {polarity} 19 0 1"]
+        lines += [f"M{k} n{k} {gate} n{k - 1} {polarity} 19 0 1" for k in range(1, stages + 1)]
+        n = parse("* pass chain\n" + "\n".join(lines) + "\n.end\n")
+        cfg = SimConfig(vdd=vdd)
+        for levels in itertools.product(cfg.vmap().levels(), repeat=len(n.inputs)):
+            reference_sim.check(n, dict(zip(sorted(n.inputs), levels)), cfg)
 
 
 def test_ripple_adds_match_the_reference():

@@ -172,6 +172,11 @@ def test_sim_config_validation():
             with pytest.raises(ConfigError, match="finite"):
                 SimConfig(**{field: bad})
     assert SimConfig().tol() == pytest.approx(0.09)
+    # the voltage map is built once, and is no field: the compile key is unchanged
+    cfg = SimConfig(vdd=0.8)
+    assert cfg.vmap() is cfg.vmap() and cfg.vmap() == trits.VoltageMap(0.8)
+    assert cfg == SimConfig(vdd=0.8) and hash(cfg) == hash(SimConfig(vdd=0.8))
+    assert repr(cfg) == "SimConfig(vdd=0.8, c_out_load=1e-15)"
 
 
 def test_deep_chain_needs_iterations():
