@@ -17,8 +17,8 @@ validated supply range.
 The public calls (steady_state, delay_estimate, transient) run on the
 netlist flattened (flatten validates it and what it builds) and compiled to
 integer node indices, sorted by node name, with per-FET threshold voltage
-and on-resistance, and per node its FETs and channels, capacitor adjacency
-and capacitance.  A Netlist keeps one compiled form, for the contents and
+and on-resistance, and per node its channels, capacitor adjacency and
+capacitance.  A Netlist keeps one compiled form, for the contents and
 SimConfig of its last call; an in-place change recompiles.
 The compiled form memoizes its solves by the tuple of pinned voltages, each
 with the timing read from it so far, and keeps a solve through the next call:
@@ -28,42 +28,35 @@ fixed source is one value: -0.0 V becomes 0.0 V where voltages enter.
 Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
-region (see _regions), so a region's next state depends only on its own
-conducting FETs and the pins, and its FETs read only its nodes, pins and
-their gates.  Regions settle in rank order, as in COSMOS (Bryant et al., DAC
-1987): region A feeds region B when a FET of B has its gate in A, and B
-settles from all-'z' after every region that feeds it.  Nothing of B feeds
-those regions, so the gates B reads from other regions are final when it
-settles, and each region settles once.  In rank order a component is one
-region: each sweep re-evaluates all its FETs and re-resolves it if one
-switched, and the flags of its channels, read for its key, are also the
-record of its conducting set.  A FET with both channel terminals pinned joins
-no region, and rank order never evaluates it: no region reads its flag, and
-timing never relaxes a channel between two pins, as every pin starts at
-resistance 0.  When the regions feed each other in a cycle, one component
-holds every region and FET.  Its first sweep evaluates every FET; later ones
-re-evaluate the compiled fanout of each node whose level changed (the FETs it
-is a terminal of) and re-resolve only the regions where one switched: the
-global loop, a full sweep at a time.  Its record includes the FETs between
-two pins, as the global loop's does.  A region with two fixpoints under its
+region (see _regions), and every FET has one: a FET with both channel
+terminals pinned is a region with no nodes (timing never relaxes its channel,
+as every pin starts at resistance 0).  A region's slots are its nodes, then
+its reads: the outside gates, pinned channel terminals and pinned capacitor
+neighbors its FETs and capacitors touch.  Its key is the levels at its slots,
+and its row, _resolve of its shape and key, is its whole step: its FETs'
+flags on the key, its next levels and strengths, and whether those flags
+still hold on them.  _resolve reads nothing else, so regions of equal shape
+in one partition share one result table exactly, by construction, and only a
+miss evaluates a FET.  Every pin is a float and -0.0 V is 0.0 V, so equal
+keys are equal inputs.  A table is cleared at TABLE_ROWS rows, which bounds
+it under an analog input sweep.
+Regions settle in rank order, as in COSMOS (Bryant et al., DAC 1987): region
+A feeds region B when B reads a node of A, and B settles from all-'z' after
+every region that feeds it.  Nothing of B feeds those regions, so its reads
+are final when it settles, and it steps until a row's flags hold: a warm
+region is one lookup.  When the regions feed each other in a cycle, one
+component holds them all.  Its first sweep reads every region's row, later
+ones the rows of the regions whose flags did not hold and of the readers of
+the nodes that changed, each sweep all its rows before writing any: the
+global loop, a full sweep at a time.  A region with two fixpoints under its
 final gates could in principle settle elsewhere from all-'z' than in the
 global loop, so tests/test_rank_order.py compares the two on a seeded family.
-A region's shape is its channels and capacitors in region-local node and
-pin slots; its key is the conduction flags of its channels and the levels of
-the pins it reads (those on its feeds and its nodes' pinned capacitor
-neighbors).  Its next state is _resolve of its shape and key, which reads
-nothing else, so regions of equal shape in one partition share one result
-table exactly, by construction, and a region resolves only on a miss: the
-cells of a structural adder fill one table per cell region.  Every pin is a
-float and -0.0 V is 0.0 V, so equal keys are equal inputs.  A table is
-cleared when it reaches TABLE_ROWS rows, which bounds it under an analog
-input sweep.
 A sweep's new state depends only on its conducting set and the pins, so a
 component's conducting set that comes back before its state repeats is a
 limit cycle.  In rank order the solve then runs again as one component, so
 NonConvergent always comes from the global loop, naming the period and the
-nodes that keep changing there.  There are finitely many conducting sets, so
-every solve ends.
+nodes that keep changing there; its record holds every FET's flag.  There are
+finitely many conducting sets, so every solve ends.
 
 Timing is first-order RC, and on demand: delay_estimate times its output and
 transient the nodes whose level changed.  A solve's first timing read grows
@@ -77,9 +70,11 @@ delay is the Elmore sum along its branch of accumulated on-resistance times
 node capacitance; the stage starts when the last gate on the branch settles.
 A branch waits on its parent's and one gate more, so timing is linear in path
 depth.  A timing cycle raises NoPath only for a node that waits on it, naming
-the first node the walk from that node meets twice.  Charge-shared nodes
-track their neighbors with no delay of their own; delay_estimate's worst
-settling time is the one delay figure.  Event energy is 0.5 * C * dV**2, and
+the first node the walk from that node meets twice.  A charged node has no
+delay of its own: with its cluster, the charged nodes joined to it by
+capacitors, it settles when the last driven or pinned node capacitively
+attached to the cluster does.  delay_estimate's worst settling time is the
+one delay figure.  Event energy is 0.5 * C * dV**2, and
 measure turns a waveform's energy into average power.
 """
 
@@ -91,7 +86,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
 from .errors import ConfigError, NoPath, NonConvergent, Unresolvable, _finite
@@ -155,10 +150,9 @@ class _Compiled:
     """A flattened, validated netlist on integer node indices, with the
     solves run on it; see _compile.  It holds no reference to the Netlist, so
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
-    order, so the smallest index is also the smallest name.  Its per-node FET
-    lists are built once, in one walk of the devices; its partitions once per
-    pinned set, on the first solve that pins it (see _solve), and they keep
-    their result tables for as long as the compiled form lives."""
+    order, so the smallest index is also the smallest name.  Its partitions
+    are built once per pinned set, on the first solve that pins it (see
+    _solve), and keep their result tables while the compiled form lives."""
 
     cfg: SimConfig
     contents: tuple                                 # Netlist._contents()
@@ -167,7 +161,6 @@ class _Compiled:
     index: dict[str, int]
     # drain, gate, source, is_nfet, vth, on-resistance
     fets: list[tuple[int, int, int, bool, float, float]]
-    fanout: list[list[int]]                         # per node, the FETs it is a terminal of
     # per node, (other terminal, on-resistance, gate, FET) per channel, in device
     # order: timing keeps the gate of the first of tied parallel FETs (ROADMAP item 2)
     channels: list[list[tuple[int, float, int, int]]]
@@ -180,28 +173,25 @@ class _Compiled:
 
 
 class _Region(NamedTuple):
-    """Unpinned nodes joined by channels and capacitors, with getters for
-    its key: the flags of its channels (its FETs) and the levels of its pins,
-    the pinned nodes on its feeds and its nodes' pinned capacitor neighbors.
-    In rank order the flags are also its conducting set's record.  Its table
-    maps a key to _resolve of its shape and that key; regions of one shape in
-    a partition hold the same table (see _regions)."""
+    """Unpinned nodes joined by channels and capacitors, and the FETs with a
+    channel terminal among them; or one FET between two pins and no nodes.
+    key_of reads the levels at its slots, its nodes and then its reads.  Its
+    table maps a key to its row, _resolve of its shape and that key; regions
+    of one shape in a partition hold the same table (see _regions)."""
 
     nodes: list[int]                        # unpinned, ascending
-    flags_of: Callable[[Sequence], tuple]   # a per-FET list's items at its channels
-    pins_of: Callable[[Sequence], tuple]    # a per-node list's items at its pins
-    shape: tuple                            # (node count, channels, capacitors) in slots
-    table: dict[tuple, tuple[tuple, tuple]]     # key -> (levels, strengths) of nodes
+    fets: list[int]                         # in shape order: links, then feeds
+    key_of: Callable[[Sequence], tuple]     # a per-node list's items at its slots
+    shape: tuple                            # (node count, FETs, capacitors) in slots
+    table: dict[tuple, tuple]               # key -> row, see _resolve
 
 
 class _Partition(NamedTuple):
-    """The regions of one pinned set and their rank; see _regions.  A
-    component of ranks is its regions, its FETs and a getter of the record of
-    their conducting set from the per-FET flags."""
+    """The regions of one pinned set, their readers and rank; see _regions."""
 
     regions: list[_Region]
-    fet_region: list[int]       # per FET, its region; -1 when both channel terminals are pinned
-    ranks: list[tuple] | None   # one component per region, in rank order; None on a cycle
+    readers: list[list[int]]    # per node, the regions that read it from outside
+    ranks: list[int] | None     # the regions in rank order; None on a cycle
 
 
 @dataclass
@@ -226,7 +216,6 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
     names = sorted(flat.node_ids())
     index = {name: i for i, name in enumerate(names)}
     fets: list[tuple[int, int, int, bool, float, float]] = []
-    fanout: list[list[int]] = [[] for _ in names]
     channels: list[list[tuple[int, float, int, int]]] = [[] for _ in names]
     cap_adj: list[list[tuple[int, float]]] = [[] for _ in names]
     fixed = [float(cfg.vdd) if m == VDD else 0.0 if m == GND else None for m in names]
@@ -235,8 +224,6 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
             k, r = len(fets), R_ON_PER_TUBE / d.tubes
             dr, g, s = index[d.drain], index[d.gate], index[d.source]
             fets.append((dr, g, s, d.polarity is Polarity.NFET, threshold_voltage(d.chirality), r))
-            for i in {dr, g, s}:
-                fanout[i].append(k)
             channels[dr].append((s, r, g, k))
             channels[s].append((dr, r, g, k))
         elif isinstance(d, Capacitor):
@@ -250,7 +237,7 @@ def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
         terms[index[node]].append(cfg.c_out_load)
     node_cap = list(map(math.fsum, terms))      # exact, so device order cannot matter
     comp = n._compiled = _Compiled(cfg, contents, sorted(flat.inputs), names, index, fets,
-                                   fanout, channels, cap_adj, node_cap, fixed)
+                                   channels, cap_adj, node_cap, fixed)
     return comp
 
 
@@ -315,16 +302,17 @@ def _items(idx: list[int]) -> Callable[[Sequence], tuple]:
 def _regions(fets: list[tuple[int, int, int, bool, float, float]],
              cap_adj: list[list[tuple[int, float]]],
              pinned: Sequence[bool]) -> _Partition:
-    """The partition of a pinned set.  Its regions are the unpinned nodes
-    joined by the channels and capacitors between unpinned nodes, and a FET's
-    region is that of an unpinned channel terminal, -1 when both are pinned.
-    One walk of the FETs also gives the feeds: region A feeds region B when a
-    FET of B has its gate in A.
-    Each region is a component of the rank, after every region that feeds it
-    (Kahn); ranks is None when the regions feed each other in a cycle.  A
-    region's shape is its channels (links, then feeds) and capacitors in its
-    own node slots (position in nodes) and pin slots (~position in pins);
-    regions of one shape share a table."""
+    """The partition of a pinned set: the unpinned nodes joined by the
+    channels and capacitors between unpinned nodes, each with the FETs that
+    have a channel terminal among them, then a region with no nodes per FET
+    whose channel terminals are both pinned.  A region's slots are its nodes,
+    then its reads in the order its FETs (links, then feeds, each in FET
+    order; channel terminal, gate, other channel terminal) and capacitors
+    meet them.  Its shape is its node count, FETs as (channel, gate, other
+    channel, is_nfet, vth) in slots and sorted (slot, slot, farads)
+    capacitors; regions of one shape share a table.  Region A feeds B when B
+    reads a node of A (readers), and each region is ranked after all that
+    feed it (Kahn); ranks is None when the regions feed each other in a cycle."""
     parent = list(range(len(pinned)))
     for a, b in itertools.chain(((d, s) for d, _, s, _, _, _ in fets),
                                 ((a, b) for a, adj in enumerate(cap_adj) for b, _ in adj)):
@@ -333,64 +321,74 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
     roots: dict[int, int] = {}
     node_region = [-1 if p else roots.setdefault(_find(parent, i), len(roots))
                    for i, p in enumerate(pinned)]
-    members: list[list[int]] = [[] for _ in roots]
-    channels: list[list[tuple[bool, int, int, int]]] = [[] for _ in roots]
-    feeds: list[list[int]] = [[] for _ in roots]
-    waits = [0] * len(roots)                # per region, the feeds from regions not yet ranked
+    fet_rows: list[list[tuple]] = [[] for _ in roots]       # per region, its FETs
+    for k, (d, g, s, is_nfet, vth, _) in enumerate(fets):
+        a, b = (s, d) if pinned[d] else (d, s)      # a is unpinned unless both are
+        if (r := node_region[a]) < 0:               # both pinned: a region with no nodes
+            r = len(fet_rows)
+            fet_rows.append([])
+        fet_rows[r].append((pinned[b], k, a, g, b, is_nfet, vth))
+    members: list[list[int]] = [[] for _ in fet_rows]
     for i, r in enumerate(node_region):
         if r >= 0:
             members[r].append(i)
-    fet_region: list[int] = []
-    for k, (d, g, s, _, _, _) in enumerate(fets):
-        a, b = (s, d) if pinned[d] else (d, s)      # a is unpinned unless both are
-        fet_region.append(r := node_region[a])
-        if r >= 0:
-            channels[r].append((pinned[b], k, a, b))
-            if (q := node_region[g]) >= 0 and q != r:
-                feeds[q].append(r)
+    tables: dict[tuple, dict] = {}
+    regions = []
+    readers: list[list[int]] = [[] for _ in pinned]
+    waits = [0] * len(fet_rows)             # per region, its reads in regions not yet ranked
+    for r, (nodes, own) in enumerate(zip(members, fet_rows)):
+        own.sort()                          # links, then feeds, each in FET order
+        caps = [(m, o, farads) for m in nodes for o, farads in cap_adj[m]]
+        touched = itertools.chain((m for row in own for m in row[2:5]), (o for _, o, _ in caps))
+        slots = nodes + [m for m in dict.fromkeys(touched) if node_region[m] != r]
+        slot = {m: j for j, m in enumerate(slots)}
+        shape = (len(nodes), tuple((slot[a], slot[g], slot[b], is_nfet, vth)
+                                   for _, _, a, g, b, is_nfet, vth in own),
+                 tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
+        regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots), shape,
+                               tables.setdefault(shape, {})))
+        for m in slots[len(nodes):]:
+            if node_region[m] >= 0:         # an outside gate: its region feeds r
+                readers[m].append(r)
                 waits[r] += 1
     order = [r for r, wait in enumerate(waits) if not wait]
     for q in order:
-        for r in feeds[q]:
-            waits[r] -= 1
-            if not waits[r]:
-                order.append(r)
-    tables: dict[tuple, dict] = {}
-    regions = []
-    components = []                         # per region, itself as a component
-    for r, (nodes, rchannels) in enumerate(zip(members, channels)):
-        rchannels.sort()                    # links, then feeds, each in FET order
-        own = [k for _, k, _, _ in rchannels]
-        caps = [(m, other, farads) for m in nodes for other, farads in cap_adj[m]]
-        pins = list(dict.fromkeys(itertools.chain((b for fed, _, _, b in rchannels if fed),
-                                                  (o for _, o, _ in caps if pinned[o]))))
-        slot = {m: j for j, m in enumerate(nodes)}
-        slot.update((p, ~j) for j, p in enumerate(pins))
-        shape = (len(nodes), tuple((slot[a], slot[b]) for _, _, a, b in rchannels),
-                 tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
-        regions.append(_Region(nodes, _items(own), _items(pins), shape,
-                               tables.setdefault(shape, {})))
-        components.append(((r,), own, regions[r].flags_of))
-    ranks = [components[r] for r in order] if len(order) == len(regions) else None
-    return _Partition(regions, fet_region, ranks)
+        for m in members[q]:
+            for r in readers[m]:
+                waits[r] -= 1
+                if not waits[r]:
+                    order.append(r)
+    return _Partition(regions, readers, order if len(order) == len(regions) else None)
 
 
-def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
-    """The next (levels, strengths) of a region's nodes in slot order, from
-    its shape (see _regions), the conduction flag of each of its channels and
-    the level of each of its pin slots.  It reads nothing else, so a row is a
-    function of its table's key."""
-    count, channels, caps = shape
+def _resolve(shape: tuple, key: tuple) -> tuple[tuple, tuple, tuple, bool]:
+    """A region's row, its whole step, from its shape (see _regions) and the
+    levels at its slots: its nodes' next levels and strengths, its FETs'
+    flags on the key, and whether they hold on the next levels.  It reads
+    nothing else, so a row is a function of its table's key."""
+    count, fets, caps = shape
+
+    def conducting(lv: Sequence) -> tuple[bool, ...]:
+        # each FET's flag on lv: its reference is its lower (nfet) or upper (pfet)
+        # channel level that is not 'x' or 'z'; without one, or at such a gate, off
+        on = []
+        for a, g, b, is_nfet, vth in fets:
+            vg, va, vb = lv[g], lv[a], lv[b]
+            ref = vb if type(va) is str else va if type(vb) is str \
+                else (va if va <= vb else vb) if is_nfet else (va if va >= vb else vb)
+            on.append(type(vg) is not str and type(ref) is not str
+                      and switch_on(is_nfet, vg, ref, vth))
+        return tuple(on)
+
+    flags = conducting(key)
     parent = list(range(count))
     drive: dict[int, set[float]] = {}       # group root -> pinned levels driving it
-    for (a, b), on in zip(channels, flags):     # every link comes before every feed
-        if not on:
-            continue
-        if b >= 0:
+    for (a, _, b, _, _), on in zip(fets, flags):    # every link comes before every feed
+        if on and b < count:
             _union(parent, a, b)
-        else:
-            drive.setdefault(_find(parent, a), set()).add(pins[~b])
-    levels: list[float | str] = [Z] * count
+        elif on and a < count:              # a FET between two pins drives no node
+            drive.setdefault(_find(parent, a), set()).add(key[b])
+    levels: list[float | str] = [Z] * count + list(key[count:])     # per slot
     strengths: list[Strength | None] = [None] * count
     for m in range(count):
         driven = drive.get(_find(parent, m))
@@ -403,13 +401,12 @@ def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
     # each charged by its capacitors to pins and driven nodes
     floating = [m for m in range(count) if strengths[m] is None]
     for m, o, _ in caps:
-        if o >= 0 and strengths[m] is None and strengths[o] is None:
+        if o < count and strengths[m] is None and strengths[o] is None:
             _union(parent, m, o)
     terms: dict[int, list[tuple[float, float | str]]] = {}
     for m, o, farads in caps:
-        if strengths[m] is None and (o < 0 or strengths[o] is not None):
-            level = pins[~o] if o < 0 else levels[o]
-            terms.setdefault(_find(parent, m), []).append((farads, level))
+        if strengths[m] is None and (o >= count or strengths[o] is not None):
+            terms.setdefault(_find(parent, m), []).append((farads, levels[o]))
     charged: dict[int, float | str] = {}    # cluster root -> level
     for root, cluster in terms.items():
         # summed exactly, so the level cannot depend on device order
@@ -422,13 +419,13 @@ def _resolve(shape: tuple, flags: tuple, pins: tuple) -> tuple[tuple, tuple]:
         level = charged.get(_find(parent, m))
         if level is not None:
             levels[m], strengths[m] = level, Strength.CHARGED
-    return tuple(levels), tuple(strengths)
+    return tuple(levels[:count]), tuple(strengths), flags, conducting(levels) == flags
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     """The steady state under pins: settled in rank order, or as one
-    component of every region and FET when the regions feed a cycle or a
-    region in rank order repeats a conducting set."""
+    component of every region when the regions feed a cycle or a region in
+    rank order repeats a conducting set."""
     pinned = tuple(p is not None for p in pins)
     if pinned not in comp.regions:
         comp.regions[pinned] = _regions(comp.fets, comp.cap_adj, pinned)
@@ -438,63 +435,53 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
             return _settle(comp, pins, part, part.ranks)
         except NonConvergent:
             pass        # a region repeated a conducting set: settle as one, below
-    whole = (range(len(part.regions)), range(len(comp.fets)), bytes)
-    return _settle(comp, pins, part, [whole], comp.fanout)
+    return _settle(comp, pins, part, None)
 
 
 def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
-            components: list[tuple], fanout: list[list[int]] | None = None) -> _Solve:
-    """The steady state from all-'z': each component in turn, settled by
-    sweeps.  Without fanout (rank order) each sweep re-evaluates all of the
-    component's FETs; with it (one component) only the fanout of each node
-    whose level the last sweep changed.  Raises NonConvergent when a
-    component repeats a conducting set of its FETs."""
-    fets = comp.fets
-    regions, fet_region, _ = part
+            rank: list[int] | None) -> _Solve:
+    """The steady state from all-'z', by region rows alone: each component
+    in turn, settled by sweeps that read all their rows before writing any.
+    In rank order a component is one region, read until its row's flags
+    hold, and its record is its own FETs' flags.  Without a rank one
+    component reads every region, then the regions whose row's flags do not
+    hold and the readers of the nodes that changed; its record is every
+    FET's flag.  Raises NonConvergent when a component repeats a record."""
+    regions, readers, _ = part
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
-    flags = bytearray(len(fets))            # conducting FETs, as of the last sweep
-    for own_regions, own_fets, record in components:
-        todo: Iterable[int] = own_fets
-        seen: dict[Hashable, int] = {}      # its conducting set's record -> sweep seen at
+    flags = bytearray(len(comp.fets))       # conducting FETs, as of the last rows read
+
+    def step(r: int) -> tuple:
+        _, _, key_of, shape, table = regions[r]
+        key = key_of(levels)
+        row = table.get(key)
+        if row is None:
+            if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
+                table.clear()
+            row = table[key] = _resolve(shape, key)
+        return row
+
+    for todo in [range(len(regions))] if rank is None else ([r] for r in rank):
+        seen: dict[Hashable, int] = {}      # its record -> sweep seen at
         for sweep in itertools.count():
-            # conduction from the previous sweep's snapshot, for the FETs that
-            # can have toggled; only a region whose FETs toggled can change
-            toggled = set()
-            for k in todo:
-                d, g, s, is_nfet, vth, _ = fets[k]
-                vg, vd, vs = levels[g], levels[d], levels[s]
-                if type(vg) is str or type(vd) is str and type(vs) is str:     # 'x' or 'z'
-                    on = False
-                else:
-                    ref = vs if type(vd) is str else vd if type(vs) is str \
-                        else (vd if vd <= vs else vs) if is_nfet else (vd if vd >= vs else vs)
-                    on = switch_on(is_nfet, vg, ref, vth)
-                if on != flags[k]:
-                    flags[k] = on
-                    toggled.add(fet_region[k])
+            rows = [(r, step(r)) for r in todo]
             changed: list[int] = []         # nodes whose level or strength changed
-            if fanout is not None:
-                todo = set()                # a strength alone does not change conduction
-            for r in (toggled - {-1} if sweep else own_regions):
-                nodes, flags_of, pins_of, shape, table = regions[r]
-                key = flags_of(flags), pins_of(pins)
-                row = table.get(key)
-                if row is None:
-                    if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
-                        table.clear()
-                    row = table[key] = _resolve(shape, *key)
-                for m, lvl, st in zip(nodes, *row):
-                    if levels[m] != lvl:
+            for r, (next_levels, next_strengths, on, _) in rows:
+                nodes, fets, *_ = regions[r]
+                for k, f in zip(fets, on):
+                    flags[k] = f
+                for m, lvl, st in zip(nodes, next_levels, next_strengths):
+                    if levels[m] != lvl or strengths[m] is not st:
                         changed.append(m)
-                        if fanout is not None:
-                            todo.update(fanout[m])
-                    elif strengths[m] is not st:
-                        changed.append(m)
-                    levels[m], strengths[m] = lvl, st
-            if not changed:
+                        levels[m], strengths[m] = lvl, st
+            # a region whose flags hold steps to itself until a read changes
+            todo = {r for r, row in rows if not row[3]}
+            if rank is None:
+                todo.update(q for m in changed for q in readers[m])
+            if not todo:
                 break
-            first = seen.setdefault(record(flags), sweep)
+            first = seen.setdefault(bytes(flags) if rank is None else rows[0][1][2], sweep)
             if first != sweep:
                 raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
     return _Solve(levels, strengths, flags)
@@ -526,9 +513,12 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     """Settling time of a node of some strength in the given steady state.
 
     The solve's first read grows the drive-path forest by one multi-source
-    Dijkstra.  A charged node waits on its drivers, a driven node on its
-    parent's branch and its own gate; a branch's time (key ~i) is its parent's
-    plus one gate.  An explicit stack, not the interpreter's, visits them depth
+    Dijkstra.  A charged node's cluster (the charged nodes joined to it by
+    capacitors) waits on every driven or pinned node capacitively attached to
+    it, and settles all its members at once, so a charged ladder is timed in
+    linear time; a driven node waits on its parent's branch and its own gate,
+    and a branch's time (key ~i) is its parent's plus one gate.  An explicit
+    stack, not the interpreter's, visits them depth
     first from node, in the frame order of a recursive walk over every gate on
     the path, and stops at keys the solve's memo holds.  The solve keeps the
     forest and the memo of settled keys, but not comp, and visiting is this
@@ -556,23 +546,31 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
         return memo[node]
     visiting: set[int] = set()
 
-    def frame(key: int) -> tuple[int, list[int], float, list[float]]:
-        # (key, the keys it waits on, its own delay, their times so far); only
-        # nodes of some strength get one, and the forest holds each DRIVEN node,
-        # as its group has a conducting feed from a pin.  Only nodes enter visiting.
+    def frame(key: int) -> tuple[list[int], list[int], float, list[float]]:
+        # (the keys it settles, the keys they wait on, their own delay, the
+        # times so far); only nodes of some strength get one, and the forest
+        # holds each DRIVEN node, as its group has a conducting feed from a
+        # pin.  Only nodes enter visiting.
         if key < 0:
             _, _, parent, gate = drive[~key]
-            return key, [~parent, gate], 0.0, []
+            return [key], [~parent, gate], 0.0, []
         visiting.add(key)
         if strengths[key] is Strength.DRIVEN:
             _, elmore, parent, gate = drive[key]
-            return key, [~parent, gate], elmore, []
-        return key, [o for o, _ in comp.cap_adj[key]
-                     if strengths[o] is not None and strengths[o] >= Strength.DRIVEN], 0.0, []
+            return [key], [~parent, gate], elmore, []
+        cluster, waits = [key], {}          # the charged nodes joined to key by capacitors
+        for m in cluster:
+            for o, _ in comp.cap_adj[m]:
+                if strengths[o] is not Strength.CHARGED:
+                    waits[o] = None         # DRIVEN or SUPPLY: a cluster has no 'z' neighbor
+                elif o not in visiting:
+                    visiting.add(o)
+                    cluster.append(o)
+        return cluster, list(waits), 0.0, []
 
     stack = [frame(node)]
     while True:
-        key, waits, delay, times = stack[-1]
+        keys, waits, delay, times = stack[-1]
         while len(times) < len(waits):
             other = waits[len(times)]
             if other in memo:
@@ -583,9 +581,11 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
                 stack.append(frame(other))
                 break
         else:
-            # a key settles its own delay after the last key it waits on
-            t = memo[key] = max(times, default=0.0) + delay
-            visiting.discard(key)
+            # keys settle their own delay after the last key they wait on
+            t = max(times, default=0.0) + delay
+            for k in keys:
+                memo[k] = t
+                visiting.discard(k)
             stack.pop()
             if not stack:
                 return t

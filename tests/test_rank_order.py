@@ -6,8 +6,8 @@ tests/reference_sim.py, which sweeps every region from the start.  So the two
 are compared on a seeded family wider than the golden corpus: netlists drawn
 from a larger node pool, inverter chains with a capacitor on every stage,
 uncapped pass chains (one region that settles a stage per sweep), rings
-(whose rank graph is cyclic; some gate a FET between two inputs, whose flag
-only the cycle's record reads) and ripple adds."""
+(whose rank graph is cyclic; some gate a FET between two inputs, a region with
+no nodes whose flag only the cycle's record reads) and ripple adds."""
 
 import itertools
 import random
@@ -64,8 +64,8 @@ def test_rings_match_the_reference():
             n = parse(_ring(length, gated))
             for assign in _assigns(random.Random(length), n.inputs, 4):
                 reference_sim.check(n, assign)
-    # an odd ring drives y, the gate of a FET between the inputs a and b: no
-    # region holds that FET, and only a cycle's one component sweeps it
+    # an odd ring drives y, the gate of a FET between the inputs a and b: that
+    # FET is a region with no nodes, and only the cycle's record reads its flag
     for length, kick, polarity, vdd in itertools.product((3, 5, 7), "ab", ("nfet", "pfet"),
                                                          VDDS):
         last = f"n{length - 1}"

@@ -94,6 +94,32 @@ def test_ripple_hits_are_exact(check):
     assert check.hits() > 1000
 
 
+def test_a_warm_ripple_solve_evaluates_no_fet(monkeypatch):
+    # a region's row is its whole step, so once the tables hold every key a
+    # 16-trit add meets, its solve is lookups alone
+    n = parse(ripple_text(16))
+    rng = random.Random(16)
+    levels = CFG.vmap().levels()
+
+    def add():
+        inputs = {f"{p}{i}": levels[rng.randrange(3)] for p in "ab" for i in range(16)}
+        steady_state(n, {**inputs, "c0": levels[rng.randrange(3)]}, CFG)
+
+    for _ in range(300):
+        add()
+    calls = {"switch_on": 0, "_solve": 0}
+
+    def counted(name):
+        def call(*args, _real=getattr(sim, name)):
+            calls[name] += 1
+            return _real(*args)
+        return call
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name))
+    add()
+    assert calls == {"switch_on": 0, "_solve": 1}
+
+
 def test_regions_of_one_cell_shape_share_a_table():
     n = parse(ripple_text(4))
     levels = CFG.vmap().levels()

@@ -382,6 +382,61 @@ def test_charged_node_tracks_its_driver():
     assert delay_estimate(n, "m", CFG, {"a": 0.9}) == 0.0
 
 
+# an inverter pair drives y; m and k share y's charge through a capacitor
+# ladder to GND, k with no driven neighbor of its own
+CHARGED_LADDER = (".input a\nMp0 n0 a VDD pfet 19 0 1\nMn0 n0 a GND nfet 19 0 1\n"
+                  "C0 n0 GND 5f\nMp1 y n0 VDD pfet 19 0 1\nMn1 y n0 GND nfet 19 0 1\n"
+                  "C1 y m 1f\nC2 m k 1f\nC3 k GND 1f\n")
+
+
+def test_a_charged_node_waits_on_every_driver_of_its_cluster():
+    # k settled at 0 s, before n0 and y that set its level, when it waited on
+    # its own capacitor neighbors only
+    n = net(CHARGED_LADDER)
+    sigs = steady_state(n, {"a": 0.9}, CFG)
+    assert sigs["m"] == sigs["k"] == Signal(0.44999999999999996, Strength.CHARGED)
+    assert [delay_estimate(n, node, CFG, {"a": 0.9}) for node in "ymk"] == \
+        [1.8000000000000002e-10] * 3
+    w = transient(n, [(0.0, {"a": 0.0}), (1e-9, {"a": 0.9})], CFG)
+    assert [(e.time, e.node) for e in w.events] == [
+        (1e-9, "a"), (1.1500000000000002e-09, "n0"), (1.18e-9, "k"), (1.18e-9, "m"),
+        (1.18e-9, "y")]
+
+
+def test_one_read_times_every_node_of_a_charged_ladder():
+    # the cluster settles all its members at once, so timing each node of a
+    # ladder stays linear in its length
+    depth = 2000
+    n = net(".input a\nMp y a VDD pfet 19 0 1\nMn y a GND nfet 19 0 1\nC0 y m0 1f\n"
+            + "".join(f"C{k} m{k - 1} m{k} 1f\n" for k in range(1, depth))
+            + f"C{depth} m{depth - 1} GND 1f\n")
+    t = delay_estimate(n, f"m{depth - 1}", CFG, {"a": 0.0})
+    assert t == delay_estimate(n, "y", CFG, {"a": 0.0}) == pytest.approx(30e3 * 1e-15)
+    comp = n._compiled
+    (solve,) = comp.solves.values()
+    assert all(solve.memo[comp.index[f"m{k}"]] == t for k in range(depth))
+
+
+# Two timing ties that read device order or node names.  ROADMAP item 2 is to
+# replace them on purpose with a rule that reads neither; until then these
+# pin them, so that a change to the forest cannot move them silently.
+def test_parallel_fets_tie_on_the_one_listed_first():
+    base = ".input a\nMp g GND VDD pfet 19 0 3\nC1 g GND 1f\nC2 y GND 1f\n"
+    first, second = "Mn1 y a GND nfet 19 0 3\n", "Mn2 y g GND nfet 19 0 3\n"
+    assert delay_estimate(net(base + first + second), "y", CFG, {"a": 0.9}) == \
+        1.0000000000000001e-11
+    assert delay_estimate(net(base + second + first), "y", CFG, {"a": 0.9}) == \
+        2.0000000000000002e-11
+
+
+def test_parallel_paths_tie_on_the_middle_node_named_first():
+    paths = (".input a\n.probe y\nMu1 p a VDD pfet 19 0 3\nMv1 y a p pfet 19 0 3\n"
+             "Mu2 q a VDD pfet 19 0 3\nMv2 y a q pfet 19 0 3\n")
+    p_light, q_light = "C1 p GND 1f\nC2 q GND 5f\n", "C1 q GND 1f\nC2 p GND 5f\n"
+    assert delay_estimate(net(paths + p_light), "y", CFG, {"a": 0.0}) == 3e-11
+    assert delay_estimate(net(paths + q_light), "y", CFG, {"a": 0.0}) == 7.000000000000002e-11
+
+
 def test_delay_errors():
     n = net(".input a\nMn y a GND nfet 19 0 3\n")
     with pytest.raises(NoPath):
