@@ -36,10 +36,14 @@ neighbors its FETs and capacitors touch.  Its key is the levels at its slots,
 and its row, _resolve of its shape and key, is its whole step: its FETs'
 flags on the key, its next levels and strengths, and whether those flags
 still hold on them.  _resolve reads nothing else, so regions of equal shape
-in one partition share one result table exactly, by construction, and only a
-miss evaluates a FET.  Every pin is a float and -0.0 V is 0.0 V, so equal
-keys are equal inputs.  A table is cleared at TABLE_ROWS rows, which bounds
-it under an analog input sweep.
+share one result table exactly, by construction, within a partition and
+across every compiled netlist of the process, and only a miss evaluates a
+FET: a netlist built again, as each sweep point builds its adder, meets the
+rows the first one filled.  Every pin is a float and -0.0 V is 0.0 V, so
+equal keys are equal inputs.  A table is cleared at TABLE_ROWS rows, which
+bounds it under an analog input sweep, and the process holds at most
+TABLE_ROWS tables: a new shape drops the oldest one's, which the partitions
+holding it keep.
 Regions settle in rank order, as in COSMOS (Bryant et al., DAC 1987): region
 A feeds region B when B reads a node of A, and B settles from all-'z' after
 every region that feeds it.  Nothing of B feeds those regions, so its reads
@@ -59,13 +63,17 @@ nodes that keep changing there; its record holds every FET's flag.  There are
 finitely many conducting sets, so every solve ends.
 
 Timing is first-order RC, and on demand: delay_estimate times its output and
-transient the nodes whose level changed.  A solve's first timing read grows
-one shortest-path forest by accumulated on-resistance (R_ON_PER_TUBE / tubes
-per device) from every pinned node over the conducting FETs, and the solve
-keeps it with the times settled so far.  On equal resistance a node keeps the
-parent popped first, the lower (resistance, node index), and of parallel FETs
-from that parent the gate of the one listed first: the forest relaxes the
-compiled channels in device order (ROADMAP item 2).  A driven node's stage
+transient the nodes whose level changed.  Timing reads grow a shortest-path
+forest by accumulated on-resistance (R_ON_PER_TUBE / tubes per device) from
+the pinned nodes over the conducting FETs, a region at a time, when the walk
+first meets a driven node of it, and the solve keeps what it grew with the
+times settled so far.  A conducting channel leaves a region only to a pin,
+and no path passes a pin, so a region's part is one Dijkstra from the pins
+of its conducting feeds.  On equal resistance a node keeps the parent popped
+first, the lower (resistance, node index), and of parallel FETs from that
+parent the gate of the one listed first: a region relaxes its feeds in (pin,
+FET) order and the compiled channels in device order, as one Dijkstra from
+every pin would (ROADMAP item 2).  A driven node's stage
 delay is the Elmore sum along its branch of accumulated on-resistance times
 node capacitance; the stage starts when the last gate on the branch settles.
 A branch waits on its parent's and one gate more, so timing is linear in path
@@ -117,8 +125,11 @@ class Signal:
 # R_ON_PER_TUBE / N.  A model constant, not a published value.
 R_ON_PER_TUBE = 30e3
 
-# Rows a region result table holds before it is cleared (see _solve).
+# Rows a region result table holds before it is cleared (see _settle), and
+# tables the process holds, one per region shape (see _table).
 TABLE_ROWS = 1024
+
+_TABLES: dict[tuple, dict[tuple, tuple]] = {}   # shape -> its result table, oldest first
 
 
 @dataclass(frozen=True)
@@ -192,6 +203,7 @@ class _Partition(NamedTuple):
     regions: list[_Region]
     readers: list[list[int]]    # per node, the regions that read it from outside
     ranks: list[int] | None     # the regions in rank order; None on a cycle
+    node_region: list[int]      # per node, its region; -1 where it is pinned
 
 
 @dataclass
@@ -199,8 +211,11 @@ class _Solve:
     levels: list[float | str]          # per node index
     strengths: list[Strength | None]   # per node index
     flags: bytearray                   # per FET index, 1 where it conducts
-    drive: dict[int, tuple] | None = None  # the forest, kept from the first timing read
-    memo: dict[int, float] = field(default_factory=dict)   # settled times; see _arrival
+    part: _Partition                   # the partition it settled on
+    # from the first timing read: the forest grown so far and the settled
+    # times, see _arrival
+    drive: dict[int, tuple] | None = None
+    memo: dict[int, float] | None = None
 
 
 def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
@@ -299,6 +314,19 @@ def _items(idx: list[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: tuple(seq[i] for i in idx)
 
 
+def _table(shape: tuple) -> dict[tuple, tuple]:
+    """The process's result table for a region shape.  _resolve reads only
+    the shape and key, so one table serves every partition of every
+    compiled netlist.  Holding TABLE_ROWS shapes, a new shape drops the
+    oldest one's table; a partition keeps the tables it holds."""
+    table = _TABLES.get(shape)
+    if table is None:
+        if len(_TABLES) >= TABLE_ROWS:
+            del _TABLES[next(iter(_TABLES))]
+        table = _TABLES[shape] = {}
+    return table
+
+
 def _regions(fets: list[tuple[int, int, int, bool, float, float]],
              cap_adj: list[list[tuple[int, float]]],
              pinned: Sequence[bool]) -> _Partition:
@@ -310,9 +338,10 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
     order; channel terminal, gate, other channel terminal) and capacitors
     meet them.  Its shape is its node count, FETs as (channel, gate, other
     channel, is_nfet, vth) in slots and sorted (slot, slot, farads)
-    capacitors; regions of one shape share a table.  Region A feeds B when B
-    reads a node of A (readers), and each region is ranked after all that
-    feed it (Kahn); ranks is None when the regions feed each other in a cycle."""
+    capacitors; regions of one shape share a table (see _table).  Region A
+    feeds B when B reads a node of A (readers), and each region is ranked
+    after all that feed it (Kahn); ranks is None when the regions feed each
+    other in a cycle."""
     parent = list(range(len(pinned)))
     for a, b in itertools.chain(((d, s) for d, _, s, _, _, _ in fets),
                                 ((a, b) for a, adj in enumerate(cap_adj) for b, _ in adj)):
@@ -332,7 +361,6 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
     for i, r in enumerate(node_region):
         if r >= 0:
             members[r].append(i)
-    tables: dict[tuple, dict] = {}
     regions = []
     readers: list[list[int]] = [[] for _ in pinned]
     waits = [0] * len(fet_rows)             # per region, its reads in regions not yet ranked
@@ -346,7 +374,7 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
                                    for _, _, a, g, b, is_nfet, vth in own),
                  tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
         regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots), shape,
-                               tables.setdefault(shape, {})))
+                               _table(shape)))
         for m in slots[len(nodes):]:
             if node_region[m] >= 0:         # an outside gate: its region feeds r
                 readers[m].append(r)
@@ -358,7 +386,8 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
                 waits[r] -= 1
                 if not waits[r]:
                     order.append(r)
-    return _Partition(regions, readers, order if len(order) == len(regions) else None)
+    return _Partition(regions, readers, order if len(order) == len(regions) else None,
+                      node_region)
 
 
 def _resolve(shape: tuple, key: tuple) -> tuple[tuple, tuple, tuple, bool]:
@@ -447,7 +476,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
     component reads every region, then the regions whose row's flags do not
     hold and the readers of the nodes that changed; its record is every
     FET's flag.  Raises NonConvergent when a component repeats a record."""
-    regions, readers, _ = part
+    regions, readers, *_ = part
     levels: list[float | str] = [Z if p is None else p for p in pins]
     strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
     flags = bytearray(len(comp.fets))       # conducting FETs, as of the last rows read
@@ -484,7 +513,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
             first = seen.setdefault(bytes(flags) if rank is None else rows[0][1][2], sweep)
             if first != sweep:
                 raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
-    return _Solve(levels, strengths, flags)
+    return _Solve(levels, strengths, flags, part)
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -509,53 +538,79 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
 # ---------------------------------------------------------------------------
 # first-order timing
 
+def _grow(comp: _Compiled, solve: _Solve, r: int) -> None:
+    """Adds region r's branches to the solve's drive forest: node ->
+    (resistance from its driver, Elmore sum, parent, gate of the FET from the
+    parent), by one Dijkstra over r's conducting FETs.  A conducting channel
+    from r leads to a node of r or to a pin, and no pin has a parent, so this
+    is r's part of one multi-source Dijkstra from every pin.  It relaxes the
+    pins' channels into r in (pin, FET) order, as that one pops the pins
+    (all at resistance 0) and then relaxes each in device order, so every
+    entry and every tie is the same as that one's."""
+    node_region, drive, flags = solve.part.node_region, solve.drive, solve.flags
+    seeds = []
+    for k in solve.part.regions[r].fets:
+        d, gate, s, _, _, res = comp.fets[k]
+        if flags[k] and (node_region[d] < 0) != (node_region[s] < 0):    # a conducting feed
+            pin, node = (d, s) if node_region[d] < 0 else (s, d)
+            seeds.append((pin, k, node, gate, res))
+    heap = []
+    for pin, _, node, gate, res in sorted(seeds):
+        if node not in drive or res < drive[node][0]:
+            drive[node] = (res, res * comp.node_cap[node], pin, gate)
+            heapq.heappush(heap, (res, node))
+    while heap:
+        dist, cur = heapq.heappop(heap)
+        res, elmore, _, _ = drive[cur]
+        if dist > res:
+            continue
+        for other, r_on, gate, k in comp.channels[cur]:
+            nd = dist + r_on
+            if flags[k] and node_region[other] >= 0 and \
+                    (other not in drive or nd < drive[other][0]):
+                drive[other] = (nd, elmore + nd * comp.node_cap[other], cur, gate)
+                heapq.heappush(heap, (nd, other))
+
+
 def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     """Settling time of a node of some strength in the given steady state.
 
-    The solve's first read grows the drive-path forest by one multi-source
-    Dijkstra.  A charged node's cluster (the charged nodes joined to it by
-    capacitors) waits on every driven or pinned node capacitively attached to
-    it, and settles all its members at once, so a charged ladder is timed in
-    linear time; a driven node waits on its parent's branch and its own gate,
-    and a branch's time (key ~i) is its parent's plus one gate.  An explicit
-    stack, not the interpreter's, visits them depth
-    first from node, in the frame order of a recursive walk over every gate on
-    the path, and stops at keys the solve's memo holds.  The solve keeps the
-    forest and the memo of settled keys, but not comp, and visiting is this
-    read's, so a read names the same cycle node whatever was read before.
+    A driven node waits on its parent's branch in the drive-path forest and
+    on its own gate, and a branch's time (key ~i) is its parent's plus one
+    gate.  The forest grows a region at a time (see _grow), when the walk
+    first meets a driven node of it.  A charged node's cluster (the charged
+    nodes joined to it by capacitors) waits on every driven or pinned node
+    capacitively attached to it, and settles all its members at once, so a
+    charged ladder is timed in linear time.  An explicit stack, not the
+    interpreter's, visits them depth first from node, in the frame order of
+    a recursive walk over every gate on the path, and stops at keys the
+    solve's memo holds.  The solve keeps the forest and the memo of settled
+    keys, but not comp, and visiting is this read's, so a read names the
+    same cycle node whatever was read before.
     """
-    strengths, memo, drive, flags = solve.strengths, solve.memo, solve.drive, solve.flags
-    if drive is None:
-        # node -> (resistance from its driver, Elmore sum, parent, gate of the
-        # FET from the parent); on-resistances are positive, so pins keep parent -1
-        drive = solve.drive = {i: (0.0, 0.0, -1, -1)
-                               for i, st in enumerate(strengths) if st is Strength.SUPPLY}
-        heap = [(0.0, i) for i in drive]
-        memo.update((k, 0.0) for i in drive for k in (i, ~i))     # ~i: i's branch, see frame
-        while heap:
-            dist, cur = heapq.heappop(heap)
-            res, elmore, _, _ = drive[cur]
-            if dist > res:
-                continue
-            for other, r, gate, k in comp.channels[cur]:
-                nd = dist + r
-                if flags[k] and (other not in drive or nd < drive[other][0]):
-                    drive[other] = (nd, elmore + nd * comp.node_cap[other], cur, gate)
-                    heapq.heappush(heap, (nd, other))
+    strengths = solve.strengths
+    if solve.memo is None:
+        solve.drive = {}
+        # pins, and their branches (~i, see frame), settle at 0
+        solve.memo = {k: 0.0 for i, st in enumerate(strengths) if st is Strength.SUPPLY
+                      for k in (i, ~i)}
+    memo, drive = solve.memo, solve.drive
     if node in memo:
         return memo[node]
     visiting: set[int] = set()
 
     def frame(key: int) -> tuple[list[int], list[int], float, list[float]]:
         # (the keys it settles, the keys they wait on, their own delay, the
-        # times so far); only nodes of some strength get one, and the forest
-        # holds each DRIVEN node, as its group has a conducting feed from a
-        # pin.  Only nodes enter visiting.
+        # times so far); only nodes of some strength get one, and a DRIVEN
+        # node's region grows it into the forest, as its group has a
+        # conducting feed from a pin.  Only nodes enter visiting.
         if key < 0:
             _, _, parent, gate = drive[~key]
             return [key], [~parent, gate], 0.0, []
         visiting.add(key)
         if strengths[key] is Strength.DRIVEN:
+            if key not in drive:            # its region is not grown yet
+                _grow(comp, solve, solve.part.node_region[key])
             _, elmore, parent, gate = drive[key]
             return [key], [~parent, gate], elmore, []
         cluster, waits = [key], {}          # the charged nodes joined to key by capacitors

@@ -1,6 +1,7 @@
 """Region result tables: steady states read from the tables match the
 reference simulator (tests/reference_sim.py), regions of one shape share a
-table, and the table bound changes no result."""
+table, in one netlist and across every netlist of the process, and the
+table bound changes no result."""
 
 import itertools
 import random
@@ -11,8 +12,9 @@ import reference_sim
 from capture_signals import CORPUS_SEED, CORPUS_SIZE, VDDS
 from conftest import ripple_text
 from gen_netlists import random_netlist
-from tritsim import (BOTH_VARIANTS, BuildConfig, ConfigError, SimConfig,
-                     build_design, parse, sim, steady_state)
+from tritsim import (BOTH_VARIANTS, BuildConfig, ConfigError, SimConfig, SweepSpec,
+                     build_design, delay_estimate, parse, run_sweep, sim, steady_state,
+                     sweep_csv)
 
 CFG = SimConfig()
 
@@ -94,6 +96,20 @@ def test_ripple_hits_are_exact(check):
     assert check.hits() > 1000
 
 
+def _counted(monkeypatch, *names: str) -> dict[str, int]:
+    """Counts the calls of the named sim functions from now on."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        def call(*args, _real=getattr(sim, name)):
+            calls[name] += 1
+            return _real(*args)
+        return call
+    for name in names:
+        monkeypatch.setattr(sim, name, counted(name))
+    return calls
+
+
 def test_a_warm_ripple_solve_evaluates_no_fet(monkeypatch):
     # a region's row is its whole step, so once the tables hold every key a
     # 16-trit add meets, its solve is lookups alone
@@ -107,15 +123,7 @@ def test_a_warm_ripple_solve_evaluates_no_fet(monkeypatch):
 
     for _ in range(300):
         add()
-    calls = {"switch_on": 0, "_solve": 0}
-
-    def counted(name):
-        def call(*args, _real=getattr(sim, name)):
-            calls[name] += 1
-            return _real(*args)
-        return call
-    for name in calls:
-        monkeypatch.setattr(sim, name, counted(name))
+    calls = _counted(monkeypatch, "switch_on", "_solve")
     add()
     assert calls == {"switch_on": 0, "_solve": 1}
 
@@ -136,8 +144,54 @@ def test_regions_of_one_cell_shape_share_a_table():
     assert len({id(table) for table in _tables(n)}) < len(regions) / 4
 
 
+def test_a_second_build_of_a_design_evaluates_no_fet(monkeypatch):
+    # the second netlist is compiled afresh, but its regions have the shapes
+    # of the first one's, whose tables already hold every row it meets
+    calls = _counted(monkeypatch, "switch_on", "_solve")
+    for variant in BOTH_VARIANTS:
+        monkeypatch.setattr(sim, "_TABLES", {})
+        delay_estimate(build_design(variant, BuildConfig(vdd=0.9)), "sum", CFG)
+        calls.update(switch_on=0, _solve=0)
+        delay_estimate(build_design(variant, BuildConfig(vdd=0.9)), "sum", CFG)
+        assert calls == {"switch_on": 0, "_solve": 27}
+
+
+def test_a_sweep_reads_the_same_from_cold_and_warm_tables(monkeypatch):
+    monkeypatch.setattr(sim, "_TABLES", {})
+    calls = _counted(monkeypatch, "_resolve")
+    cold = sweep_csv(run_sweep(SweepSpec()))
+    # the five load points of a variant have the same shapes and keys
+    assert calls["_resolve"] <= 200
+    monkeypatch.setattr(sim, "_TABLES", {})
+    run_sweep(SweepSpec(axis="vdd"))
+    calls["_resolve"] = 0
+    assert sweep_csv(run_sweep(SweepSpec())) == cold
+    assert calls["_resolve"] == 0      # the vdd sweep met every shape and key at 0.9 V
+
+
+def test_the_process_holds_at_most_table_rows_tables(monkeypatch):
+    # every node m{k} is a region of its own shape, as its capacitor to the
+    # input differs; the oldest tables are dropped from the process, but
+    # not from the partition that holds them
+    monkeypatch.setattr(sim, "_TABLES", {})
+    count = sim.TABLE_ROWS + 50
+    n = parse("* shapes\n.input a\n"
+              + "".join(f"C{k}a a m{k} {k + 1}f\nC{k}g m{k} GND 1f\n" for k in range(count))
+              + ".end\n")
+    sigs = steady_state(n, {"a": 0.9}, CFG)
+    assert [sigs[f"m{k}"].level for k in range(count)] == \
+        pytest.approx([0.9 * (k + 1) / (k + 2) for k in range(count)])
+    (regions, *_), = n._compiled.regions.values()
+    assert len(regions) == count
+    assert len(sim._TABLES) == sim.TABLE_ROWS
+    assert [region.table is sim._TABLES.get(region.shape) for region in regions] == \
+        [False] * 50 + [True] * sim.TABLE_ROWS
+    assert all(len(region.table) == 1 for region in regions)
+
+
 def test_the_table_bound_changes_no_result(monkeypatch):
     def results():
+        monkeypatch.setattr(sim, "_TABLES", {})     # cold, so the bound applies to every row
         got = []
         for variant, vdd in itertools.product(BOTH_VARIANTS, VDDS):
             cfg = SimConfig(vdd=vdd)

@@ -264,6 +264,7 @@ def test_a_chain_evaluates_fets_in_proportion_to_its_depth(monkeypatch):
     monkeypatch.setattr(sim, "switch_on", counted)
     counts = []
     for depth in (300, 600):
+        monkeypatch.setattr(sim, "_TABLES", {})     # cold: the chains share their shapes
         evaluations = 0
         steady_state(net(inverter_chain(depth, cap="1f")), {"a": 0.0}, CFG)
         counts.append(evaluations)
@@ -417,8 +418,8 @@ def test_one_read_times_every_node_of_a_charged_ladder():
     assert all(solve.memo[comp.index[f"m{k}"]] == t for k in range(depth))
 
 
-# Two timing ties that read device order or node names.  ROADMAP item 2 is to
-# replace them on purpose with a rule that reads neither; until then these
+# Three timing ties that read device order or node names.  ROADMAP item 2 is
+# to replace them on purpose with a rule that reads neither; until then these
 # pin them, so that a change to the forest cannot move them silently.
 def test_parallel_fets_tie_on_the_one_listed_first():
     base = ".input a\nMp g GND VDD pfet 19 0 3\nC1 g GND 1f\nC2 y GND 1f\n"
@@ -435,6 +436,17 @@ def test_parallel_paths_tie_on_the_middle_node_named_first():
     p_light, q_light = "C1 p GND 1f\nC2 q GND 5f\n", "C1 q GND 1f\nC2 p GND 5f\n"
     assert delay_estimate(net(paths + p_light), "y", CFG, {"a": 0.0}) == 3e-11
     assert delay_estimate(net(paths + q_light), "y", CFG, {"a": 0.0}) == 7.000000000000002e-11
+
+
+def test_feeds_from_two_pins_tie_on_the_pin_named_first():
+    # y is fed through equal FETs from the inputs p and q; the one from the
+    # pin named first wins, whichever FET is listed first
+    base = ".input p\n.input q\nMp g GND VDD pfet 19 0 3\nC1 g GND 1f\nC2 y GND 1f\n"
+    slow, fast = "Mn1 y g {} nfet 19 0 3\n", "Mn2 y VDD {} nfet 19 0 3\n"
+    for first, second, want in (("q", "p", 1.0000000000000001e-11),
+                                ("p", "q", 2.0000000000000002e-11)):
+        n = net(base + slow.format(first) + fast.format(second))
+        assert delay_estimate(n, "y", CFG, {"p": 0.0, "q": 0.0}) == want
 
 
 def test_delay_errors():
