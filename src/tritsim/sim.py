@@ -80,10 +80,10 @@ A branch waits on its parent's and one gate more, so timing is linear in path
 depth.  A timing cycle raises NoPath only for a node that waits on it, naming
 the first node the walk from that node meets twice.  A charged node has no
 delay of its own: with its cluster, the charged nodes joined to it by
-capacitors, it settles when the last driven or pinned node capacitively
-attached to the cluster does.  delay_estimate's worst settling time is the
-one delay figure.  Event energy is 0.5 * C * dV**2, and
-measure turns a waveform's energy into average power.
+capacitors and conducting channels, it settles when the last driven or
+pinned node capacitively attached to the cluster does.  delay_estimate's
+worst settling time is the one delay figure.  Event energy is
+0.5 * C * dV**2, and measure turns a waveform's energy into average power.
 """
 
 from __future__ import annotations
@@ -579,7 +579,8 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     on its own gate, and a branch's time (key ~i) is its parent's plus one
     gate.  The forest grows a region at a time (see _grow), when the walk
     first meets a driven node of it.  A charged node's cluster (the charged
-    nodes joined to it by capacitors) waits on every driven or pinned node
+    nodes joined to it by capacitors and conducting channels, as _resolve
+    charges a floating group as one) waits on every driven or pinned node
     capacitively attached to it, and settles all its members at once, so a
     charged ladder is timed in linear time.  An explicit stack, not the
     interpreter's, visits them depth first from node, in the frame order of
@@ -588,7 +589,7 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     keys, but not comp, and visiting is this read's, so a read names the
     same cycle node whatever was read before.
     """
-    strengths = solve.strengths
+    strengths, flags = solve.strengths, solve.flags
     if solve.memo is None:
         solve.drive = {}
         # pins, and their branches (~i, see frame), settle at 0
@@ -613,12 +614,17 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
                 _grow(comp, solve, solve.part.node_region[key])
             _, elmore, parent, gate = drive[key]
             return [key], [~parent, gate], elmore, []
-        cluster, waits = [key], {}          # the charged nodes joined to key by capacitors
+        cluster, waits = [key], {}          # the charged nodes joined to key
         for m in cluster:
             for o, _ in comp.cap_adj[m]:
                 if strengths[o] is not Strength.CHARGED:
                     waits[o] = None         # DRIVEN or SUPPLY: a cluster has no 'z' neighbor
                 elif o not in visiting:
+                    visiting.add(o)
+                    cluster.append(o)
+            for o, _, _, k in comp.channels[m]:
+                # a conducting channel joins m's group, charged as one (see _resolve)
+                if flags[k] and strengths[o] is Strength.CHARGED and o not in visiting:
                     visiting.add(o)
                     cluster.append(o)
         return cluster, list(waits), 0.0, []

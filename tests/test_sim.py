@@ -404,6 +404,20 @@ def test_a_charged_node_waits_on_every_driver_of_its_cluster():
         (1.18e-9, "y")]
 
 
+def test_a_charged_node_joined_by_a_channel_waits_on_its_cluster():
+    # k is charged with m through a conducting pass FET and has no capacitor;
+    # it read 0 s, and its event landed before those of y and m, when the
+    # cluster followed capacitors only
+    n = net(".input a\nMp y a VDD pfet 19 0 1\nMn y a GND nfet 19 0 1\n"
+            "C1 y m 1f\nC2 m GND 1f\nMx k VDD m nfet 19 0 1\n")
+    sigs = steady_state(n, {"a": 0.9}, CFG)
+    assert sigs["m"] == sigs["k"] == Signal(0.0, Strength.CHARGED)
+    assert [delay_estimate(n, node, CFG, {"a": 0.9}) for node in "ymk"] == [3e-11] * 3
+    w = transient(n, [(0.0, {"a": 0.9}), (1e-9, {"a": 0.0})], CFG)
+    assert [(e.time, e.node) for e in w.events] == [
+        (1e-9, "a"), (1.03e-09, "k"), (1.03e-09, "m"), (1.03e-09, "y")]
+
+
 def test_one_read_times_every_node_of_a_charged_ladder():
     # the cluster settles all its members at once, so timing each node of a
     # ladder stays linear in its length
