@@ -41,9 +41,9 @@ across every compiled netlist of the process, and only a miss evaluates a
 FET: a netlist built again, as each sweep point builds its adder, meets the
 rows the first one filled.  Every pin is a float and -0.0 V is 0.0 V, so
 equal keys are equal inputs.  A table is cleared at TABLE_ROWS rows, which
-bounds it under an analog input sweep, and the process holds at most
-TABLE_ROWS tables: a new shape drops the oldest one's, which the partitions
-holding it keep.
+bounds it under an analog input sweep, and the process's tables are bounded
+in count and in slots, as a key and a shape grow with their region (see
+_Tables).
 Regions settle in rank order, as in COSMOS (Bryant et al., DAC 1987): region
 A feeds region B when B reads a node of A, and B settles from all-'z' after
 every region that feeds it.  Nothing of B feeds those regions, so its reads
@@ -125,11 +125,9 @@ class Signal:
 # R_ON_PER_TUBE / N.  A model constant, not a published value.
 R_ON_PER_TUBE = 30e3
 
-# Rows a region result table holds before it is cleared (see _settle), and
-# tables the process holds, one per region shape (see _table).
+# Rows a region result table holds before it is cleared, and tables the
+# process holds, one per region shape (see _Tables).
 TABLE_ROWS = 1024
-
-_TABLES: dict[tuple, dict[tuple, tuple]] = {}   # shape -> its result table, oldest first
 
 
 @dataclass(frozen=True)
@@ -314,19 +312,6 @@ def _items(idx: list[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: tuple(seq[i] for i in idx)
 
 
-def _table(shape: tuple) -> dict[tuple, tuple]:
-    """The process's result table for a region shape.  _resolve reads only
-    the shape and key, so one table serves every partition of every
-    compiled netlist.  Holding TABLE_ROWS shapes, a new shape drops the
-    oldest one's table; a partition keeps the tables it holds."""
-    table = _TABLES.get(shape)
-    if table is None:
-        if len(_TABLES) >= TABLE_ROWS:
-            del _TABLES[next(iter(_TABLES))]
-        table = _TABLES[shape] = {}
-    return table
-
-
 def _regions(fets: list[tuple[int, int, int, bool, float, float]],
              cap_adj: list[list[tuple[int, float]]],
              pinned: Sequence[bool]) -> _Partition:
@@ -338,7 +323,7 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
     order; channel terminal, gate, other channel terminal) and capacitors
     meet them.  Its shape is its node count, FETs as (channel, gate, other
     channel, is_nfet, vth) in slots and sorted (slot, slot, farads)
-    capacitors; regions of one shape share a table (see _table).  Region A
+    capacitors; regions of one shape share a table (see _Tables).  Region A
     feeds B when B reads a node of A (readers), and each region is ranked
     after all that feed it (Kahn); ranks is None when the regions feed each
     other in a cycle."""
@@ -374,7 +359,7 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
                                    for _, _, a, g, b, is_nfet, vth in own),
                  tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
         regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots), shape,
-                               _table(shape)))
+                               _TABLES.table(shape)))
         for m in slots[len(nodes):]:
             if node_region[m] >= 0:         # an outside gate: its region feeds r
                 readers[m].append(r)
@@ -388,6 +373,56 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
                     order.append(r)
     return _Partition(regions, readers, order if len(order) == len(regions) else None,
                       node_region)
+
+
+class _Tables:
+    """The process's region result tables, one per shape, oldest first.
+
+    _resolve reads only a region's shape and key, so one table serves every
+    partition of every compiled netlist.  A table is cleared at TABLE_ROWS
+    rows.  A row's key has a slot per level its region reads and a shape one
+    per FET and capacitor, so both grow with the region: past TABLE_ROWS
+    tables or TABLE_ROWS**2 slots, the oldest tables are dropped.  A
+    partition keeps the tables it holds, dropped or not."""
+
+    def __init__(self) -> None:
+        self.tables: dict[tuple, dict[tuple, tuple]] = {}   # shape -> key -> row
+        self.slots = 0                  # of the shapes and keys in tables
+
+    def table(self, shape: tuple) -> dict[tuple, tuple]:
+        table = self.tables.get(shape)
+        if table is None:
+            table = self.tables[shape] = {}
+            self.slots += _slots(shape, table)
+            self._trim()
+        return table
+
+    def row(self, shape: tuple, table: dict[tuple, tuple], key: tuple) -> tuple:
+        """_resolve(shape, key), entered in table, a table of that shape."""
+        held = self.tables.get(shape) is table
+        if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
+            if held:
+                self.slots -= sum(map(len, table))
+            table.clear()
+        row = table[key] = _resolve(shape, key)
+        if held:
+            self.slots += len(key)
+            self._trim()
+        return row
+
+    def _trim(self) -> None:
+        while len(self.tables) > TABLE_ROWS or self.slots > TABLE_ROWS * TABLE_ROWS:
+            shape = next(iter(self.tables))
+            self.slots -= _slots(shape, self.tables.pop(shape))
+
+
+def _slots(shape: tuple, table: dict[tuple, tuple]) -> int:
+    # a slot per FET and capacitor of the shape and per level of each key
+    _, fets, caps = shape
+    return len(fets) + len(caps) + sum(map(len, table))
+
+
+_TABLES = _Tables()
 
 
 def _resolve(shape: tuple, key: tuple) -> tuple[tuple, tuple, tuple, bool]:
@@ -485,11 +520,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
         _, _, key_of, shape, table = regions[r]
         key = key_of(levels)
         row = table.get(key)
-        if row is None:
-            if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
-                table.clear()
-            row = table[key] = _resolve(shape, key)
-        return row
+        return _TABLES.row(shape, table, key) if row is None else row
 
     for todo in [range(len(regions))] if rank is None else ([r] for r in rank):
         seen: dict[Hashable, int] = {}      # its record -> sweep seen at

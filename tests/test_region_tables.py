@@ -1,10 +1,13 @@
 """Region result tables: steady states read from the tables match the
 reference simulator (tests/reference_sim.py), regions of one shape share a
-table, in one netlist and across every netlist of the process, and the
-table bound changes no result."""
+table, in one netlist and across every netlist of the process, the
+process's tables stay within their count and slot bounds, and the table
+bound changes no result."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,26 +32,42 @@ def check(monkeypatch):
     levels by repr, strengths by identity, NonConvergent by message.  Its
     hits() counts the table hits so far, the lookups that found a row, at
     the tables themselves: a read of a region's flags for its conducting
-    set's record is no lookup."""
-    counts = {"hits": 0}
+    set's record is no lookup.  Its tables, one per shape, serve every
+    netlist of the test, as the process's do, and shared() counts the hits
+    on a row another netlist filled."""
+    counts = {"hits": 0, "shared": 0}
+    checking = [None]                       # the netlist being checked
 
     class Counted(dict):
+        def __init__(self):
+            super().__init__()
+            self.filled_by = {}
+
+        def __setitem__(self, key, row):
+            super().__setitem__(key, row)
+            self.filled_by[key] = checking[0]
+
         def get(self, key, default=None):
             row = super().get(key, default)
-            counts["hits"] += row is not None
+            if row is not None:
+                counts["hits"] += 1
+                counts["shared"] += self.filled_by[key] is not checking[0]
             return row
+
+    counted: dict[tuple, Counted] = {}      # shape -> its table
 
     def regions(fets, cap_adj, pinned, _real=sim._regions):
         part = _real(fets, cap_adj, pinned)
-        counted: dict[int, Counted] = {}    # one per table, so regions of a shape still share
         return part._replace(regions=[
-            region._replace(table=counted.setdefault(id(region.table), Counted()))
+            region._replace(table=counted.setdefault(region.shape, Counted()))
             for region in part.regions])
 
     def checker(n, inputs, cfg=CFG):
+        checking[0] = n
         reference_sim.check(n, inputs, cfg)
 
     checker.hits = lambda: counts["hits"]
+    checker.shared = lambda: counts["shared"]
     monkeypatch.setattr(sim, "_regions", regions)
     return checker
 
@@ -72,6 +91,7 @@ def test_corpus_hits_are_exact(check):
         for assign in assigns:
             check(n, assign)
     assert check.hits() > 1000
+    assert check.shared() > 500      # rows another netlist filled
 
 
 def test_adder_hits_are_exact(check):
@@ -82,6 +102,7 @@ def test_adder_hits_are_exact(check):
         for a, b, c in itertools.product(levels, repeat=3):
             check(n, {"a": a, "b": b, "cin": c}, cfg)
     assert check.hits() > 1000
+    assert check.shared() > 500      # rows another netlist filled
 
 
 def test_ripple_hits_are_exact(check):
@@ -94,6 +115,7 @@ def test_ripple_hits_are_exact(check):
             inputs["c0"] = levels[rng.randrange(3)]
             check(n, inputs)
     assert check.hits() > 1000
+    assert check.shared() > 500      # rows another netlist filled
 
 
 def _counted(monkeypatch, *names: str) -> dict[str, int]:
@@ -149,7 +171,7 @@ def test_a_second_build_of_a_design_evaluates_no_fet(monkeypatch):
     # of the first one's, whose tables already hold every row it meets
     calls = _counted(monkeypatch, "switch_on", "_solve")
     for variant in BOTH_VARIANTS:
-        monkeypatch.setattr(sim, "_TABLES", {})
+        monkeypatch.setattr(sim, "_TABLES", sim._Tables())
         delay_estimate(build_design(variant, BuildConfig(vdd=0.9)), "sum", CFG)
         calls.update(switch_on=0, _solve=0)
         delay_estimate(build_design(variant, BuildConfig(vdd=0.9)), "sum", CFG)
@@ -157,23 +179,27 @@ def test_a_second_build_of_a_design_evaluates_no_fet(monkeypatch):
 
 
 def test_a_sweep_reads_the_same_from_cold_and_warm_tables(monkeypatch):
-    monkeypatch.setattr(sim, "_TABLES", {})
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
     calls = _counted(monkeypatch, "_resolve")
     cold = sweep_csv(run_sweep(SweepSpec()))
     # the five load points of a variant have the same shapes and keys
     assert calls["_resolve"] <= 200
-    monkeypatch.setattr(sim, "_TABLES", {})
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
     run_sweep(SweepSpec(axis="vdd"))
     calls["_resolve"] = 0
     assert sweep_csv(run_sweep(SweepSpec())) == cold
     assert calls["_resolve"] == 0      # the vdd sweep met every shape and key at 0.9 V
 
 
+def _held_slots() -> int:
+    return sum(sim._slots(shape, table) for shape, table in sim._TABLES.tables.items())
+
+
 def test_the_process_holds_at_most_table_rows_tables(monkeypatch):
     # every node m{k} is a region of its own shape, as its capacitor to the
     # input differs; the oldest tables are dropped from the process, but
     # not from the partition that holds them
-    monkeypatch.setattr(sim, "_TABLES", {})
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
     count = sim.TABLE_ROWS + 50
     n = parse("* shapes\n.input a\n"
               + "".join(f"C{k}a a m{k} {k + 1}f\nC{k}g m{k} GND 1f\n" for k in range(count))
@@ -183,15 +209,42 @@ def test_the_process_holds_at_most_table_rows_tables(monkeypatch):
         pytest.approx([0.9 * (k + 1) / (k + 2) for k in range(count)])
     (regions, *_), = n._compiled.regions.values()
     assert len(regions) == count
-    assert len(sim._TABLES) == sim.TABLE_ROWS
-    assert [region.table is sim._TABLES.get(region.shape) for region in regions] == \
+    assert len(sim._TABLES.tables) == sim.TABLE_ROWS
+    assert [region.table is sim._TABLES.tables.get(region.shape) for region in regions] == \
         [False] * 50 + [True] * sim.TABLE_ROWS
     assert all(len(region.table) == 1 for region in regions)
+    assert sim._TABLES.slots == _held_slots()
+
+
+def test_a_dropped_pass_chain_leaves_no_more_than_the_slot_bound(monkeypatch):
+    # one region: nfets gated by VDD pass GND down the chain, a stage a step,
+    # so its table gets a row a stage, each with a key a slot a node long
+    depth = 220                             # 29 rows in its table at the end
+    text = ("* pass\nMa n0 VDD GND nfet 19 0 1\n"
+            + "".join(f"M{k} n{k + 1} VDD n{k} nfet 19 0 1\n" for k in range(depth)) + ".end\n")
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
+    monkeypatch.setattr(sim, "TABLE_ROWS", 32)
+    steady_state(parse(text), {}, CFG)      # warms what a chain needs outside the tables
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        n = parse(text)
+        assert steady_state(n, {}, CFG)[f"n{depth}"].level == 0.0
+        (region,), = (part.regions for part in n._compiled.regions.values())
+        assert region.table and region.table is not sim._TABLES.tables.get(region.shape)
+        del n, region
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sim._TABLES.slots == _held_slots() <= 32 * 32
+    assert held < 64 * 1024
 
 
 def test_the_table_bound_changes_no_result(monkeypatch):
     def results():
-        monkeypatch.setattr(sim, "_TABLES", {})     # cold, so the bound applies to every row
+        monkeypatch.setattr(sim, "_TABLES", sim._Tables())     # cold, so the bound applies to every row
         got = []
         for variant, vdd in itertools.product(BOTH_VARIANTS, VDDS):
             cfg = SimConfig(vdd=vdd)

@@ -264,7 +264,7 @@ def test_a_chain_evaluates_fets_in_proportion_to_its_depth(monkeypatch):
     monkeypatch.setattr(sim, "switch_on", counted)
     counts = []
     for depth in (300, 600):
-        monkeypatch.setattr(sim, "_TABLES", {})     # cold: the chains share their shapes
+        monkeypatch.setattr(sim, "_TABLES", sim._Tables())     # cold: the chains share their shapes
         evaluations = 0
         steady_state(net(inverter_chain(depth, cap="1f")), {"a": 0.0}, CFG)
         counts.append(evaluations)
