@@ -46,21 +46,23 @@ in count and in slots, as a key and a shape grow with their region (see
 _Tables).
 Regions settle in rank order, as in COSMOS (Bryant et al., DAC 1987): region
 A feeds region B when B reads a node of A, and B settles from all-'z' after
-every region that feeds it.  Nothing of B feeds those regions, so its reads
-are final when it settles, and it steps until a row's flags hold: a warm
-region is one lookup.  When the regions feed each other in a cycle, one
-component holds them all.  Its first sweep reads every region's row, later
-ones the rows of the regions whose flags did not hold and of the readers of
-the nodes that changed, each sweep all its rows before writing any: the
-global loop, a full sweep at a time.  A region with two fixpoints under its
-final gates could in principle settle elsewhere from all-'z' than in the
-global loop, so tests/test_rank_order.py compares the two on a seeded family.
-A sweep's new state depends only on its conducting set and the pins, so a
-component's conducting set that comes back before its state repeats is a
-limit cycle.  In rank order the solve then runs again as one component, so
-NonConvergent always comes from the global loop, naming the period and the
-nodes that keep changing there; its record holds every FET's flag.  There are
-finitely many conducting sets, so every solve ends.
+every region that feeds it, until a row's flags hold.  Its reads are then
+final, so its result is a function of them, and a solve starts from its
+base, the last one settled in rank order on its pinned set: it steps only
+the regions that read a changed pin or a node whose level or strength moved
+from the base's, as MOSSIM II's selective trace does (Bryant, IEEE Trans.
+Computers C-33(2), 1984).  A warm region is one key and one lookup.  When
+the regions feed each other in a cycle, one component holds them all: its
+first sweep reads every region's row, later ones the rows of the regions
+whose flags did not hold and of the readers of the nodes that changed, each
+sweep all its rows before writing any (the global loop).  A region with two
+fixpoints under its final gates could settle elsewhere from all-'z' than
+there, so tests/test_rank_order.py compares the two on a seeded family.  A
+sweep's state depends only on its conducting set and the pins, so a set that
+comes back before the state repeats is a limit cycle; in rank order the
+solve then runs again as one component, so NonConvergent always comes from
+the global loop, naming the period and the nodes that keep changing there.
+There are finitely many conducting sets, so every solve ends.
 
 Timing is first-order RC, and on demand: delay_estimate times its output and
 transient the nodes whose level changed.  Timing reads grow a shortest-path
@@ -94,7 +96,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
-from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
 from .errors import ConfigError, NoPath, NonConvergent, Unresolvable, _finite
@@ -179,6 +181,7 @@ class _Compiled:
     regions: dict[tuple, _Partition] = field(default_factory=dict)  # pinned flags -> partition
     solves: dict[tuple, _Solve] = field(default_factory=dict)  # this call's, see _solved
     kept: dict[tuple, _Solve] = field(default_factory=dict)    # the previous call's
+    bases: dict[tuple, _Solve] = field(default_factory=dict)   # pinned flags -> base
 
 
 class _Region(NamedTuple):
@@ -199,7 +202,7 @@ class _Partition(NamedTuple):
     """The regions of one pinned set, their readers and rank; see _regions."""
 
     regions: list[_Region]
-    readers: list[list[int]]    # per node, the regions that read it from outside
+    readers: list[list[int]]    # per node or pin, the regions that read it from outside
     ranks: list[int] | None     # the regions in rank order; None on a cycle
     node_region: list[int]      # per node, its region; -1 where it is pinned
 
@@ -210,6 +213,7 @@ class _Solve:
     strengths: list[Strength | None]   # per node index
     flags: bytearray                   # per FET index, 1 where it conducts
     part: _Partition                   # the partition it settled on
+    ranked: bool                       # settled in rank order: a base (see _settle_from)
     # from the first timing read: the forest grown so far and the settled
     # times, see _arrival
     drive: dict[int, tuple] | None = None
@@ -361,8 +365,8 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
         regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots), shape,
                                _TABLES.table(shape)))
         for m in slots[len(nodes):]:
+            readers[m].append(r)
             if node_region[m] >= 0:         # an outside gate: its region feeds r
-                readers[m].append(r)
                 waits[r] += 1
     order = [r for r, wait in enumerate(waits) if not wait]
     for q in order:
@@ -487,73 +491,109 @@ def _resolve(shape: tuple, key: tuple) -> tuple[tuple, tuple, tuple, bool]:
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
-    """The steady state under pins: settled in rank order, or as one
-    component of every region when the regions feed a cycle or a region in
-    rank order repeats a conducting set."""
+    """The steady state under pins: settled in rank order from its pinned
+    set's base, or as one component of every region when the regions feed a
+    cycle or a region in rank order repeats a conducting set."""
     pinned = tuple(p is not None for p in pins)
     if pinned not in comp.regions:
         comp.regions[pinned] = _regions(comp.fets, comp.cap_adj, pinned)
     part = comp.regions[pinned]
-    if part.ranks is not None:
-        try:
-            return _settle(comp, pins, part, part.ranks)
-        except NonConvergent:
-            pass        # a region repeated a conducting set: settle as one, below
-    return _settle(comp, pins, part, None)
+    solve = None if part.ranks is None else _settle_from(comp, pins, part,
+                                                         comp.bases.get(pinned))
+    return solve or _settle(comp, pins, part)
 
 
-def _settle(comp: _Compiled, pins: list[float | None], part: _Partition,
-            rank: list[int] | None) -> _Solve:
-    """The steady state from all-'z', by region rows alone: each component
-    in turn, settled by sweeps that read all their rows before writing any.
-    In rank order a component is one region, read until its row's flags
-    hold, and its record is its own FETs' flags.  Without a rank one
-    component reads every region, then the regions whose row's flags do not
-    hold and the readers of the nodes that changed; its record is every
-    FET's flag.  Raises NonConvergent when a component repeats a record."""
-    regions, readers, *_ = part
-    levels: list[float | str] = [Z if p is None else p for p in pins]
-    strengths: list[Strength | None] = [None if p is None else Strength.SUPPLY for p in pins]
-    flags = bytearray(len(comp.fets))       # conducting FETs, as of the last rows read
+def _start(comp: _Compiled, pins: list[float | None]) -> tuple[list, list, bytearray]:
+    """All-'z' under pins: every node's level and strength, and no FET on."""
+    return ([Z if p is None else p for p in pins],
+            [None if p is None else Strength.SUPPLY for p in pins], bytearray(len(comp.fets)))
 
-    def step(r: int) -> tuple:
-        _, _, key_of, shape, table = regions[r]
-        key = key_of(levels)
-        row = table.get(key)
-        return _TABLES.row(shape, table, key) if row is None else row
 
-    for todo in [range(len(regions))] if rank is None else ([r] for r in rank):
-        seen: dict[Hashable, int] = {}      # its record -> sweep seen at
-        for sweep in itertools.count():
-            rows = [(r, step(r)) for r in todo]
-            changed: list[int] = []         # nodes whose level or strength changed
-            for r, (next_levels, next_strengths, on, _) in rows:
-                nodes, fets, *_ = regions[r]
-                for k, f in zip(fets, on):
-                    flags[k] = f
-                for m, lvl, st in zip(nodes, next_levels, next_strengths):
-                    if levels[m] != lvl or strengths[m] is not st:
-                        changed.append(m)
-                        levels[m], strengths[m] = lvl, st
-            # a region whose flags hold steps to itself until a read changes
-            todo = {r for r, row in rows if not row[3]}
-            if rank is None:
-                todo.update(q for m in changed for q in readers[m])
-            if not todo:
+def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
+                 base: _Solve | None) -> _Solve | None:
+    """The steady state in rank order from a copy of base, a solve settled in
+    rank order on part, or from all-'z' without one; a region stepped starts
+    from all-'z'.  None when a region repeats a conducting set."""
+    regions, readers, ranks, _ = part
+    marked = bytearray([base is None]) * len(regions)      # the regions to step
+    base = base or _Solve(*_start(comp, pins), part, True)
+    levels, strengths, flags = list(base.levels), list(base.strengths), bytearray(base.flags)
+    for m, p in enumerate(pins):
+        if p is not None and p != levels[m]:
+            levels[m] = p
+            for r in readers[m]:
+                marked[r] = 1
+    for r in ranks:
+        if not marked[r]:
+            continue
+        nodes, fets, key_of, shape, table = regions[r]
+        for m in nodes:
+            levels[m] = Z
+        seen: set[tuple] = set()            # the conducting sets of rows that did not hold
+        while True:
+            key = key_of(levels)
+            next_levels, next_strengths, on, holds = table.get(key) or \
+                _TABLES.row(shape, table, key)
+            for m, lvl in zip(nodes, next_levels):
+                levels[m] = lvl
+            if holds:
                 break
-            first = seen.setdefault(bytes(flags) if rank is None else rows[0][1][2], sweep)
-            if first != sweep:
-                raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
-    return _Solve(levels, strengths, flags, part)
+            if on in seen:
+                return None
+            seen.add(on)
+        for k, f in zip(fets, on):
+            flags[k] = f
+        for m, lvl, st in zip(nodes, next_levels, next_strengths):
+            strengths[m] = st
+            if lvl != base.levels[m] or st is not base.strengths[m]:
+                for q in readers[m]:
+                    marked[q] = 1
+    return _Solve(levels, strengths, flags, part, True)
+
+
+def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Solve:
+    """The steady state from all-'z' by the global loop, one component of
+    every region.  Raises NonConvergent when every FET's flags repeat."""
+    regions, readers, *_ = part
+    levels, strengths, flags = _start(comp, pins)
+    todo: Iterable[int] = range(len(regions))
+    seen: dict[bytes, int] = {}             # every FET's flags -> sweep seen at
+    for sweep in itertools.count():
+        rows = []
+        for r in todo:
+            _, _, key_of, shape, table = regions[r]
+            key = key_of(levels)
+            rows.append((r, table.get(key) or _TABLES.row(shape, table, key)))
+        changed: list[int] = []             # nodes whose level or strength changed
+        for r, (next_levels, next_strengths, on, _) in rows:
+            nodes, fets, *_ = regions[r]
+            for k, f in zip(fets, on):
+                flags[k] = f
+            for m, lvl, st in zip(nodes, next_levels, next_strengths):
+                if levels[m] != lvl or strengths[m] is not st:
+                    changed.append(m)
+                    levels[m], strengths[m] = lvl, st
+        # a region whose flags hold steps to itself until a read changes
+        todo = {r for r, row in rows if not row[3]}
+        todo.update(q for m in changed for q in readers[m])
+        if not todo:
+            break
+        first = seen.setdefault(bytes(flags), sweep)
+        if first != sweep:
+            raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
+    return _Solve(levels, strengths, flags, part, False)
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
     """_solve, run once per pin assignment for as long as the compiled form
-    keeps the solve: through this call and the next one on the netlist."""
+    keeps the solve: through this call and the next one on the netlist.  A
+    solve settled in rank order is its pinned set's base."""
     key = tuple(pins)
     solve = comp.solves.get(key)
     if solve is None:
         solve = comp.solves[key] = comp.kept.get(key) or _solve(comp, pins)
+    if solve.ranked:
+        comp.bases[tuple(p is not None for p in pins)] = solve
     return solve
 
 

@@ -8,7 +8,7 @@ terminals of its conducting channels, and merges the undriven groups through
 capacitors into clusters that share charge, summed with math.fsum.  A
 conducting set that comes back before the state stops changing raises
 NonConvergent.  It has no regions, tables or incremental sweeps.  check()
-compares tritsim's steady_state with it.
+compares tritsim's steady_state, and any other steady state given, with it.
 """
 
 import itertools
@@ -102,10 +102,12 @@ def _outcome(steady, n, inputs, cfg) -> list | str:
         return str(e)
 
 
-def check(n, inputs, cfg: SimConfig = SimConfig()) -> None:
-    """Assert that tritsim.steady_state gives this one's result on n under
-    inputs: levels by repr, strengths by identity, NonConvergent by message."""
-    got = _outcome(tritsim.steady_state, n, inputs, cfg)
+def check(n, inputs, cfg: SimConfig = SimConfig(), *also) -> None:
+    """Assert that tritsim.steady_state, then each steady state in also (called
+    as steady_state is), gives this one's result on n under inputs: levels by
+    repr, strengths by identity, NonConvergent by message."""
     want = _outcome(steady_state, n, inputs, cfg)
-    assert got == want
-    assert isinstance(got, str) or all(g[2] is w[2] for g, w in zip(got, want))
+    for steady in (tritsim.steady_state, *also):
+        got = _outcome(steady, n, inputs, cfg)
+        assert got == want
+        assert isinstance(got, str) or all(g[2] is w[2] for g, w in zip(got, want))

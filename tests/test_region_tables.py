@@ -29,14 +29,16 @@ def _tables(n) -> list[dict]:
 @pytest.fixture
 def check(monkeypatch):
     """A checker of steady_state against the reference on one assignment:
-    levels by repr, strengths by identity, NonConvergent by message.  Its
-    hits() counts the table hits so far, the lookups that found a row, at
-    the tables themselves: a read of a region's flags for its conducting
-    set's record is no lookup.  Its tables, one per shape, serve every
-    netlist of the test, as the process's do, and shared() counts the hits
-    on a row another netlist filled."""
+    levels by repr, strengths by identity, NonConvergent by message.  It
+    checks the assignment twice: as steady_state solves it, from the base
+    the netlist's previous solve left, then settled again from all-'z',
+    with no base.  Its hits() counts the table hits of the settles from
+    all-'z', the lookups that found a row, at the tables themselves: a
+    region carried from a base reads no row.  Its tables, one per shape,
+    serve every netlist of the test, as the process's do, and shared()
+    counts the hits on a row another netlist filled."""
     counts = {"hits": 0, "shared": 0}
-    checking = [None]                       # the netlist being checked
+    checking = [None, False]                # the netlist being checked; counting
 
     class Counted(dict):
         def __init__(self):
@@ -49,7 +51,7 @@ def check(monkeypatch):
 
         def get(self, key, default=None):
             row = super().get(key, default)
-            if row is not None:
+            if row is not None and checking[1]:
                 counts["hits"] += 1
                 counts["shared"] += self.filled_by[key] is not checking[0]
             return row
@@ -62,9 +64,20 @@ def check(monkeypatch):
             region._replace(table=counted.setdefault(region.shape, Counted()))
             for region in part.regions])
 
+    def from_z(n, inputs, cfg):
+        comp = n._compiled                  # as steady_state just compiled it
+        bases, comp.bases = comp.bases, {}
+        checking[1] = True
+        try:
+            solve = sim._solve(comp, sim._pin_map(comp, inputs))
+        finally:
+            comp.bases, checking[1] = bases, False
+        return {name: sim.Signal(lvl, st)
+                for name, lvl, st in zip(comp.names, solve.levels, solve.strengths)}
+
     def checker(n, inputs, cfg=CFG):
         checking[0] = n
-        reference_sim.check(n, inputs, cfg)
+        reference_sim.check(n, inputs, cfg, from_z)
 
     checker.hits = lambda: counts["hits"]
     checker.shared = lambda: counts["shared"]
