@@ -23,8 +23,11 @@ SimConfig of its last call; an in-place change recompiles.
 The compiled form memoizes its solves by the tuple of pinned voltages, each
 with the timing read from it so far, and keeps a solve through the next call:
 delay_estimate then transient, or steady_state then delay_estimate, solve each
-assignment once, and at most two calls' solves are held.  A zero-volt input or
-fixed source is one value: -0.0 V becomes 0.0 V where voltages enter.
+assignment once, and at most two calls' solves are held.  A solve holds its
+nodes' Signals from the first steady_state read, or carried from its base
+(see below), so a solve builds only those of the nodes that moved, and
+delay_estimate and transient build none.  A zero-volt input or fixed source
+is one value: -0.0 V becomes 0.0 V where voltages enter.
 Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
@@ -95,7 +98,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from operator import itemgetter
+from operator import is_not, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cnfet import Polarity, switch_on, threshold_voltage
@@ -205,6 +208,8 @@ class _Partition(NamedTuple):
     readers: list[list[int]]    # per node or pin, the regions that read it from outside
     ranks: list[int] | None     # the regions in rank order; None on a cycle
     node_region: list[int]      # per node, its region; -1 where it is pinned
+    pins: list[int]             # the pinned nodes, ascending
+    pin_times: dict[int, float]  # each pin and its branch (~i) settle at 0, see _arrival
 
 
 @dataclass
@@ -214,6 +219,9 @@ class _Solve:
     flags: bytearray                   # per FET index, 1 where it conducts
     part: _Partition                   # the partition it settled on
     ranked: bool                       # settled in rank order: a base (see _settle_from)
+    # per node index, its Signal, from the first steady_state read or carried
+    # from the base's (see _settle_from); None until then
+    signals: list[Signal] | None = None
     # from the first timing read: the forest grown so far and the settled
     # times, see _arrival
     drive: dict[int, tuple] | None = None
@@ -375,8 +383,9 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
                 waits[r] -= 1
                 if not waits[r]:
                     order.append(r)
+    pins = [i for i, r in enumerate(node_region) if r < 0]
     return _Partition(regions, readers, order if len(order) == len(regions) else None,
-                      node_region)
+                      node_region, pins, {k: 0.0 for i in pins for k in (i, ~i)})
 
 
 class _Tables:
@@ -494,7 +503,7 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     """The steady state under pins: settled in rank order from its pinned
     set's base, or as one component of every region when the regions feed a
     cycle or a region in rank order repeats a conducting set."""
-    pinned = tuple(p is not None for p in pins)
+    pinned = tuple(map(is_not, pins, itertools.repeat(None)))
     if pinned not in comp.regions:
         comp.regions[pinned] = _regions(comp.fets, comp.cap_adj, pinned)
     part = comp.regions[pinned]
@@ -513,14 +522,19 @@ def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
                  base: _Solve | None) -> _Solve | None:
     """The steady state in rank order from a copy of base, a solve settled in
     rank order on part, or from all-'z' without one; a region stepped starts
-    from all-'z'.  None when a region repeats a conducting set."""
-    regions, readers, ranks, _ = part
+    from all-'z'.  The base's Signals, where it has them, are carried too, and
+    made again only for a changed pin or a node that moved.  None when a
+    region repeats a conducting set."""
+    regions, readers, ranks, *_ = part
     marked = bytearray([base is None]) * len(regions)      # the regions to step
     base = base or _Solve(*_start(comp, pins), part, True)
     levels, strengths, flags = list(base.levels), list(base.strengths), bytearray(base.flags)
-    for m, p in enumerate(pins):
-        if p is not None and p != levels[m]:
-            levels[m] = p
+    signals = None if base.signals is None else list(base.signals)
+    for m in part.pins:
+        if pins[m] != levels[m]:
+            levels[m] = pins[m]
+            if signals is not None:
+                signals[m] = Signal(pins[m], Strength.SUPPLY)
             for r in readers[m]:
                 marked[r] = 1
     for r in ranks:
@@ -546,9 +560,11 @@ def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
         for m, lvl, st in zip(nodes, next_levels, next_strengths):
             strengths[m] = st
             if lvl != base.levels[m] or st is not base.strengths[m]:
+                if signals is not None:
+                    signals[m] = Signal(lvl, st)
                 for q in readers[m]:
                     marked[q] = 1
-    return _Solve(levels, strengths, flags, part, True)
+    return _Solve(levels, strengths, flags, part, True, signals)
 
 
 def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Solve:
@@ -593,17 +609,20 @@ def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
     if solve is None:
         solve = comp.solves[key] = comp.kept.get(key) or _solve(comp, pins)
     if solve.ranked:
-        comp.bases[tuple(p is not None for p in pins)] = solve
+        comp.bases[tuple(map(is_not, pins, itertools.repeat(None)))] = solve
     return solve
 
 
 def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
                  cfg: SimConfig = SimConfig()) -> dict[str, Signal]:
-    """Resolve every node of the netlist under the given input voltages."""
+    """Resolve every node of the netlist under the given input voltages:
+    a fresh dict, the caller's, of Signals shared with the solve, which are
+    immutable."""
     comp = _compile(n, cfg)
     solve = _solved(comp, _pin_map(comp, inputs or {}))
-    return {name: Signal(lvl, st)
-            for name, lvl, st in zip(comp.names, solve.levels, solve.strengths)}
+    if solve.signals is None:
+        solve.signals = list(map(Signal, solve.levels, solve.strengths))
+    return dict(zip(comp.names, solve.signals))
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +681,7 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     """
     strengths, flags = solve.strengths, solve.flags
     if solve.memo is None:
-        solve.drive = {}
-        # pins, and their branches (~i, see frame), settle at 0
-        solve.memo = {k: 0.0 for i, st in enumerate(strengths) if st is Strength.SUPPLY
-                      for k in (i, ~i)}
+        solve.drive, solve.memo = {}, dict(solve.part.pin_times)
     memo, drive = solve.memo, solve.drive
     if node in memo:
         return memo[node]
@@ -798,22 +814,23 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
         current.update(assigns)
         solve = _solved(comp, _pin_map(comp, current))
         batch = []
-        for i, node in enumerate(comp.names):
-            new = solve.levels[i]
-            old = prev_levels[i]
-            changed = (new != old) if (isinstance(new, str) or isinstance(old, str)) \
-                else abs(new - old) > 1e-12
-            if not changed:
-                continue
+        # a level equal to the last emitted one is unchanged whether it is a
+        # string or a voltage, so only unequal levels meet the 1e-12 V test
+        levels = solve.levels
+        changed = [i for i, (new, old) in enumerate(zip(levels, prev_levels)) if new != old]
+        for i in changed:
+            new, old = levels[i], prev_levels[i]
             if isinstance(new, str) or isinstance(old, str):
                 energy = 0.0
-            else:
+            elif abs(new - old) > 1e-12:
                 energy = 0.5 * comp.node_cap[i] * (new - old) ** 2
+            else:
+                continue
             t = t_edge + (0.0 if solve.strengths[i] is None else _arrival(comp, solve, i))
             if i in last_emit and t <= last_emit[i]:
                 t = math.nextafter(last_emit[i], math.inf)
             last_emit[i] = t
-            batch.append(WaveEvent(t, node, old, new, energy))
+            batch.append(WaveEvent(t, comp.names[i], old, new, energy))
             prev_levels[i] = new
         batch.sort(key=lambda e: (e.time, e.node))
         w.events.extend(batch)

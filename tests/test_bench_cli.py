@@ -177,6 +177,16 @@ def test_sweep_point_compiles_once_and_solves_each_triple_once(monkeypatch):
     assert counts == {"flatten": 1, "_solve": 27}
 
 
+def test_a_sweep_point_builds_no_signal(monkeypatch):
+    # delay_estimate and transient never read a Signal, so a solve builds
+    # one only when steady_state reads it; this held before solves carried
+    # Signals too, and guards against keeping them up eagerly
+    built = []
+    monkeypatch.setattr(sim, "Signal", lambda *args: built.append(args))
+    run_sweep(SweepSpec(values=(1e-15,)))
+    assert built == []
+
+
 def test_direct_pair_compiles_once_and_solves_each_triple_once(monkeypatch):
     # the transient is the next call on the netlist after the delay estimate,
     # so it finds the compiled form and the estimate's 27 solves

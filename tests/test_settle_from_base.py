@@ -6,8 +6,12 @@ by repr, strengths by identity, every FET's flag, NonConvergent by message.
 The families are test_rank_order.py's, the first 500 netlists of the
 differential corpus (some of whose rank paths fall back to one component
 after a base exists), both adders at the golden vdds and seeded ripple
-adds, some with an internal node pinned too.  Then a one-input toggle of a
-16-trit ripple adder is counted: it reads the keys of few of its regions."""
+adds, some with an internal node pinned too.  Half the assignments, in
+alternate pairs, are also read through steady_state, so a solve carries
+its base's Signals or has none to carry, and every Signal read is compared
+with the fresh compile's.  Then a one-input toggle of a 16-trit ripple
+adder is counted: it reads the keys of few of its regions and builds few
+Signals."""
 
 import copy
 import itertools
@@ -53,14 +57,25 @@ def _outcome(n, inputs, cfg):
 
 def _walk(n, assigns, cfg=CFG) -> None:
     """Solves assigns in order on n, each after the one before it, and checks
-    each against a fresh compile of n, settled from all-'z'."""
+    each against a fresh compile of n, settled from all-'z'.  Assignments 1
+    and 2 of every four are also read through steady_state: in pairs, so
+    that where two pinned sets alternate, each is read."""
     fresh = copy.deepcopy(n)
-    for inputs in assigns:
+    for j, inputs in enumerate(assigns):
         got = _outcome(n, inputs, cfg)
         fresh._compiled = None
         want = _outcome(fresh, inputs, cfg)
         assert got == want
-        assert isinstance(got, str) or all(g is w for g, w in zip(got[1], want[1]))
+        if isinstance(got, str):
+            continue
+        assert all(g is w for g, w in zip(got[1], want[1]))
+        if j % 4 in (1, 2):
+            signals = steady_state(n, inputs, cfg)
+            expected = steady_state(fresh, inputs, cfg)
+            assert list(signals) == list(expected)
+            assert list(map(repr, signals.values())) == list(map(repr, expected.values()))
+            assert all(g.strength is w.strength for g, w in zip(signals.values(),
+                                                                 expected.values()))
 
 
 def _internal(n, rng: random.Random) -> str | None:
@@ -157,6 +172,20 @@ def test_a_stepped_region_starts_from_all_z():
         steady_state(n, {"a": 0.45, "b": 0.0}, CFG)
 
 
+def _toggles(rng: random.Random, count: int):
+    """A 16-trit ripple adder after a seeded assignment is read, and after
+    each of count one-input toggles that follow it is read again."""
+    n = parse(ripple_text(16))
+    names = [f"{p}{i}" for p in "ab" for i in range(16)] + ["c0"]
+    inputs = {name: LEVELS[rng.randrange(3)] for name in names}
+    steady_state(n, inputs, CFG)
+    yield n
+    for _ in range(count):
+        name = rng.choice(names)
+        inputs[name] = rng.choice([volts for volts in LEVELS if volts != inputs[name]])
+        yield steady_state(n, inputs, CFG)
+
+
 def test_a_one_input_toggle_reads_few_regions(monkeypatch):
     # a toggle reaches the regions its input feeds and those their changed
     # nodes feed in turn; every other region is carried from the base
@@ -174,18 +203,34 @@ def test_a_one_input_toggle_reads_few_regions(monkeypatch):
                                       for r, region in enumerate(part.regions)])
 
     monkeypatch.setattr(sim, "_regions", regions)
-    n = parse(ripple_text(16))
-    names = [f"{p}{i}" for p in "ab" for i in range(16)] + ["c0"]
-    rng = random.Random(3)
-    inputs = {name: LEVELS[rng.randrange(3)] for name in names}
-    steady_state(n, inputs, CFG)
+    toggles = _toggles(random.Random(3), 200)
+    n = next(toggles)
     (part,) = n._compiled.regions.values()
     assert len(part.regions) == 289 and len(read) == 289
+    read.clear()
     counts = []
-    for _ in range(200):
-        name = rng.choice(names)
-        inputs[name] = rng.choice([volts for volts in LEVELS if volts != inputs[name]])
-        read.clear()
-        steady_state(n, inputs, CFG)
+    for _ in toggles:
         counts.append(len(read))
-    assert max(counts) < 289 / 4
+        read.clear()
+    assert len(counts) == 200 and max(counts) < 289 / 4
+
+
+def test_a_one_input_toggle_builds_few_signals(monkeypatch):
+    # a solve carries its base's Signals and builds one only for a changed
+    # pin or a node that moved; the first read builds all 467
+    built = []
+
+    def signal(level, strength, _real=sim.Signal):
+        built.append(level)
+        return _real(level, strength)
+
+    monkeypatch.setattr(sim, "Signal", signal)
+    toggles = _toggles(random.Random(3), 200)
+    n = next(toggles)
+    assert len(n._compiled.names) == len(built) == 467
+    built.clear()
+    counts = []
+    for _ in toggles:
+        counts.append(len(built))
+        built.clear()
+    assert len(counts) == 200 and max(counts) < 467 / 4

@@ -648,6 +648,10 @@ def test_steady_state_result_is_the_callers_own(monkeypatch):
     del first["in"]
     assert steady_state(n, {"in": 0.9}, CFG) == want
     assert len(calls) == 1
+    # a later solve starts from that one and carries its Signals
+    later = steady_state(n, {"in": 0.0}, CFG)
+    assert len(calls) == 2
+    assert later == steady_state(build_sti(), {"in": 0.0}, CFG)
 
 
 def test_a_solve_is_kept_through_the_next_call_only(monkeypatch):
