@@ -184,7 +184,7 @@ class _Compiled:
     regions: dict[tuple, _Partition] = field(default_factory=dict)  # pinned flags -> partition
     solves: dict[tuple, _Solve] = field(default_factory=dict)  # this call's, see _solved
     kept: dict[tuple, _Solve] = field(default_factory=dict)    # the previous call's
-    bases: dict[tuple, _Solve] = field(default_factory=dict)   # pinned flags -> base
+    bases: dict[int, _Solve] = field(default_factory=dict)   # id(partition in regions) -> base
 
 
 class _Region(NamedTuple):
@@ -508,7 +508,7 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
         comp.regions[pinned] = _regions(comp.fets, comp.cap_adj, pinned)
     part = comp.regions[pinned]
     solve = None if part.ranks is None else _settle_from(comp, pins, part,
-                                                         comp.bases.get(pinned))
+                                                         comp.bases.get(id(part)))
     return solve or _settle(comp, pins, part)
 
 
@@ -609,7 +609,7 @@ def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
     if solve is None:
         solve = comp.solves[key] = comp.kept.get(key) or _solve(comp, pins)
     if solve.ranked:
-        comp.bases[tuple(map(is_not, pins, itertools.repeat(None)))] = solve
+        comp.bases[id(solve.part)] = solve
     return solve
 
 
