@@ -25,9 +25,11 @@ with the timing read from it so far, and keeps a solve through the next call:
 delay_estimate then transient, or steady_state then delay_estimate, solve each
 assignment once, and at most two calls' solves are held.  A solve holds its
 nodes' Signals from the first steady_state read, or carried from its base
-(see below), so a solve builds only those of the nodes that moved, and
-delay_estimate and transient build none.  A zero-volt input or fixed source
-is one value: -0.0 V becomes 0.0 V where voltages enter.
+and, for a region it steps, taken from the region's settled entry (see
+below), which builds them once, so a solve builds none where every entry
+it meets has them, and delay_estimate and transient build none.  A
+zero-volt input or fixed source is one value: -0.0 V becomes 0.0 V where
+voltages enter.
 Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
@@ -43,18 +45,21 @@ share one result table exactly, by construction, within a partition and
 across every compiled netlist of the process, and only a miss evaluates a
 FET: a netlist built again, as each sweep point builds its adder, meets the
 rows the first one filled.  Every pin is a float and -0.0 V is 0.0 V, so
-equal keys are equal inputs.  A table is cleared at TABLE_ROWS rows, which
-bounds it under an analog input sweep, and the process's tables are bounded
-in count and in slots, as a key and a shape grow with their region (see
-_Tables).
+equal keys are equal inputs.  A table is cleared at TABLE_ROWS entries,
+which bounds it under an analog input sweep, and the process's tables are
+bounded in count and in slots, as a key and a shape grow with their region
+(see _Tables).
 Regions settle in rank order, as in COSMOS (Bryant et al., DAC 1987): region
 A feeds region B when B reads a node of A, and B settles from all-'z' after
 every region that feeds it, until a row's flags hold.  Its reads are then
-final, so its result is a function of them, and a solve starts from its
-base, the last one settled in rank order on its pinned set: it steps only
-the regions that read a changed pin or a node whose level or strength moved
-from the base's, as MOSSIM II's selective trace does (Bryant, IEEE Trans.
-Computers C-33(2), 1984).  A warm region is one key and one lookup.  When
+final and stay fixed while it steps, so where its steps end is a function
+of its shape and its reads, as COSMOS compiles a subnetwork into one
+function of its inputs: its table maps its reads to that row, its settled
+entry (see _settled), and a warm region is one lookup of its reads.  A
+solve starts from its base, the last one settled in rank order on its
+pinned set: it steps only the regions that read a changed pin or a node
+whose level or strength moved from the base's, as MOSSIM II's selective
+trace does (Bryant, IEEE Trans. Computers C-33(2), 1984).  When
 the regions feed each other in a cycle, one component holds them all: its
 first sweep reads every region's row, later ones the rows of the regions
 whose flags did not hold and of the readers of the nodes that changed, each
@@ -63,8 +68,10 @@ fixpoints under its final gates could settle elsewhere from all-'z' than
 there, so tests/test_rank_order.py compares the two on a seeded family.  A
 sweep's state depends only on its conducting set and the pins, so a set that
 comes back before the state repeats is a limit cycle; in rank order the
-solve then runs again as one component, so NonConvergent always comes from
-the global loop, naming the period and the nodes that keep changing there.
+region's settled entry is the row it came back on, whose flags do not hold,
+and the solve runs again as one component, so NonConvergent always comes
+from the global loop, naming the period and the nodes that keep changing
+there.
 There are finitely many conducting sets, so every solve ends.
 
 Timing is first-order RC, and on demand: delay_estimate times its output and
@@ -130,8 +137,8 @@ class Signal:
 # R_ON_PER_TUBE / N.  A model constant, not a published value.
 R_ON_PER_TUBE = 30e3
 
-# Rows a region result table holds before it is cleared, and tables the
-# process holds, one per region shape (see _Tables).
+# Entries, rows and settled entries, a region result table holds before it
+# is cleared, and tables the process holds, one per region shape (see _Tables).
 TABLE_ROWS = 1024
 
 
@@ -190,15 +197,18 @@ class _Compiled:
 class _Region(NamedTuple):
     """Unpinned nodes joined by channels and capacitors, and the FETs with a
     channel terminal among them; or one FET between two pins and no nodes.
-    key_of reads the levels at its slots, its nodes and then its reads.  Its
-    table maps a key to its row, _resolve of its shape and that key; regions
-    of one shape in a partition hold the same table (see _regions)."""
+    key_of reads the levels at its slots, its nodes and then its reads, and
+    reads_of those at its reads alone.  Its table maps a key to its row,
+    _resolve of its shape and that key, and the levels at its reads to its
+    settled entry, the row its steps from all-'z' end on (see _settled);
+    regions of one shape hold the same table (see _regions)."""
 
     nodes: list[int]                        # unpinned, ascending
     fets: list[int]                         # in shape order: links, then feeds
     key_of: Callable[[Sequence], tuple]     # a per-node list's items at its slots
+    reads_of: Callable[[Sequence], tuple]   # ... at its reads
     shape: tuple                            # (node count, FETs, capacitors) in slots
-    table: dict[tuple, tuple]               # key -> row, see _resolve
+    table: dict[tuple, list]                # key or reads -> row, see _resolve
 
 
 class _Partition(NamedTuple):
@@ -370,8 +380,8 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
         shape = (len(nodes), tuple((slot[a], slot[g], slot[b], is_nfet, vth)
                                    for _, _, a, g, b, is_nfet, vth in own),
                  tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
-        regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots), shape,
-                               _TABLES.table(shape)))
+        regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots),
+                               _items(slots[len(nodes):]), shape, _TABLES.table(shape)))
         for m in slots[len(nodes):]:
             readers[m].append(r)
             if node_region[m] >= 0:         # an outside gate: its region feeds r
@@ -391,18 +401,19 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
 class _Tables:
     """The process's region result tables, one per shape, oldest first.
 
-    _resolve reads only a region's shape and key, so one table serves every
-    partition of every compiled netlist.  A table is cleared at TABLE_ROWS
-    rows.  A row's key has a slot per level its region reads and a shape one
-    per FET and capacitor, so both grow with the region: past TABLE_ROWS
+    _resolve reads only a region's shape and key, and _settled only its
+    shape and reads, so one table serves every partition of every compiled
+    netlist.  A table is cleared at TABLE_ROWS entries, rows and settled
+    entries alike.  An entry's key has a slot per level it reads and a shape
+    one per FET and capacitor, so both grow with the region: past TABLE_ROWS
     tables or TABLE_ROWS**2 slots, the oldest tables are dropped.  A
     partition keeps the tables it holds, dropped or not."""
 
     def __init__(self) -> None:
-        self.tables: dict[tuple, dict[tuple, tuple]] = {}   # shape -> key -> row
+        self.tables: dict[tuple, dict[tuple, list]] = {}    # shape -> key -> row
         self.slots = 0                  # of the shapes and keys in tables
 
-    def table(self, shape: tuple) -> dict[tuple, tuple]:
+    def table(self, shape: tuple) -> dict[tuple, list]:
         table = self.tables.get(shape)
         if table is None:
             table = self.tables[shape] = {}
@@ -410,14 +421,18 @@ class _Tables:
             self._trim()
         return table
 
-    def row(self, shape: tuple, table: dict[tuple, tuple], key: tuple) -> tuple:
+    def row(self, shape: tuple, table: dict[tuple, list], key: tuple) -> list:
         """_resolve(shape, key), entered in table, a table of that shape."""
+        return self.enter(shape, table, key, _resolve(shape, key))
+
+    def enter(self, shape: tuple, table: dict[tuple, list], key: tuple, row: list) -> list:
+        """row, entered under key in table, a table of that shape."""
         held = self.tables.get(shape) is table
         if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
             if held:
                 self.slots -= sum(map(len, table))
             table.clear()
-        row = table[key] = _resolve(shape, key)
+        table[key] = row
         if held:
             self.slots += len(key)
             self._trim()
@@ -429,7 +444,7 @@ class _Tables:
             self.slots -= _slots(shape, self.tables.pop(shape))
 
 
-def _slots(shape: tuple, table: dict[tuple, tuple]) -> int:
+def _slots(shape: tuple, table: dict[tuple, list]) -> int:
     # a slot per FET and capacitor of the shape and per level of each key
     _, fets, caps = shape
     return len(fets) + len(caps) + sum(map(len, table))
@@ -438,11 +453,13 @@ def _slots(shape: tuple, table: dict[tuple, tuple]) -> int:
 _TABLES = _Tables()
 
 
-def _resolve(shape: tuple, key: tuple) -> tuple[tuple, tuple, tuple, bool]:
+def _resolve(shape: tuple, key: tuple) -> list:
     """A region's row, its whole step, from its shape (see _regions) and the
     levels at its slots: its nodes' next levels and strengths, its FETs'
-    flags on the key, and whether they hold on the next levels.  It reads
-    nothing else, so a row is a function of its table's key."""
+    flags on the key, whether they hold on the next levels, and a slot for
+    its nodes' Signals on those, None until a solve carrying Signals reads
+    them (see _settle_from).  It reads nothing else, so a row is a function
+    of its table's key."""
     count, fets, caps = shape
 
     def conducting(lv: Sequence) -> tuple[bool, ...]:
@@ -496,7 +513,7 @@ def _resolve(shape: tuple, key: tuple) -> tuple[tuple, tuple, tuple, bool]:
         level = charged.get(_find(parent, m))
         if level is not None:
             levels[m], strengths[m] = level, Strength.CHARGED
-    return tuple(levels[:count]), tuple(strengths), flags, conducting(levels) == flags
+    return [tuple(levels[:count]), tuple(strengths), flags, conducting(levels) == flags, None]
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -521,10 +538,10 @@ def _start(comp: _Compiled, pins: list[float | None]) -> tuple[list, list, bytea
 def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
                  base: _Solve | None) -> _Solve | None:
     """The steady state in rank order from a copy of base, a solve settled in
-    rank order on part, or from all-'z' without one; a region stepped starts
-    from all-'z'.  The base's Signals, where it has them, are carried too, and
-    made again only for a changed pin or a node that moved.  None when a
-    region repeats a conducting set."""
+    rank order on part, or from all-'z' without one; a region stepped takes
+    its settled entry (see _settled).  The base's Signals, where it has them,
+    are carried too, a changed pin's made again and a stepped region's taken
+    from its entry.  None when a region repeats a conducting set."""
     regions, readers, ranks, *_ = part
     marked = bytearray([base is None]) * len(regions)      # the regions to step
     base = base or _Solve(*_start(comp, pins), part, True)
@@ -540,31 +557,44 @@ def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
     for r in ranks:
         if not marked[r]:
             continue
-        nodes, fets, key_of, shape, table = regions[r]
-        for m in nodes:
-            levels[m] = Z
-        seen: set[tuple] = set()            # the conducting sets of rows that did not hold
-        while True:
-            key = key_of(levels)
-            next_levels, next_strengths, on, holds = table.get(key) or \
-                _TABLES.row(shape, table, key)
-            for m, lvl in zip(nodes, next_levels):
-                levels[m] = lvl
-            if holds:
-                break
-            if on in seen:
-                return None
-            seen.add(on)
+        nodes, fets, _, reads_of, shape, table = regions[r]
+        reads = reads_of(levels)
+        row = table.get(reads) or _settled(shape, table, reads)
+        next_levels, next_strengths, on, holds, sigs = row
+        if not holds:
+            return None
         for k, f in zip(fets, on):
             flags[k] = f
         for m, lvl, st in zip(nodes, next_levels, next_strengths):
+            levels[m] = lvl
             strengths[m] = st
             if lvl != base.levels[m] or st is not base.strengths[m]:
-                if signals is not None:
-                    signals[m] = Signal(lvl, st)
                 for q in readers[m]:
                     marked[q] = 1
+        if signals is not None:
+            if sigs is None:
+                sigs = row[4] = tuple(map(Signal, next_levels, next_strengths))
+            for m, sig in zip(nodes, sigs):
+                signals[m] = sig
     return _Solve(levels, strengths, flags, part, True, signals)
+
+
+def _settled(shape: tuple, table: dict[tuple, list], reads: tuple) -> list:
+    """The settled entry of a region of shape under the levels at its reads,
+    entered in table under reads: the row its steps from all-'z' end on, where
+    its flags hold, or where its conducting set comes back (the row's flags
+    then do not hold).  Its reads stay fixed while it steps, so the entry is
+    a function of its key; a region with no nodes has one step, whose row,
+    keyed by its reads alone, is its entry."""
+    levels: tuple = (Z,) * shape[0]
+    seen: set[tuple] = set()                # the conducting sets of rows that did not hold
+    while True:
+        key = levels + reads
+        row = table.get(key) or _TABLES.row(shape, table, key)
+        levels, _, on, holds, _ = row
+        if holds or on in seen:
+            return _TABLES.enter(shape, table, reads, row) if shape[0] else row
+        seen.add(on)
 
 
 def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Solve:
@@ -577,11 +607,11 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
     for sweep in itertools.count():
         rows = []
         for r in todo:
-            _, _, key_of, shape, table = regions[r]
+            _, _, key_of, _, shape, table = regions[r]
             key = key_of(levels)
             rows.append((r, table.get(key) or _TABLES.row(shape, table, key)))
         changed: list[int] = []             # nodes whose level or strength changed
-        for r, (next_levels, next_strengths, on, _) in rows:
+        for r, (next_levels, next_strengths, on, _, _) in rows:
             nodes, fets, *_ = regions[r]
             for k, f in zip(fets, on):
                 flags[k] = f

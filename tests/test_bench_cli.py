@@ -180,7 +180,9 @@ def test_sweep_point_compiles_once_and_solves_each_triple_once(monkeypatch):
 def test_a_sweep_point_builds_no_signal(monkeypatch):
     # delay_estimate and transient never read a Signal, so a solve builds
     # one only when steady_state reads it; this held before solves carried
-    # Signals too, and guards against keeping them up eagerly
+    # Signals too, and guards against keeping them up eagerly.  The tables
+    # start empty, so every row is made here, not met with Signals built
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
     built = []
     monkeypatch.setattr(sim, "Signal", lambda *args: built.append(args))
     run_sweep(SweepSpec(values=(1e-15,)))

@@ -33,16 +33,19 @@ def check(monkeypatch):
     checks the assignment twice: as steady_state solves it, from the base
     the netlist's previous solve left, then settled again from all-'z',
     with no base.  Its hits() counts the table hits of the settles from
-    all-'z', the lookups that found a row, at the tables themselves: a
-    region carried from a base reads no row.  Its tables, one per shape,
-    serve every netlist of the test, as the process's do, and shared()
-    counts the hits on a row another netlist filled."""
-    counts = {"hits": 0, "shared": 0}
+    all-'z', the lookups that found an entry, at the tables themselves: a
+    region carried from a base reads none.  settled() counts those of them
+    on a settled entry, keyed by a region's reads alone, each read in a
+    settle the reference then checks.  Its tables, one per shape, serve
+    every netlist of the test, as the process's do, and shared() and
+    settled_shared() count the hits on an entry another netlist filled."""
+    counts = {"hits": 0, "shared": 0, "settled": 0, "settled_shared": 0}
     checking = [None, False]                # the netlist being checked; counting
 
     class Counted(dict):
-        def __init__(self):
+        def __init__(self, reads: int):
             super().__init__()
+            self.reads = reads              # a settled entry's key length
             self.filled_by = {}
 
         def __setitem__(self, key, row):
@@ -52,16 +55,22 @@ def check(monkeypatch):
         def get(self, key, default=None):
             row = super().get(key, default)
             if row is not None and checking[1]:
+                shared = self.filled_by[key] is not checking[0]
                 counts["hits"] += 1
-                counts["shared"] += self.filled_by[key] is not checking[0]
+                counts["shared"] += shared
+                if len(key) == self.reads:
+                    counts["settled"] += 1
+                    counts["settled_shared"] += shared
             return row
 
     counted: dict[tuple, Counted] = {}      # shape -> its table
 
     def regions(fets, cap_adj, pinned, _real=sim._regions):
         part = _real(fets, cap_adj, pinned)
+        nodes = range(len(pinned))          # reads_of of it: the nodes a region reads
         return part._replace(regions=[
-            region._replace(table=counted.setdefault(region.shape, Counted()))
+            region._replace(table=counted.setdefault(
+                region.shape, Counted(len(region.reads_of(nodes)))))
             for region in part.regions])
 
     def from_z(n, inputs, cfg):
@@ -81,6 +90,8 @@ def check(monkeypatch):
 
     checker.hits = lambda: counts["hits"]
     checker.shared = lambda: counts["shared"]
+    checker.settled = lambda: counts["settled"]
+    checker.settled_shared = lambda: counts["settled_shared"]
     monkeypatch.setattr(sim, "_regions", regions)
     return checker
 
@@ -90,7 +101,7 @@ def test_a_hit_on_a_pinned_capacitor_neighbor_is_exact(check):
     for volts in (0.9, 0.45, 0.9, 0.0, 0.45):
         assert steady_state(n, {"a": volts}, CFG)["m"].level == pytest.approx(volts / 4)
         check(n, {"a": volts})
-    assert check.hits()
+    assert check.hits() and check.settled()
 
 
 def test_corpus_hits_are_exact(check):
@@ -105,6 +116,8 @@ def test_corpus_hits_are_exact(check):
             check(n, assign)
     assert check.hits() > 1000
     assert check.shared() > 500      # rows another netlist filled
+    assert check.settled() > 5000
+    assert check.settled_shared() > 500     # settled entries another netlist filled
 
 
 def test_adder_hits_are_exact(check):
@@ -116,6 +129,8 @@ def test_adder_hits_are_exact(check):
             check(n, {"a": a, "b": b, "cin": c}, cfg)
     assert check.hits() > 1000
     assert check.shared() > 500      # rows another netlist filled
+    assert check.settled() > 5000
+    assert check.settled_shared() > 1500     # settled entries another netlist filled
 
 
 def test_ripple_hits_are_exact(check):
@@ -129,6 +144,8 @@ def test_ripple_hits_are_exact(check):
             check(n, inputs)
     assert check.hits() > 1000
     assert check.shared() > 500      # rows another netlist filled
+    assert check.settled() > 1000
+    assert check.settled_shared() > 500     # settled entries another netlist filled
 
 
 def _counted(monkeypatch, *names: str) -> dict[str, int]:
@@ -225,7 +242,9 @@ def test_the_process_holds_at_most_table_rows_tables(monkeypatch):
     assert len(sim._TABLES.tables) == sim.TABLE_ROWS
     assert [region.table is sim._TABLES.tables.get(region.shape) for region in regions] == \
         [False] * 50 + [True] * sim.TABLE_ROWS
-    assert all(len(region.table) == 1 for region in regions)
+    # a region's step row, keyed by its node and reads, and its settled
+    # entry, keyed by its reads alone
+    assert all(len(region.table) == 2 for region in regions)
     assert sim._TABLES.slots == _held_slots()
 
 

@@ -10,8 +10,11 @@ adds, some with an internal node pinned too.  Half the assignments, in
 alternate pairs, are also read through steady_state, so a solve carries
 its base's Signals or has none to carry, and every Signal read is compared
 with the fresh compile's.  Then a one-input toggle of a 16-trit ripple
-adder is counted: it reads the keys of few of its regions and builds few
-Signals."""
+adder is counted: it reads the levels at the reads of few of its regions,
+looks each of them up once when the tables are warm, and builds few
+Signals.  Last, a region that repeats a conducting set keeps that in its
+settled entry, and a fresh netlist of the same design that reads the entry
+reports the same NonConvergent."""
 
 import copy
 import itertools
@@ -25,7 +28,7 @@ from differential import CORPUS_SEED
 from gen_netlists import random_netlist
 from test_rank_order import LEVELS, POOL, _assigns, _ring
 from tritsim import (BOTH_VARIANTS, BuildConfig, NonConvergent, SimConfig, build_design, parse,
-                     sim, steady_state)
+                     serialize, sim, steady_state)
 
 CFG = SimConfig()
 
@@ -186,27 +189,35 @@ def _toggles(rng: random.Random, count: int):
         yield steady_state(n, inputs, CFG)
 
 
-def test_a_one_input_toggle_reads_few_regions(monkeypatch):
-    # a toggle reaches the regions its input feeds and those their changed
-    # nodes feed in turn; every other region is carried from the base
-    read: set[int] = set()                  # regions whose key was read
-
+def _reading(monkeypatch, read: list[int], table=None) -> None:
+    """Appends to read the index of each region whose reads are read, from
+    the next partition on; table(shape), when given, is the table each
+    region of that shape holds in place of the process's."""
     def regions(fets, cap_adj, pinned, _real=sim._regions):
         part = _real(fets, cap_adj, pinned)
 
-        def counted(r, key_of):
-            def key(levels):
-                read.add(r)
-                return key_of(levels)
-            return key
-        return part._replace(regions=[region._replace(key_of=counted(r, region.key_of))
-                                      for r, region in enumerate(part.regions)])
+        def counted(r, reads_of):
+            def reads(levels):
+                read.append(r)
+                return reads_of(levels)
+            return reads
+        return part._replace(regions=[
+            region._replace(reads_of=counted(r, region.reads_of),
+                            table=region.table if table is None else table(region.shape))
+            for r, region in enumerate(part.regions)])
 
     monkeypatch.setattr(sim, "_regions", regions)
+
+
+def test_a_one_input_toggle_reads_few_regions(monkeypatch):
+    # a toggle reaches the regions its input feeds and those their changed
+    # nodes feed in turn; every other region is carried from the base
+    read: list[int] = []                    # a region per call of its reads getter
+    _reading(monkeypatch, read)
     toggles = _toggles(random.Random(3), 200)
     n = next(toggles)
     (part,) = n._compiled.regions.values()
-    assert len(part.regions) == 289 and len(read) == 289
+    assert len(part.regions) == 289 and sorted(read) == list(range(289))
     read.clear()
     counts = []
     for _ in toggles:
@@ -215,9 +226,90 @@ def test_a_one_input_toggle_reads_few_regions(monkeypatch):
     assert len(counts) == 200 and max(counts) < 289 / 4
 
 
+def test_a_warm_one_input_toggle_looks_up_each_stepped_region_once(monkeypatch):
+    # once the tables hold the settled entry of every reads the toggles meet,
+    # a stepped region is one lookup, and no step row is read
+    read: list[int] = []
+    lookups = [0]
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            lookups[0] += 1
+            return super().get(key, default)
+
+    tables: dict[tuple, Counted] = {}
+    _reading(monkeypatch, read, lambda shape: tables.setdefault(shape, Counted()))
+    for _ in _toggles(random.Random(5), 100):      # fills the tables
+        pass
+    settled = []
+    monkeypatch.setattr(sim, "_settled",
+                        lambda *args, _real=sim._settled: settled.append(args) or _real(*args))
+    read.clear()
+    lookups[0] = 0
+    counts = []
+    for _ in _toggles(random.Random(5), 100):      # the same toggles on a new netlist
+        counts.append((lookups[0], len(read), len(set(read))))
+        read.clear()
+        lookups[0] = 0
+    assert counts[0] == (289, 289, 289)            # its first solve steps every region
+    assert all(looked == stepped == once for looked, stepped, once in counts)
+    assert len(counts) == 101 and sum(stepped for _, stepped, _ in counts[1:]) > 100
+    assert settled == []
+
+
+def test_a_repeat_entry_gives_the_same_nonconvergent(monkeypatch):
+    # a region that repeats a conducting set from all-'z' stores the row its
+    # set came back on, and a fresh netlist of the same design reads it: its
+    # rank path falls back to the global loop, which names the same cycle
+    fell: list[bool] = []
+    settled: list[tuple] = []
+
+    def settle_from(comp, pins, part, base, _real=sim._settle_from):
+        solve = _real(comp, pins, part, base)
+        fell.append(solve is None)
+        return solve
+
+    def counted(*args, _real=sim._settled):
+        settled.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(sim, "_settle_from", settle_from)
+    monkeypatch.setattr(sim, "_settled", counted)
+    corpus = random.Random(CORPUS_SEED)
+    found = None
+    for i in range(100):                # the first such netlist is corpus netlist 1
+        n = random_netlist(corpus, i)
+        for inputs in _assigns(random.Random(i), n.inputs, 9):
+            fell.clear()
+            try:
+                steady_state(n, inputs, CFG)
+            except NonConvergent:
+                if fell == [True]:
+                    found = serialize(n), inputs
+                    break
+        if found:
+            break
+    text, inputs = found
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
+    outcomes = []
+    for _ in range(2):
+        fell.clear()
+        settled.clear()
+        with pytest.raises(NonConvergent) as caught:
+            steady_state(parse(text), inputs, CFG)
+        outcomes.append((fell == [True], bool(settled), caught.value.period,
+                         caught.value.changing))
+    first, second = outcomes
+    assert first[:2] == (True, True) and second[:2] == (True, False)
+    assert first[2:] == second[2:]
+
+
 def test_a_one_input_toggle_builds_few_signals(monkeypatch):
-    # a solve carries its base's Signals and builds one only for a changed
-    # pin or a node that moved; the first read builds all 467
+    # a solve carries its base's Signals, builds one for a changed pin, and
+    # takes a stepped region's from its settled entry, which builds them on
+    # the first such read; the first read of the netlist builds all 467.
+    # The tables start empty, so no entry holds Signals another test built
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
     built = []
 
     def signal(level, strength, _real=sim.Signal):
