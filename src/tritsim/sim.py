@@ -44,18 +44,19 @@ still hold on them.  _resolve reads nothing else, so regions of equal shape
 share one result table exactly, by construction, within a partition and
 across every compiled netlist of the process, and only a miss evaluates a
 FET: a netlist built again, as each sweep point builds its adder, meets the
-rows the first one filled.  Every pin is a float and -0.0 V is 0.0 V, so
+entries the first one filled.  Every pin is a float and -0.0 V is 0.0 V, so
 equal keys are equal inputs.  A table is cleared at TABLE_ROWS entries,
 which bounds it under an analog input sweep, and the process's tables are
-bounded in count and in slots, as a key and a shape grow with their region
-(see _Tables).
+bounded in count and in slots, as an entry and a shape grow with their
+region (see _Tables).
 Regions settle in rank order, as in COSMOS (Bryant et al., DAC 1987): region
 A feeds region B when B reads a node of A, and B settles from all-'z' after
 every region that feeds it, until a row's flags hold.  Its reads are then
 final and stay fixed while it steps, so where its steps end is a function
 of its shape and its reads, as COSMOS compiles a subnetwork into one
 function of its inputs: its table maps its reads to that row, its settled
-entry (see _settled), and a warm region is one lookup of its reads.  A
+entry (see _settled), and a warm region is one lookup of its reads.  No
+solve reads its steps before that row again, so none is entered.  A
 solve starts from its base, the last one settled in rank order on its
 pinned set: it steps only the regions that read a changed pin or a node
 whose level or strength moved from the base's, as MOSSIM II's selective
@@ -137,8 +138,8 @@ class Signal:
 # R_ON_PER_TUBE / N.  A model constant, not a published value.
 R_ON_PER_TUBE = 30e3
 
-# Entries, rows and settled entries, a region result table holds before it
-# is cleared, and tables the process holds, one per region shape (see _Tables).
+# Entries a region result table holds before it is cleared, and tables the
+# process holds, one per region shape (see _Tables).
 TABLE_ROWS = 1024
 
 
@@ -198,17 +199,17 @@ class _Region(NamedTuple):
     """Unpinned nodes joined by channels and capacitors, and the FETs with a
     channel terminal among them; or one FET between two pins and no nodes.
     key_of reads the levels at its slots, its nodes and then its reads, and
-    reads_of those at its reads alone.  Its table maps a key to its row,
-    _resolve of its shape and that key, and the levels at its reads to its
-    settled entry, the row its steps from all-'z' end on (see _settled);
-    regions of one shape hold the same table (see _regions)."""
+    reads_of those at its reads alone.  Its table maps its reads to its
+    settled entry, the row its steps from all-'z' end on (see _settled),
+    and a key to its row in the global loop (see _resolve); regions of one
+    shape hold the same table (see _regions)."""
 
     nodes: list[int]                        # unpinned, ascending
     fets: list[int]                         # in shape order: links, then feeds
     key_of: Callable[[Sequence], tuple]     # a per-node list's items at its slots
     reads_of: Callable[[Sequence], tuple]   # ... at its reads
     shape: tuple                            # (node count, FETs, capacitors) in slots
-    table: dict[tuple, list]                # key or reads -> row, see _resolve
+    table: dict[tuple, list]                # reads or key -> row, see _settled
 
 
 class _Partition(NamedTuple):
@@ -403,15 +404,15 @@ class _Tables:
 
     _resolve reads only a region's shape and key, and _settled only its
     shape and reads, so one table serves every partition of every compiled
-    netlist.  A table is cleared at TABLE_ROWS entries, rows and settled
-    entries alike.  An entry's key has a slot per level it reads and a shape
-    one per FET and capacitor, so both grow with the region: past TABLE_ROWS
-    tables or TABLE_ROWS**2 slots, the oldest tables are dropped.  A
-    partition keeps the tables it holds, dropped or not."""
+    netlist.  It holds settled entries and the global loop's rows, cleared
+    at TABLE_ROWS entries.  An entry counts a slot per level of its key and
+    per node and FET its row holds, and a shape one per FET and capacitor:
+    past TABLE_ROWS tables or TABLE_ROWS**2 slots, the oldest tables are
+    dropped.  A partition keeps the tables it holds, dropped or not."""
 
     def __init__(self) -> None:
         self.tables: dict[tuple, dict[tuple, list]] = {}    # shape -> key -> row
-        self.slots = 0                  # of the shapes and keys in tables
+        self.slots = 0                  # of the shapes and entries in tables
 
     def table(self, shape: tuple) -> dict[tuple, list]:
         table = self.tables.get(shape)
@@ -421,20 +422,16 @@ class _Tables:
             self._trim()
         return table
 
-    def row(self, shape: tuple, table: dict[tuple, list], key: tuple) -> list:
-        """_resolve(shape, key), entered in table, a table of that shape."""
-        return self.enter(shape, table, key, _resolve(shape, key))
-
     def enter(self, shape: tuple, table: dict[tuple, list], key: tuple, row: list) -> list:
         """row, entered under key in table, a table of that shape."""
         held = self.tables.get(shape) is table
         if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
             if held:
-                self.slots -= sum(map(len, table))
+                self.slots -= _slots(shape, table) - _slots(shape, {})
             table.clear()
         table[key] = row
         if held:
-            self.slots += len(key)
+            self.slots += len(key) + shape[0] + len(shape[1])
             self._trim()
         return row
 
@@ -445,9 +442,9 @@ class _Tables:
 
 
 def _slots(shape: tuple, table: dict[tuple, list]) -> int:
-    # a slot per FET and capacitor of the shape and per level of each key
-    _, fets, caps = shape
-    return len(fets) + len(caps) + sum(map(len, table))
+    # a slot per FET and capacitor of the shape, and per entry (see _Tables)
+    count, fets, caps = shape
+    return len(fets) + len(caps) + sum(map(len, table)) + len(table) * (count + len(fets))
 
 
 _TABLES = _Tables()
@@ -459,7 +456,7 @@ def _resolve(shape: tuple, key: tuple) -> list:
     flags on the key, whether they hold on the next levels, and a slot for
     its nodes' Signals on those, None until a solve carrying Signals reads
     them (see _settle_from).  It reads nothing else, so a row is a function
-    of its table's key."""
+    of its shape and key."""
     count, fets, caps = shape
 
     def conducting(lv: Sequence) -> tuple[bool, ...]:
@@ -584,16 +581,15 @@ def _settled(shape: tuple, table: dict[tuple, list], reads: tuple) -> list:
     entered in table under reads: the row its steps from all-'z' end on, where
     its flags hold, or where its conducting set comes back (the row's flags
     then do not hold).  Its reads stay fixed while it steps, so the entry is
-    a function of its key; a region with no nodes has one step, whose row,
-    keyed by its reads alone, is its entry."""
+    a function of its reads; no solve reads a step before it again, so none
+    is entered."""
     levels: tuple = (Z,) * shape[0]
     seen: set[tuple] = set()                # the conducting sets of rows that did not hold
     while True:
-        key = levels + reads
-        row = table.get(key) or _TABLES.row(shape, table, key)
+        row = _resolve(shape, levels + reads)
         levels, _, on, holds, _ = row
         if holds or on in seen:
-            return _TABLES.enter(shape, table, reads, row) if shape[0] else row
+            return _TABLES.enter(shape, table, reads, row)
         seen.add(on)
 
 
@@ -609,7 +605,8 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
         for r in todo:
             _, _, key_of, _, shape, table = regions[r]
             key = key_of(levels)
-            rows.append((r, table.get(key) or _TABLES.row(shape, table, key)))
+            row = table.get(key) or _TABLES.enter(shape, table, key, _resolve(shape, key))
+            rows.append((r, row))
         changed: list[int] = []             # nodes whose level or strength changed
         for r, (next_levels, next_strengths, on, _, _) in rows:
             nodes, fets, *_ = regions[r]

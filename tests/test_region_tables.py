@@ -38,9 +38,10 @@ def check(monkeypatch):
     on a settled entry, keyed by a region's reads alone, each read in a
     settle the reference then checks.  Its tables, one per shape, serve
     every netlist of the test, as the process's do, and shared() and
-    settled_shared() count the hits on an entry another netlist filled."""
+    settled_shared() count the hits on an entry another netlist filled: each
+    entry is filed under the compiled netlist whose solve entered it."""
     counts = {"hits": 0, "shared": 0, "settled": 0, "settled_shared": 0}
-    checking = [None, False]                # the netlist being checked; counting
+    checking = [None, False]                # the compiled netlist solving; counting
 
     class Counted(dict):
         def __init__(self, reads: int):
@@ -73,6 +74,10 @@ def check(monkeypatch):
                 region.shape, Counted(len(region.reads_of(nodes)))))
             for region in part.regions])
 
+    def solve(comp, pins, _real=sim._solve):
+        checking[0] = comp
+        return _real(comp, pins)
+
     def from_z(n, inputs, cfg):
         comp = n._compiled                  # as steady_state just compiled it
         bases, comp.bases = comp.bases, {}
@@ -85,7 +90,6 @@ def check(monkeypatch):
                 for name, lvl, st in zip(comp.names, solve.levels, solve.strengths)}
 
     def checker(n, inputs, cfg=CFG):
-        checking[0] = n
         reference_sim.check(n, inputs, cfg, from_z)
 
     checker.hits = lambda: counts["hits"]
@@ -93,6 +97,7 @@ def check(monkeypatch):
     checker.settled = lambda: counts["settled"]
     checker.settled_shared = lambda: counts["settled_shared"]
     monkeypatch.setattr(sim, "_regions", regions)
+    monkeypatch.setattr(sim, "_solve", solve)
     return checker
 
 
@@ -102,6 +107,7 @@ def test_a_hit_on_a_pinned_capacitor_neighbor_is_exact(check):
         assert steady_state(n, {"a": volts}, CFG)["m"].level == pytest.approx(volts / 4)
         check(n, {"a": volts})
     assert check.hits() and check.settled()
+    assert check.shared() == 0          # one netlist fills every entry it meets
 
 
 def test_corpus_hits_are_exact(check):
@@ -242,16 +248,17 @@ def test_the_process_holds_at_most_table_rows_tables(monkeypatch):
     assert len(sim._TABLES.tables) == sim.TABLE_ROWS
     assert [region.table is sim._TABLES.tables.get(region.shape) for region in regions] == \
         [False] * 50 + [True] * sim.TABLE_ROWS
-    # a region's step row, keyed by its node and reads, and its settled
-    # entry, keyed by its reads alone
-    assert all(len(region.table) == 2 for region in regions)
+    # a region's settled entry alone, keyed by its reads
+    assert all(len(region.table) == 1 for region in regions)
     assert sim._TABLES.slots == _held_slots()
 
 
 def test_a_dropped_pass_chain_leaves_no_more_than_the_slot_bound(monkeypatch):
-    # one region: nfets gated by VDD pass GND down the chain, a stage a step,
-    # so its table gets a row a stage, each with a key a slot a node long
-    depth = 220                             # 29 rows in its table at the end
+    # one region: nfets gated by VDD pass GND down the chain, a stage a step;
+    # its settled entry is keyed by its two reads but holds a level and a
+    # flag per node and FET, which the bound counts, so the one entry of a
+    # 400-stage chain outgrows 32 * 32 slots
+    depth = 400
     text = ("* pass\nMa n0 VDD GND nfet 19 0 1\n"
             + "".join(f"M{k} n{k + 1} VDD n{k} nfet 19 0 1\n" for k in range(depth)) + ".end\n")
     monkeypatch.setattr(sim, "_TABLES", sim._Tables())
@@ -272,6 +279,30 @@ def test_a_dropped_pass_chain_leaves_no_more_than_the_slot_bound(monkeypatch):
         tracemalloc.stop()
     assert sim._TABLES.slots == _held_slots() <= 32 * 32
     assert held < 64 * 1024
+
+
+def test_a_rank_order_solve_enters_only_settled_entries(monkeypatch):
+    # a region stepped in rank order is read again by its reads alone, so its
+    # steps enter no row; only the global loop (test_sim.py's ring
+    # oscillator) fills rows keyed by a region's nodes and reads
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
+    netlists = [build_design(variant, BuildConfig(vdd=0.9)) for variant in BOTH_VARIANTS]
+    for n in netlists:
+        steady_state(n, {"a": 0.9, "b": 0.0, "cin": 0.45}, CFG)
+        delay_estimate(n, "sum", CFG)
+    ripple = parse(ripple_text(4))
+    levels = CFG.vmap().levels()
+    for k in range(3):
+        inputs = {f"{p}{i}": levels[(i + k) % 3] for p in "ab" for i in range(4)}
+        steady_state(ripple, {**inputs, "c0": levels[k]}, CFG)
+        delay_estimate(ripple, "s3", CFG, {**inputs, "c0": levels[2 - k]})
+    netlists.append(ripple)
+    for n in netlists:
+        nodes = range(len(n._compiled.names))
+        for part in n._compiled.regions.values():
+            assert part.ranks is not None
+            for region in part.regions:
+                assert {len(key) for key in region.table} == {len(region.reads_of(nodes))}
 
 
 def test_the_table_bound_changes_no_result(monkeypatch):
