@@ -273,15 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergent as e:
+    except (TritsimError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return NO_FIXPOINT
-    except TritsimError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
+        return NO_FIXPOINT if isinstance(e, NonConvergent) else USAGE
 
 
 if __name__ == "__main__":

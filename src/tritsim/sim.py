@@ -23,11 +23,11 @@ SimConfig of its last call; an in-place change recompiles.
 The compiled form memoizes its solves by the tuple of pinned voltages, each
 with the timing read from it so far, and keeps a solve through the next call:
 delay_estimate then transient, or steady_state then delay_estimate, solve each
-assignment once, and at most two calls' solves are held.  A solve holds its
-nodes' Signals from the first steady_state read, or carried from its base
-and, for a region it steps, taken from the region's settled entry (see
-below), which builds them once, so a solve builds none where every entry
-it meets has them, and delay_estimate and transient build none.  A
+assignment once, and at most two calls' solves are held.  A solve holds
+each node's level and Signal, the one record of its state: a pin's Signal is
+made when the pin is set, and every other node's is its region's row's (see
+below), built with the row and shared by every solve that reads it, so a
+solve carried from its base builds a Signal only for a pin that changed.  A
 zero-volt input or fixed source is one value: -0.0 V becomes 0.0 V where
 voltages enter.
 Each sweep re-evaluates conduction from the previous state snapshot, and
@@ -38,9 +38,9 @@ terminals pinned is a region with no nodes (timing never relaxes its channel,
 as every pin starts at resistance 0).  A region's slots are its nodes, then
 its reads: the outside gates, pinned channel terminals and pinned capacitor
 neighbors its FETs and capacitors touch.  Its key is the levels at its slots,
-and its row, _resolve of its shape and key, is its whole step: its FETs'
-flags on the key, its next levels and strengths, and whether those flags
-still hold on them.  _resolve reads nothing else, so regions of equal shape
+and its row, _resolve of its shape and key, is its whole step: its next
+levels and Signals, its FETs' flags on the key, and whether those flags
+still hold on them, one tuple that no solve changes once it is entered.  _resolve reads nothing else, so regions of equal shape
 share one result table exactly, by construction, within a partition and
 across every compiled netlist of the process, and only a miss evaluates a
 FET: a netlist built again, as each sweep point builds its adder, meets the
@@ -59,8 +59,8 @@ entry (see _settled), and a warm region is one lookup of its reads.  No
 solve reads its steps before that row again, so none is entered.  A
 solve starts from its base, the last one settled in rank order on its
 pinned set: it steps only the regions that read a changed pin or a node
-whose level or strength moved from the base's, as MOSSIM II's selective
-trace does (Bryant, IEEE Trans. Computers C-33(2), 1984).  When
+whose level moved from the base's, as keys read levels alone, like MOSSIM
+II's selective trace (Bryant, IEEE Trans. Computers C-33(2), 1984).  When
 the regions feed each other in a cycle, one component holds them all: its
 first sweep reads every region's row, later ones the rows of the regions
 whose flags did not hold and of the readers of the nodes that changed, each
@@ -202,14 +202,15 @@ class _Region(NamedTuple):
     reads_of those at its reads alone.  Its table maps its reads to its
     settled entry, the row its steps from all-'z' end on (see _settled),
     and a key to its row in the global loop (see _resolve); regions of one
-    shape hold the same table (see _regions)."""
+    shape hold the same table (see _regions), and a row is a tuple that no
+    solve changes."""
 
     nodes: list[int]                        # unpinned, ascending
     fets: list[int]                         # in shape order: links, then feeds
     key_of: Callable[[Sequence], tuple]     # a per-node list's items at its slots
     reads_of: Callable[[Sequence], tuple]   # ... at its reads
     shape: tuple                            # (node count, FETs, capacitors) in slots
-    table: dict[tuple, list]                # reads or key -> row, see _settled
+    table: dict[tuple, tuple]               # reads or key -> row, see _settled
 
 
 class _Partition(NamedTuple):
@@ -225,14 +226,11 @@ class _Partition(NamedTuple):
 
 @dataclass
 class _Solve:
-    levels: list[float | str]          # per node index
-    strengths: list[Strength | None]   # per node index
+    levels: list[float | str]          # per node index; keys read levels, see _Region
+    signals: list[Signal]              # per node index: a pin's, or its region row's
     flags: bytearray                   # per FET index, 1 where it conducts
     part: _Partition                   # the partition it settled on
     ranked: bool                       # settled in rank order: a base (see _settle_from)
-    # per node index, its Signal, from the first steady_state read or carried
-    # from the base's (see _settle_from); None until then
-    signals: list[Signal] | None = None
     # from the first timing read: the forest grown so far and the settled
     # times, see _arrival
     drive: dict[int, tuple] | None = None
@@ -405,16 +403,17 @@ class _Tables:
     _resolve reads only a region's shape and key, and _settled only its
     shape and reads, so one table serves every partition of every compiled
     netlist.  It holds settled entries and the global loop's rows, cleared
-    at TABLE_ROWS entries.  An entry counts a slot per level of its key and
-    per node and FET its row holds, and a shape one per FET and capacitor:
+    at TABLE_ROWS entries.  An entry counts a slot per level of its key, per
+    node (its level and Signal) and per FET its row holds, and a shape one
+    per FET and capacitor:
     past TABLE_ROWS tables or TABLE_ROWS**2 slots, the oldest tables are
     dropped.  A partition keeps the tables it holds, dropped or not."""
 
     def __init__(self) -> None:
-        self.tables: dict[tuple, dict[tuple, list]] = {}    # shape -> key -> row
+        self.tables: dict[tuple, dict[tuple, tuple]] = {}   # shape -> key -> row
         self.slots = 0                  # of the shapes and entries in tables
 
-    def table(self, shape: tuple) -> dict[tuple, list]:
+    def table(self, shape: tuple) -> dict[tuple, tuple]:
         table = self.tables.get(shape)
         if table is None:
             table = self.tables[shape] = {}
@@ -422,7 +421,7 @@ class _Tables:
             self._trim()
         return table
 
-    def enter(self, shape: tuple, table: dict[tuple, list], key: tuple, row: list) -> list:
+    def enter(self, shape: tuple, table: dict[tuple, tuple], key: tuple, row: tuple) -> tuple:
         """row, entered under key in table, a table of that shape."""
         held = self.tables.get(shape) is table
         if len(table) >= TABLE_ROWS:    # bounds a table under an analog sweep
@@ -441,7 +440,7 @@ class _Tables:
             self.slots -= _slots(shape, self.tables.pop(shape))
 
 
-def _slots(shape: tuple, table: dict[tuple, list]) -> int:
+def _slots(shape: tuple, table: dict[tuple, tuple]) -> int:
     # a slot per FET and capacitor of the shape, and per entry (see _Tables)
     count, fets, caps = shape
     return len(fets) + len(caps) + sum(map(len, table)) + len(table) * (count + len(fets))
@@ -450,13 +449,12 @@ def _slots(shape: tuple, table: dict[tuple, list]) -> int:
 _TABLES = _Tables()
 
 
-def _resolve(shape: tuple, key: tuple) -> list:
+def _resolve(shape: tuple, key: tuple) -> tuple:
     """A region's row, its whole step, from its shape (see _regions) and the
-    levels at its slots: its nodes' next levels and strengths, its FETs'
-    flags on the key, whether they hold on the next levels, and a slot for
-    its nodes' Signals on those, None until a solve carrying Signals reads
-    them (see _settle_from).  It reads nothing else, so a row is a function
-    of its shape and key."""
+    levels at its slots: (its nodes' next levels, their Signals, its FETs'
+    flags on the key, whether those hold on the next levels).  It reads
+    nothing else, so a row is a function of its shape and key, and it is
+    immutable, as every solve that meets its key shares it."""
     count, fets, caps = shape
 
     def conducting(lv: Sequence) -> tuple[bool, ...]:
@@ -510,7 +508,8 @@ def _resolve(shape: tuple, key: tuple) -> list:
         level = charged.get(_find(parent, m))
         if level is not None:
             levels[m], strengths[m] = level, Strength.CHARGED
-    return [tuple(levels[:count]), tuple(strengths), flags, conducting(levels) == flags, None]
+    return (tuple(levels[:count]), tuple(map(Signal, levels, strengths)), flags,
+            conducting(levels) == flags)
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -527,28 +526,29 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
 
 
 def _start(comp: _Compiled, pins: list[float | None]) -> tuple[list, list, bytearray]:
-    """All-'z' under pins: every node's level and strength, and no FET on."""
+    """All-'z' under pins: every node's level and Signal, and no FET on."""
+    floating = Signal(Z, None)
     return ([Z if p is None else p for p in pins],
-            [None if p is None else Strength.SUPPLY for p in pins], bytearray(len(comp.fets)))
+            [floating if p is None else Signal(p, Strength.SUPPLY) for p in pins],
+            bytearray(len(comp.fets)))
 
 
 def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
                  base: _Solve | None) -> _Solve | None:
     """The steady state in rank order from a copy of base, a solve settled in
     rank order on part, or from all-'z' without one; a region stepped takes
-    its settled entry (see _settled).  The base's Signals, where it has them,
-    are carried too, a changed pin's made again and a stepped region's taken
-    from its entry.  None when a region repeats a conducting set."""
+    its levels and Signals from its settled entry (see _settled), and a
+    changed pin's Signal is made again.  A node whose level moved marks its
+    readers, as keys read levels alone.  None when a region repeats a
+    conducting set."""
     regions, readers, ranks, *_ = part
     marked = bytearray([base is None]) * len(regions)      # the regions to step
     base = base or _Solve(*_start(comp, pins), part, True)
-    levels, strengths, flags = list(base.levels), list(base.strengths), bytearray(base.flags)
-    signals = None if base.signals is None else list(base.signals)
+    levels, signals, flags = list(base.levels), list(base.signals), bytearray(base.flags)
     for m in part.pins:
         if pins[m] != levels[m]:
             levels[m] = pins[m]
-            if signals is not None:
-                signals[m] = Signal(pins[m], Strength.SUPPLY)
+            signals[m] = Signal(pins[m], Strength.SUPPLY)
             for r in readers[m]:
                 marked[r] = 1
     for r in ranks:
@@ -556,27 +556,21 @@ def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
             continue
         nodes, fets, _, reads_of, shape, table = regions[r]
         reads = reads_of(levels)
-        row = table.get(reads) or _settled(shape, table, reads)
-        next_levels, next_strengths, on, holds, sigs = row
+        next_levels, sigs, on, holds = table.get(reads) or _settled(shape, table, reads)
         if not holds:
             return None
         for k, f in zip(fets, on):
             flags[k] = f
-        for m, lvl, st in zip(nodes, next_levels, next_strengths):
-            levels[m] = lvl
-            strengths[m] = st
-            if lvl != base.levels[m] or st is not base.strengths[m]:
+        for m, lvl, sig in zip(nodes, next_levels, sigs):
+            if lvl != levels[m]:
+                levels[m] = lvl
                 for q in readers[m]:
                     marked[q] = 1
-        if signals is not None:
-            if sigs is None:
-                sigs = row[4] = tuple(map(Signal, next_levels, next_strengths))
-            for m, sig in zip(nodes, sigs):
-                signals[m] = sig
-    return _Solve(levels, strengths, flags, part, True, signals)
+            signals[m] = sig
+    return _Solve(levels, signals, flags, part, True)
 
 
-def _settled(shape: tuple, table: dict[tuple, list], reads: tuple) -> list:
+def _settled(shape: tuple, table: dict[tuple, tuple], reads: tuple) -> tuple:
     """The settled entry of a region of shape under the levels at its reads,
     entered in table under reads: the row its steps from all-'z' end on, where
     its flags hold, or where its conducting set comes back (the row's flags
@@ -587,7 +581,7 @@ def _settled(shape: tuple, table: dict[tuple, list], reads: tuple) -> list:
     seen: set[tuple] = set()                # the conducting sets of rows that did not hold
     while True:
         row = _resolve(shape, levels + reads)
-        levels, _, on, holds, _ = row
+        levels, _, on, holds = row
         if holds or on in seen:
             return _TABLES.enter(shape, table, reads, row)
         seen.add(on)
@@ -597,7 +591,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
     """The steady state from all-'z' by the global loop, one component of
     every region.  Raises NonConvergent when every FET's flags repeat."""
     regions, readers, *_ = part
-    levels, strengths, flags = _start(comp, pins)
+    levels, signals, flags = _start(comp, pins)
     todo: Iterable[int] = range(len(regions))
     seen: dict[bytes, int] = {}             # every FET's flags -> sweep seen at
     for sweep in itertools.count():
@@ -608,14 +602,15 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
             row = table.get(key) or _TABLES.enter(shape, table, key, _resolve(shape, key))
             rows.append((r, row))
         changed: list[int] = []             # nodes whose level or strength changed
-        for r, (next_levels, next_strengths, on, _, _) in rows:
+        for r, (next_levels, sigs, on, _) in rows:
             nodes, fets, *_ = regions[r]
             for k, f in zip(fets, on):
                 flags[k] = f
-            for m, lvl, st in zip(nodes, next_levels, next_strengths):
-                if levels[m] != lvl or strengths[m] is not st:
+            for m, lvl, sig in zip(nodes, next_levels, sigs):
+                if levels[m] != lvl or signals[m].strength is not sig.strength:
                     changed.append(m)
-                    levels[m], strengths[m] = lvl, st
+                    levels[m] = lvl
+                signals[m] = sig
         # a region whose flags hold steps to itself until a read changes
         todo = {r for r, row in rows if not row[3]}
         todo.update(q for m in changed for q in readers[m])
@@ -624,7 +619,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
         first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
             raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
-    return _Solve(levels, strengths, flags, part, False)
+    return _Solve(levels, signals, flags, part, False)
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -646,10 +641,7 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
     a fresh dict, the caller's, of Signals shared with the solve, which are
     immutable."""
     comp = _compile(n, cfg)
-    solve = _solved(comp, _pin_map(comp, inputs or {}))
-    if solve.signals is None:
-        solve.signals = list(map(Signal, solve.levels, solve.strengths))
-    return dict(zip(comp.names, solve.signals))
+    return dict(zip(comp.names, _solved(comp, _pin_map(comp, inputs or {})).signals))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +698,7 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
     keys, but not comp, and visiting is this read's, so a read names the
     same cycle node whatever was read before.
     """
-    strengths, flags = solve.strengths, solve.flags
+    signals, flags = solve.signals, solve.flags
     if solve.memo is None:
         solve.drive, solve.memo = {}, dict(solve.part.pin_times)
     memo, drive = solve.memo, solve.drive
@@ -723,7 +715,7 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
             _, _, parent, gate = drive[~key]
             return [key], [~parent, gate], 0.0, []
         visiting.add(key)
-        if strengths[key] is Strength.DRIVEN:
+        if signals[key].strength is Strength.DRIVEN:
             if key not in drive:            # its region is not grown yet
                 _grow(comp, solve, solve.part.node_region[key])
             _, elmore, parent, gate = drive[key]
@@ -731,14 +723,14 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
         cluster, waits = [key], {}          # the charged nodes joined to key
         for m in cluster:
             for o, _ in comp.cap_adj[m]:
-                if strengths[o] is not Strength.CHARGED:
+                if signals[o].strength is not Strength.CHARGED:
                     waits[o] = None         # DRIVEN or SUPPLY: a cluster has no 'z' neighbor
                 elif o not in visiting:
                     visiting.add(o)
                     cluster.append(o)
             for o, _, _, k in comp.channels[m]:
                 # a conducting channel joins m's group, charged as one (see _resolve)
-                if flags[k] and strengths[o] is Strength.CHARGED and o not in visiting:
+                if flags[k] and signals[o].strength is Strength.CHARGED and o not in visiting:
                     visiting.add(o)
                     cluster.append(o)
         return cluster, list(waits), 0.0, []
@@ -853,7 +845,7 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
                 energy = 0.5 * comp.node_cap[i] * (new - old) ** 2
             else:
                 continue
-            t = t_edge + (0.0 if solve.strengths[i] is None else _arrival(comp, solve, i))
+            t = t_edge + (0.0 if solve.signals[i].strength is None else _arrival(comp, solve, i))
             if i in last_emit and t <= last_emit[i]:
                 t = math.nextafter(last_emit[i], math.inf)
             last_emit[i] = t

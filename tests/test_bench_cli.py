@@ -5,6 +5,7 @@ Sweep rows are frozen strings: the engine is deterministic, so any drift in
 the numbers means the electrical model changed.
 """
 
+import copy
 import itertools
 from collections import Counter
 
@@ -12,8 +13,8 @@ import pytest
 
 from tritsim import (BOTH_VARIANTS, DEFAULT_VALUES, BuildConfig, ConfigError, DesignVariant,
                      FixedSource, OutOfRange, SimConfig, SweepSpec, benchmark_stimulus,
-                     build_design, delay_estimate, fixture_text, run_sweep, sim, sweep_csv,
-                     transient, truth_table_csv)
+                     build_design, delay_estimate, fixture_text, run_sweep, sim, steady_state,
+                     sweep_csv, transient, truth_table_csv)
 from tritsim import cli
 from tritsim.cli import _build_parser, main
 
@@ -177,16 +178,23 @@ def test_sweep_point_compiles_once_and_solves_each_triple_once(monkeypatch):
     assert counts == {"flatten": 1, "_solve": 27}
 
 
-def test_a_sweep_point_builds_no_signal(monkeypatch):
-    # delay_estimate and transient never read a Signal, so a solve builds
-    # one only when steady_state reads it; this held before solves carried
-    # Signals too, and guards against keeping them up eagerly.  The tables
-    # start empty, so every row is made here, not met with Signals built
+def test_steady_state_leaves_each_entered_row_as_it_was(monkeypatch):
+    # the process's tables are shared by every solve, so a row is built
+    # whole, its Signals too, and no later read fills or replaces a part of
+    # it.  The tables start empty, so every row is entered by this test
     monkeypatch.setattr(sim, "_TABLES", sim._Tables())
-    built = []
-    monkeypatch.setattr(sim, "Signal", lambda *args: built.append(args))
-    run_sweep(SweepSpec(values=(1e-15,)))
-    assert built == []
+    net = build_design(DesignVariant.DESIGN2, BuildConfig())
+    cfg = SimConfig()
+    delay_estimate(net, "sum", cfg)
+    transient(net, benchmark_stimulus(cfg.vdd, 4e-9), cfg)
+    entered = [(table, key, row, copy.deepcopy(row))
+               for table in sim._TABLES.tables.values() for key, row in table.items()]
+    assert entered
+    levels = cfg.vmap().levels()
+    for a, b, c in itertools.product(levels, repeat=3):
+        steady_state(net, {"a": a, "b": b, "cin": c}, cfg)
+    for table, key, row, was in entered:
+        assert table[key] is row and type(row) is tuple and row == was
 
 
 def test_direct_pair_compiles_once_and_solves_each_triple_once(monkeypatch):
@@ -567,6 +575,15 @@ def test_cli_verify_malformed_netlist(tmp_path, capsys):
 def test_cli_verify_missing_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.tnl")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["nope.tnl", "."])
+def test_cli_verify_unreadable_path_exits_2(tmp_path, capsys, name):
+    # a missing file or a directory is an OSError, reported as one error line
+    assert main(["verify", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_bad_usage_exits_2():

@@ -86,8 +86,8 @@ def check(monkeypatch):
             solve = sim._solve(comp, sim._pin_map(comp, inputs))
         finally:
             comp.bases, checking[1] = bases, False
-        return {name: sim.Signal(lvl, st)
-                for name, lvl, st in zip(comp.names, solve.levels, solve.strengths)}
+        assert list(map(repr, solve.levels)) == [repr(sig.level) for sig in solve.signals]
+        return dict(zip(comp.names, solve.signals))
 
     def checker(n, inputs, cfg=CFG):
         reference_sim.check(n, inputs, cfg, from_z)
@@ -256,8 +256,8 @@ def test_the_process_holds_at_most_table_rows_tables(monkeypatch):
 def test_a_dropped_pass_chain_leaves_no_more_than_the_slot_bound(monkeypatch):
     # one region: nfets gated by VDD pass GND down the chain, a stage a step;
     # its settled entry is keyed by its two reads but holds a level and a
-    # flag per node and FET, which the bound counts, so the one entry of a
-    # 400-stage chain outgrows 32 * 32 slots
+    # Signal per node and a flag per FET, which the bound counts, so the one
+    # entry of a 400-stage chain outgrows 32 * 32 slots
     depth = 400
     text = ("* pass\nMa n0 VDD GND nfet 19 0 1\n"
             + "".join(f"M{k} n{k + 1} VDD n{k} nfet 19 0 1\n" for k in range(depth)) + ".end\n")

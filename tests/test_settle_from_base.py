@@ -48,14 +48,16 @@ def settles(monkeypatch):
 
 
 def _outcome(n, inputs, cfg):
-    """n's solve of inputs, as steady_state gets it: (levels by repr,
-    strengths, flags), or NonConvergent's message."""
+    """n's solve of inputs, as steady_state gets it: (levels by repr, its
+    Signals' levels by repr, their strengths, flags), or NonConvergent's
+    message."""
     comp = sim._compile(n, cfg)
     try:
         solve = sim._solved(comp, sim._pin_map(comp, inputs))
     except NonConvergent as e:
         return str(e)
-    return [repr(lvl) for lvl in solve.levels], solve.strengths, bytes(solve.flags)
+    return ([repr(lvl) for lvl in solve.levels], [repr(sig.level) for sig in solve.signals],
+            [sig.strength for sig in solve.signals], bytes(solve.flags))
 
 
 def _walk(n, assigns, cfg=CFG) -> None:
@@ -71,7 +73,8 @@ def _walk(n, assigns, cfg=CFG) -> None:
         assert got == want
         if isinstance(got, str):
             continue
-        assert all(g is w for g, w in zip(got[1], want[1]))
+        assert got[1] == got[0]             # a Signal holds its node's level
+        assert all(g is w for g, w in zip(got[2], want[2]))
         if j % 4 in (1, 2):
             signals = steady_state(n, inputs, cfg)
             expected = steady_state(fresh, inputs, cfg)
@@ -306,9 +309,11 @@ def test_a_repeat_entry_gives_the_same_nonconvergent(monkeypatch):
 
 def test_a_one_input_toggle_builds_few_signals(monkeypatch):
     # a solve carries its base's Signals, builds one for a changed pin, and
-    # takes a stepped region's from its settled entry, which builds them on
-    # the first such read; the first read of the netlist builds all 467.
-    # The tables start empty, so no entry holds Signals another test built
+    # takes a stepped region's from its settled entry, which built them with
+    # its row.  The first read of the netlist builds 167 of its 467: one per
+    # pin (51: inputs, rails and fixed sources), one for the all-'z' start,
+    # and 115 in the rows it enters, as its 16 cells share entries.  The
+    # tables start empty, so no entry holds Signals another test built
     monkeypatch.setattr(sim, "_TABLES", sim._Tables())
     built = []
 
@@ -319,7 +324,7 @@ def test_a_one_input_toggle_builds_few_signals(monkeypatch):
     monkeypatch.setattr(sim, "Signal", signal)
     toggles = _toggles(random.Random(3), 200)
     n = next(toggles)
-    assert len(n._compiled.names) == len(built) == 467
+    assert len(n._compiled.names) == 467 and len(built) == 167
     built.clear()
     counts = []
     for _ in toggles:

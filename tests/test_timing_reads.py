@@ -62,7 +62,7 @@ def _whole_forest(comp, solve) -> dict[int, tuple]:
     region at a time: node -> (resistance from its driver, Elmore sum,
     parent, gate of the FET from the parent), pins with parent -1."""
     drive = {i: (0.0, 0.0, -1, -1)
-             for i, st in enumerate(solve.strengths) if st is Strength.SUPPLY}
+             for i, sig in enumerate(solve.signals) if sig.strength is Strength.SUPPLY}
     heap = [(0.0, i) for i in drive]
     while heap:
         dist, cur = heapq.heappop(heap)
@@ -105,15 +105,15 @@ def _solves():
 def test_the_forest_grown_by_region_is_the_whole_one():
     # reading every node grows every region that holds a driven node
     for comp, solve in _solves():
-        for node, st in enumerate(solve.strengths):
-            if st is not None:
+        for node, sig in enumerate(solve.signals):
+            if sig.strength is not None:
                 try:
                     sim._arrival(comp, solve, node)
                 except NoPath:
                     pass
         whole = _whole_forest(comp, solve)
         assert (solve.drive or {}) == {node: entry for node, entry in whole.items()
-                                       if solve.strengths[node] is not Strength.SUPPLY}
+                                       if solve.signals[node].strength is not Strength.SUPPLY}
 
 
 def test_a_carry_read_grows_less_than_half_the_forest():
