@@ -53,12 +53,15 @@ def load_fixture(name: str) -> Netlist:
     return parse(fixture_text(name))
 
 
+MAX_N1 = 140                # the largest chirality index pick_chirality searches
+
+
 @lru_cache(maxsize=None)
-def _chirality_table(limit: int = 140) -> list[tuple[float, Chirality]]:
-    """Semiconducting chiralities up to n1 = limit with their Vth, sorted by
+def _chirality_table() -> list[tuple[float, Chirality]]:
+    """Semiconducting chiralities up to n1 = MAX_N1 with their Vth, sorted by
     Vth; the sort is stable, so equal Vths stay in (n1, n2) order."""
     out = []
-    for n1 in range(1, limit + 1):
+    for n1 in range(1, MAX_N1 + 1):
         for n2 in range(0, n1 + 1):
             c = Chirality(n1, n2)
             if is_semiconducting(c):

@@ -24,12 +24,12 @@ The compiled form memoizes its solves by the tuple of pinned voltages, each
 with the timing read from it so far, and keeps a solve through the next call:
 delay_estimate then transient, or steady_state then delay_estimate, solve each
 assignment once, and at most two calls' solves are held.  A solve holds
-each node's level and Signal, the one record of its state: a pin's Signal is
-made when the pin is set, and every other node's is its region's row's (see
-below), built with the row and shared by every solve that reads it, so a
-solve carried from its base builds a Signal only for a pin that changed.  A
-zero-volt input or fixed source is one value: -0.0 V becomes 0.0 V where
-voltages enter.
+each node's Signal, the one record of its state, a (level, strength) named
+tuple: a pin's Signal is made when the pin is set, and every other node's is
+its region's row's (see below), built with the row and shared by every solve
+that reads it, so a solve carried from its base builds a Signal only for a
+pin that changed.  A zero-volt input or fixed source is one value: -0.0 V
+becomes 0.0 V where voltages enter.
 Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
@@ -37,18 +37,18 @@ region (see _regions), and every FET has one: a FET with both channel
 terminals pinned is a region with no nodes (timing never relaxes its channel,
 as every pin starts at resistance 0).  A region's slots are its nodes, then
 its reads: the outside gates, pinned channel terminals and pinned capacitor
-neighbors its FETs and capacitors touch.  Its key is the levels at its slots,
-and its row, _resolve of its shape and key, is its whole step: its next
-levels and Signals, its FETs' flags on the key, and whether those flags
-still hold on them, one tuple that no solve changes once it is entered.  _resolve reads nothing else, so regions of equal shape
-share one result table exactly, by construction, within a partition and
-across every compiled netlist of the process, and only a miss evaluates a
-FET: a netlist built again, as each sweep point builds its adder, meets the
-entries the first one filled.  Every pin is a float and -0.0 V is 0.0 V, so
-equal keys are equal inputs.  A table is cleared at TABLE_ROWS entries,
-which bounds it under an analog input sweep, and the process's tables are
-bounded in count and in slots, as an entry and a shape grow with their
-region (see _Tables).
+neighbors its FETs and capacitors touch.  Its key is the Signals at its
+slots, and its row, _resolve of its shape and key, is its whole step: its
+nodes' next Signals, its FETs' flags on the key's levels, and whether those
+flags still hold on the next ones, one tuple that no solve changes once it is
+entered.  _resolve reads nothing else, so regions of equal shape share one
+result table exactly, by construction, within a partition and across every
+compiled netlist of the process, and only a miss evaluates a FET: a netlist
+built again, as each sweep point builds its adder, meets the entries the
+first one filled.  Every pin is a float and -0.0 V is 0.0 V, so equal keys
+are equal inputs.  A table is cleared at TABLE_ROWS entries, which bounds it
+under an analog input sweep, and the process's tables are bounded in count
+and in slots, as an entry and a shape grow with their region (see _Tables).
 Regions settle in rank order, as in COSMOS (Bryant et al., DAC 1987): region
 A feeds region B when B reads a node of A, and B settles from all-'z' after
 every region that feeds it, until a row's flags hold.  Its reads are then
@@ -59,7 +59,7 @@ entry (see _settled), and a warm region is one lookup of its reads.  No
 solve reads its steps before that row again, so none is entered.  A
 solve starts from its base, the last one settled in rank order on its
 pinned set: it steps only the regions that read a changed pin or a node
-whose level moved from the base's, as keys read levels alone, like MOSSIM
+whose Signal changed from the base's, as keys read Signals, like MOSSIM
 II's selective trace (Bryant, IEEE Trans. Computers C-33(2), 1984).  When
 the regions feed each other in a cycle, one component holds them all: its
 first sweep reads every region's row, later ones the rows of the regions
@@ -125,13 +125,16 @@ X = "x"
 Z = "z"
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(NamedTuple):
     """Resolved state of one node: a voltage or 'x'/'z', plus drive strength
-    (None for floating)."""
+    (None for floating).  A named tuple, so it equals and hashes as the
+    plain (level, strength) tuple, and a tuple of Signals is a table key."""
 
     level: float | str
     strength: Strength | None
+
+
+_FLOATING = Signal(Z, None)     # every unpinned node's state before a solve steps it
 
 
 # On-resistance of one conducting tube; a device of N parallel tubes has
@@ -198,17 +201,15 @@ class _Compiled:
 class _Region(NamedTuple):
     """Unpinned nodes joined by channels and capacitors, and the FETs with a
     channel terminal among them; or one FET between two pins and no nodes.
-    key_of reads the levels at its slots, its nodes and then its reads, and
-    reads_of those at its reads alone.  Its table maps its reads to its
-    settled entry, the row its steps from all-'z' end on (see _settled),
-    and a key to its row in the global loop (see _resolve); regions of one
-    shape hold the same table (see _regions), and a row is a tuple that no
-    solve changes."""
+    reads_of reads the Signals at its reads.  Its table maps its reads to
+    its settled entry, the row its steps from all-'z' end on (see _settled),
+    and a key, its nodes' Signals and then its reads, to its row in the
+    global loop (see _resolve); regions of one shape hold the same table
+    (see _regions), and a row is a tuple that no solve changes."""
 
     nodes: list[int]                        # unpinned, ascending
     fets: list[int]                         # in shape order: links, then feeds
-    key_of: Callable[[Sequence], tuple]     # a per-node list's items at its slots
-    reads_of: Callable[[Sequence], tuple]   # ... at its reads
+    reads_of: Callable[[Sequence], tuple]   # a per-node list's items at its reads
     shape: tuple                            # (node count, FETs, capacitors) in slots
     table: dict[tuple, tuple]               # reads or key -> row, see _settled
 
@@ -226,7 +227,6 @@ class _Partition(NamedTuple):
 
 @dataclass
 class _Solve:
-    levels: list[float | str]          # per node index; keys read levels, see _Region
     signals: list[Signal]              # per node index: a pin's, or its region row's
     flags: bytearray                   # per FET index, 1 where it conducts
     part: _Partition                   # the partition it settled on
@@ -379,8 +379,8 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
         shape = (len(nodes), tuple((slot[a], slot[g], slot[b], is_nfet, vth)
                                    for _, _, a, g, b, is_nfet, vth in own),
                  tuple(sorted((slot[m], slot[o], farads) for m, o, farads in caps)))
-        regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots),
-                               _items(slots[len(nodes):]), shape, _TABLES.table(shape)))
+        regions.append(_Region(nodes, [k for _, k, *_ in own], _items(slots[len(nodes):]),
+                               shape, _TABLES.table(shape)))
         for m in slots[len(nodes):]:
             readers[m].append(r)
             if node_region[m] >= 0:         # an outside gate: its region feeds r
@@ -403,9 +403,9 @@ class _Tables:
     _resolve reads only a region's shape and key, and _settled only its
     shape and reads, so one table serves every partition of every compiled
     netlist.  It holds settled entries and the global loop's rows, cleared
-    at TABLE_ROWS entries.  An entry counts a slot per level of its key, per
-    node (its level and Signal) and per FET its row holds, and a shape one
-    per FET and capacitor:
+    at TABLE_ROWS entries.  An entry counts a slot per Signal of its key,
+    per node (its Signal) and per FET its row holds, and a shape one per FET
+    and capacitor:
     past TABLE_ROWS tables or TABLE_ROWS**2 slots, the oldest tables are
     dropped.  A partition keeps the tables it holds, dropped or not."""
 
@@ -441,7 +441,8 @@ class _Tables:
 
 
 def _slots(shape: tuple, table: dict[tuple, tuple]) -> int:
-    # a slot per FET and capacitor of the shape, and per entry (see _Tables)
+    # a slot per FET and capacitor of the shape, and per entry one per Signal
+    # of its key, per node (its Signal) and per FET (see _Tables)
     count, fets, caps = shape
     return len(fets) + len(caps) + sum(map(len, table)) + len(table) * (count + len(fets))
 
@@ -451,9 +452,9 @@ _TABLES = _Tables()
 
 def _resolve(shape: tuple, key: tuple) -> tuple:
     """A region's row, its whole step, from its shape (see _regions) and the
-    levels at its slots: (its nodes' next levels, their Signals, its FETs'
-    flags on the key, whether those hold on the next levels).  It reads
-    nothing else, so a row is a function of its shape and key, and it is
+    Signals at its slots: (its nodes' next Signals, its FETs' flags on the
+    key's levels, whether those hold on the next levels).  It reads nothing
+    else, so a row is a function of its shape and key, and it is
     immutable, as every solve that meets its key shares it."""
     count, fets, caps = shape
 
@@ -469,15 +470,16 @@ def _resolve(shape: tuple, key: tuple) -> tuple:
                       and switch_on(is_nfet, vg, ref, vth))
         return tuple(on)
 
-    flags = conducting(key)
+    levels: list[float | str] = [sig[0] for sig in key]     # per slot, the key's
+    flags = conducting(levels)
     parent = list(range(count))
     drive: dict[int, set[float]] = {}       # group root -> pinned levels driving it
     for (a, _, b, _, _), on in zip(fets, flags):    # every link comes before every feed
         if on and b < count:
             _union(parent, a, b)
         elif on and a < count:              # a FET between two pins drives no node
-            drive.setdefault(_find(parent, a), set()).add(key[b])
-    levels: list[float | str] = [Z] * count + list(key[count:])     # per slot
+            drive.setdefault(_find(parent, a), set()).add(levels[b])
+    levels[:count] = [Z] * count            # its nodes' next levels start undriven
     strengths: list[Strength | None] = [None] * count
     for m in range(count):
         driven = drive.get(_find(parent, m))
@@ -508,8 +510,7 @@ def _resolve(shape: tuple, key: tuple) -> tuple:
         level = charged.get(_find(parent, m))
         if level is not None:
             levels[m], strengths[m] = level, Strength.CHARGED
-    return (tuple(levels[:count]), tuple(map(Signal, levels, strengths)), flags,
-            conducting(levels) == flags)
+    return tuple(map(Signal, levels, strengths)), flags, conducting(levels) == flags
 
 
 def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -525,11 +526,9 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     return solve or _settle(comp, pins, part)
 
 
-def _start(comp: _Compiled, pins: list[float | None]) -> tuple[list, list, bytearray]:
-    """All-'z' under pins: every node's level and Signal, and no FET on."""
-    floating = Signal(Z, None)
-    return ([Z if p is None else p for p in pins],
-            [floating if p is None else Signal(p, Strength.SUPPLY) for p in pins],
+def _start(comp: _Compiled, pins: list[float | None]) -> tuple[list, bytearray]:
+    """All-'z' under pins: every node's Signal, and no FET on."""
+    return ([_FLOATING if p is None else Signal(p, Strength.SUPPLY) for p in pins],
             bytearray(len(comp.fets)))
 
 
@@ -537,51 +536,48 @@ def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
                  base: _Solve | None) -> _Solve | None:
     """The steady state in rank order from a copy of base, a solve settled in
     rank order on part, or from all-'z' without one; a region stepped takes
-    its levels and Signals from its settled entry (see _settled), and a
-    changed pin's Signal is made again.  A node whose level moved marks its
-    readers, as keys read levels alone.  None when a region repeats a
-    conducting set."""
+    its Signals from its settled entry (see _settled), and a changed pin's
+    Signal is made again.  A node whose Signal changed marks its readers, as
+    keys read Signals.  None when a region repeats a conducting set."""
     regions, readers, ranks, *_ = part
     marked = bytearray([base is None]) * len(regions)      # the regions to step
     base = base or _Solve(*_start(comp, pins), part, True)
-    levels, signals, flags = list(base.levels), list(base.signals), bytearray(base.flags)
+    signals, flags = list(base.signals), bytearray(base.flags)
     for m in part.pins:
-        if pins[m] != levels[m]:
-            levels[m] = pins[m]
+        if pins[m] != signals[m].level:
             signals[m] = Signal(pins[m], Strength.SUPPLY)
             for r in readers[m]:
                 marked[r] = 1
     for r in ranks:
         if not marked[r]:
             continue
-        nodes, fets, _, reads_of, shape, table = regions[r]
-        reads = reads_of(levels)
-        next_levels, sigs, on, holds = table.get(reads) or _settled(shape, table, reads)
+        nodes, fets, reads_of, shape, table = regions[r]
+        reads = reads_of(signals)
+        sigs, on, holds = table.get(reads) or _settled(shape, table, reads)
         if not holds:
             return None
         for k, f in zip(fets, on):
             flags[k] = f
-        for m, lvl, sig in zip(nodes, next_levels, sigs):
-            if lvl != levels[m]:
-                levels[m] = lvl
+        for m, sig in zip(nodes, sigs):
+            if sig != signals[m]:
+                signals[m] = sig
                 for q in readers[m]:
                     marked[q] = 1
-            signals[m] = sig
-    return _Solve(levels, signals, flags, part, True)
+    return _Solve(signals, flags, part, True)
 
 
 def _settled(shape: tuple, table: dict[tuple, tuple], reads: tuple) -> tuple:
-    """The settled entry of a region of shape under the levels at its reads,
+    """The settled entry of a region of shape under the Signals at its reads,
     entered in table under reads: the row its steps from all-'z' end on, where
     its flags hold, or where its conducting set comes back (the row's flags
     then do not hold).  Its reads stay fixed while it steps, so the entry is
     a function of its reads; no solve reads a step before it again, so none
     is entered."""
-    levels: tuple = (Z,) * shape[0]
+    signals: tuple = (_FLOATING,) * shape[0]
     seen: set[tuple] = set()                # the conducting sets of rows that did not hold
     while True:
-        row = _resolve(shape, levels + reads)
-        levels, _, on, holds = row
+        row = _resolve(shape, signals + reads)
+        signals, on, holds = row
         if holds or on in seen:
             return _TABLES.enter(shape, table, reads, row)
         seen.add(on)
@@ -589,37 +585,40 @@ def _settled(shape: tuple, table: dict[tuple, tuple], reads: tuple) -> tuple:
 
 def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Solve:
     """The steady state from all-'z' by the global loop, one component of
-    every region.  Raises NonConvergent when every FET's flags repeat."""
+    every region.  A region's key is its last row's Signals, which only its
+    own rows write, then its reads.  Raises NonConvergent when every FET's
+    flags repeat."""
     regions, readers, *_ = part
-    levels, signals, flags = _start(comp, pins)
+    signals, flags = _start(comp, pins)
+    own = [(_FLOATING,) * len(nodes) for nodes, *_ in regions]     # per region, its last Signals
     todo: Iterable[int] = range(len(regions))
     seen: dict[bytes, int] = {}             # every FET's flags -> sweep seen at
     for sweep in itertools.count():
         rows = []
         for r in todo:
-            _, _, key_of, _, shape, table = regions[r]
-            key = key_of(levels)
+            _, _, reads_of, shape, table = regions[r]
+            key = own[r] + reads_of(signals)
             row = table.get(key) or _TABLES.enter(shape, table, key, _resolve(shape, key))
             rows.append((r, row))
         changed: list[int] = []             # nodes whose level or strength changed
-        for r, (next_levels, sigs, on, _) in rows:
+        for r, row in rows:
             nodes, fets, *_ = regions[r]
+            own[r], on, _ = row
             for k, f in zip(fets, on):
                 flags[k] = f
-            for m, lvl, sig in zip(nodes, next_levels, sigs):
-                if levels[m] != lvl or signals[m].strength is not sig.strength:
+            for m, sig in zip(nodes, own[r]):
+                if signals[m] != sig:
                     changed.append(m)
-                    levels[m] = lvl
-                signals[m] = sig
+                    signals[m] = sig
         # a region whose flags hold steps to itself until a read changes
-        todo = {r for r, row in rows if not row[3]}
+        todo = {r for r, row in rows if not row[2]}
         todo.update(q for m in changed for q in readers[m])
         if not todo:
             break
         first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
             raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
-    return _Solve(levels, signals, flags, part, False)
+    return _Solve(signals, flags, part, False)
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -776,7 +775,7 @@ def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),
     worst = None
     for assign in assigns:
         solve = _solved(comp, _pin_map(comp, assign))
-        if isinstance(solve.levels[out], str):
+        if isinstance(solve.signals[out].level, str):
             continue    # 'z' (undriven) or 'x'
         t = _arrival(comp, solve, out)
         if worst is None or t > worst:
@@ -825,32 +824,34 @@ def transient(n: Netlist, stimulus: Sequence[tuple[float, Mapping[str, float]]],
 
     current: dict[str, float] = dict(stimulus[0][1])
     solve = _solved(comp, _pin_map(comp, current))
-    w.initial_levels = dict(zip(comp.names, solve.levels))
-    prev_levels = list(solve.levels)
+    w.initial_levels = {name: sig.level for name, sig in zip(comp.names, solve.signals)}
+    emitted = list(solve.signals)           # per node, the Signal it last emitted
     last_emit: dict[int, float] = {}
 
     for t_edge, assigns in stimulus[1:]:
         current.update(assigns)
         solve = _solved(comp, _pin_map(comp, current))
         batch = []
-        # a level equal to the last emitted one is unchanged whether it is a
+        # a node whose Signal is the one it last emitted keeps its level; a
+        # level equal to the last emitted one is unchanged whether it is a
         # string or a voltage, so only unequal levels meet the 1e-12 V test
-        levels = solve.levels
-        changed = [i for i, (new, old) in enumerate(zip(levels, prev_levels)) if new != old]
+        signals = solve.signals
+        changed = [i for i, (new, old) in enumerate(zip(signals, emitted))
+                   if new is not old and new.level != old.level]
         for i in changed:
-            new, old = levels[i], prev_levels[i]
+            new, old = signals[i].level, emitted[i].level
             if isinstance(new, str) or isinstance(old, str):
                 energy = 0.0
             elif abs(new - old) > 1e-12:
                 energy = 0.5 * comp.node_cap[i] * (new - old) ** 2
             else:
                 continue
-            t = t_edge + (0.0 if solve.signals[i].strength is None else _arrival(comp, solve, i))
+            t = t_edge + (0.0 if signals[i].strength is None else _arrival(comp, solve, i))
             if i in last_emit and t <= last_emit[i]:
                 t = math.nextafter(last_emit[i], math.inf)
             last_emit[i] = t
             batch.append(WaveEvent(t, comp.names[i], old, new, energy))
-            prev_levels[i] = new
+            emitted[i] = signals[i]
         batch.sort(key=lambda e: (e.time, e.node))
         w.events.extend(batch)
     return w

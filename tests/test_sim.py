@@ -42,6 +42,14 @@ def test_rails_and_sources_are_pinned():
     assert sigs["h"].strength is Strength.SUPPLY
 
 
+def test_a_signal_is_a_named_tuple_of_level_and_strength():
+    sig = Signal(0.9, Strength.DRIVEN)
+    assert sig == (0.9, Strength.DRIVEN) and hash(sig) == hash((0.9, Strength.DRIVEN))
+    assert repr(sig) == "Signal(level=0.9, strength=<Strength.DRIVEN: 2>)"
+    with pytest.raises(AttributeError):
+        sig.level = 0.0
+
+
 def test_nfet_pulldown():
     n = net(".input a\nMn y a GND nfet 19 0 3\n")
     on = steady_state(n, {"a": 0.9}, CFG)
@@ -552,6 +560,17 @@ def test_transient_single_inverter():
     assert ex.time == pytest.approx(1e-9 + 1e-11)
     assert (ex.old, ex.new) == (pytest.approx(0.9), 0.0)
     assert ex.energy == pytest.approx(0.5 * 1e-15 * 0.81)
+
+
+def test_transient_measures_a_move_from_the_last_emitted_level():
+    # a move of 1e-12 V or less emits nothing, at the pin or at the node it
+    # charges, and the next move is measured from the level last emitted
+    n = net(".input a\nC1 a y 1f\nC2 y GND 1f\n")
+    stimulus = [(0.0, {"a": 0.0}), (1e-9, {"a": 1e-12})]
+    assert transient(n, stimulus, CFG).events == []
+    w = transient(n, stimulus + [(2e-9, {"a": 1.5e-12})], CFG)
+    assert [(e.time, e.node, e.old, e.new) for e in w.events] == [(2e-9, "a", 0.0, 1.5e-12)]
+    assert w.events[0].energy == pytest.approx(0.5 * 1e-15 * 1.5e-12 ** 2)
 
 
 def test_transient_validates_stimulus():
