@@ -28,8 +28,9 @@ each node's Signal, the one record of its state, a (level, strength) named
 tuple: a pin's Signal is made when the pin is set, and every other node's is
 its region's row's (see below), built with the row and shared by every solve
 that reads it, so a solve carried from its base builds a Signal only for a
-pin that changed.  A zero-volt input or fixed source is one value: -0.0 V
-becomes 0.0 V where voltages enter.
+pin that changed; it holds each region's row, the row it settled on, and
+no per-FET flags of its own.  A zero-volt input or fixed source is one
+value: -0.0 V becomes 0.0 V where voltages enter.
 Each sweep re-evaluates conduction from the previous state snapshot, and
 capacitance and charge sums are exact, so the result cannot depend on device
 declaration order.  No channel or capacitor between unpinned nodes leaves a
@@ -76,19 +77,25 @@ there.
 There are finitely many conducting sets, so every solve ends.
 
 Timing is first-order RC, and on demand: delay_estimate times its output and
-transient the nodes whose level changed.  Timing reads grow a shortest-path
+transient the nodes whose level changed.  Timing reads a shortest-path
 forest by accumulated on-resistance (R_ON_PER_TUBE / tubes per device) from
-the pinned nodes over the conducting FETs, a region at a time, when the walk
-first meets a driven node of it, and the solve keeps what it grew with the
-times settled so far.  A conducting channel leaves a region only to a pin,
-and no path passes a pin, so a region's part is one Dijkstra from the pins
-of its conducting feeds.  On equal resistance a node keeps the parent popped
-first, the lower (resistance, node index), and of parallel FETs from that
-parent the gate of the one listed first: a region relaxes its feeds in (pin,
-FET) order and the compiled channels in device order, as one Dijkstra from
-every pin would (ROADMAP item 2).  A driven node's stage
-delay is the Elmore sum along its branch of accumulated on-resistance times
-node capacitance; the stage starts when the last gate on the branch settles.
+the pinned nodes over the conducting FETs, a region at a time.  A conducting
+channel leaves a region only to a pin, and no path passes a pin, so a
+region's part is one Dijkstra from the pins of its conducting feeds, which
+reads the flags its row holds and the partition's pins, resistances and
+capacitances only: within a partition it is a function of the row, as an RC
+tree's Elmore delays are fixed by its conducting tree (Rubinstein, Penfield
+and Horowitz, IEEE TCAD 2(3), 1983).  So a solve keeps each region's row,
+the partition keeps a region's timing frames by the row they were built on,
+cleared at TABLE_ROWS frames (see _frames), a region timed again on a row it
+met is one lookup, and the solve keeps the times settled so far.  On equal
+resistance a node keeps the parent popped first, the lower (resistance,
+node index), and of parallel FETs from that parent the gate of the one
+listed first: a region relaxes its feeds in (pin, FET) order and the
+compiled channels in device order, as one Dijkstra from every pin would
+(ROADMAP item 2).  A driven node's stage delay is the Elmore sum along its
+branch of accumulated on-resistance times node capacitance; the stage
+starts when the last gate on the branch settles.
 A branch waits on its parent's and one gate more, so timing is linear in path
 depth.  A timing cycle raises NoPath only for a node that waits on it, naming
 the first node the walk from that node meets twice.  A charged node has no
@@ -141,8 +148,9 @@ _FLOATING = Signal(Z, None)     # every unpinned node's state before a solve ste
 # R_ON_PER_TUBE / N.  A model constant, not a published value.
 R_ON_PER_TUBE = 30e3
 
-# Entries a region result table holds before it is cleared, and tables the
-# process holds, one per region shape (see _Tables).
+# Entries a region result table holds before it is cleared, tables the
+# process holds, one per region shape (see _Tables), and timing frames a
+# partition keeps per region before it clears them (see _frames).
 TABLE_ROWS = 1024
 
 
@@ -177,7 +185,8 @@ class _Compiled:
     a dropped netlist is freed at once.  Nodes are numbered in sorted name
     order, so the smallest index is also the smallest name.  Its partitions
     are built once per pinned set, on the first solve that pins it (see
-    _solve), and keep their result tables while the compiled form lives."""
+    _solve), and keep their result tables and timing frames while the
+    compiled form lives."""
 
     cfg: SimConfig
     contents: tuple                                 # Netlist._contents()
@@ -215,7 +224,9 @@ class _Region(NamedTuple):
 
 
 class _Partition(NamedTuple):
-    """The regions of one pinned set, their readers and rank; see _regions."""
+    """The regions of one pinned set, their readers and rank (see _regions),
+    and each region's timing frames by the rows it was timed on (see
+    _frames)."""
 
     regions: list[_Region]
     readers: list[list[int]]    # per node or pin, the regions that read it from outside
@@ -223,18 +234,17 @@ class _Partition(NamedTuple):
     node_region: list[int]      # per node, its region; -1 where it is pinned
     pins: list[int]             # the pinned nodes, ascending
     pin_times: dict[int, float]  # each pin and its branch (~i) settle at 0, see _arrival
+    frames: list[dict[int, tuple]]  # per region, id(row) -> (row, its frames under row)
+    framed: list[int]           # per region, the frames its entries hold
 
 
 @dataclass
 class _Solve:
     signals: list[Signal]              # per node index: a pin's, or its region row's
-    flags: bytearray                   # per FET index, 1 where it conducts
+    rows: list[tuple]                  # per region, the row it settled on (see _frames)
     part: _Partition                   # the partition it settled on
     ranked: bool                       # settled in rank order: a base (see _settle_from)
-    # from the first timing read: the forest grown so far and the settled
-    # times, see _arrival
-    drive: dict[int, tuple] | None = None
-    memo: dict[int, float] | None = None
+    memo: dict[int, float] | None = None    # the times settled from the first timing read
 
 
 def _compile(n: Netlist, cfg: SimConfig) -> _Compiled:
@@ -394,7 +404,8 @@ def _regions(fets: list[tuple[int, int, int, bool, float, float]],
                     order.append(r)
     pins = [i for i, r in enumerate(node_region) if r < 0]
     return _Partition(regions, readers, order if len(order) == len(regions) else None,
-                      node_region, pins, {k: 0.0 for i in pins for k in (i, ~i)})
+                      node_region, pins, {k: 0.0 for i in pins for k in (i, ~i)},
+                      [{} for _ in regions], [0] * len(regions))
 
 
 class _Tables:
@@ -521,28 +532,27 @@ def _solve(comp: _Compiled, pins: list[float | None]) -> _Solve:
     if pinned not in comp.regions:
         comp.regions[pinned] = _regions(comp.fets, comp.cap_adj, pinned)
     part = comp.regions[pinned]
-    solve = None if part.ranks is None else _settle_from(comp, pins, part,
-                                                         comp.bases.get(id(part)))
+    solve = None if part.ranks is None else _settle_from(pins, part, comp.bases.get(id(part)))
     return solve or _settle(comp, pins, part)
 
 
-def _start(comp: _Compiled, pins: list[float | None]) -> tuple[list, bytearray]:
-    """All-'z' under pins: every node's Signal, and no FET on."""
-    return ([_FLOATING if p is None else Signal(p, Strength.SUPPLY) for p in pins],
-            bytearray(len(comp.fets)))
+def _start(pins: list[float | None]) -> list[Signal]:
+    """All-'z' under pins: every node's Signal."""
+    return [_FLOATING if p is None else Signal(p, Strength.SUPPLY) for p in pins]
 
 
-def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
+def _settle_from(pins: list[float | None], part: _Partition,
                  base: _Solve | None) -> _Solve | None:
     """The steady state in rank order from a copy of base, a solve settled in
     rank order on part, or from all-'z' without one; a region stepped takes
-    its Signals from its settled entry (see _settled), and a changed pin's
-    Signal is made again.  A node whose Signal changed marks its readers, as
-    keys read Signals.  None when a region repeats a conducting set."""
+    its row, and its Signals, from its settled entry (see _settled), and a
+    changed pin's Signal is made again.  A node whose Signal changed marks
+    its readers, as keys read Signals.  None when a region repeats a
+    conducting set."""
     regions, readers, ranks, *_ = part
     marked = bytearray([base is None]) * len(regions)      # the regions to step
-    base = base or _Solve(*_start(comp, pins), part, True)
-    signals, flags = list(base.signals), bytearray(base.flags)
+    base = base or _Solve(_start(pins), [None] * len(regions), part, True)
+    signals, rows = list(base.signals), list(base.rows)
     for m in part.pins:
         if pins[m] != signals[m].level:
             signals[m] = Signal(pins[m], Strength.SUPPLY)
@@ -551,19 +561,17 @@ def _settle_from(comp: _Compiled, pins: list[float | None], part: _Partition,
     for r in ranks:
         if not marked[r]:
             continue
-        nodes, fets, reads_of, shape, table = regions[r]
+        nodes, _, reads_of, shape, table = regions[r]
         reads = reads_of(signals)
-        sigs, on, holds = table.get(reads) or _settled(shape, table, reads)
-        if not holds:
+        row = rows[r] = table.get(reads) or _settled(shape, table, reads)
+        if not row[2]:
             return None
-        for k, f in zip(fets, on):
-            flags[k] = f
-        for m, sig in zip(nodes, sigs):
+        for m, sig in zip(nodes, row[0]):
             if sig != signals[m]:
                 signals[m] = sig
                 for q in readers[m]:
                     marked[q] = 1
-    return _Solve(signals, flags, part, True)
+    return _Solve(signals, rows, part, True)
 
 
 def _settled(shape: tuple, table: dict[tuple, tuple], reads: tuple) -> tuple:
@@ -589,24 +597,25 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
     own rows write, then its reads.  Raises NonConvergent when every FET's
     flags repeat."""
     regions, readers, *_ = part
-    signals, flags = _start(comp, pins)
-    own = [(_FLOATING,) * len(nodes) for nodes, *_ in regions]     # per region, its last Signals
+    signals, flags = _start(pins), bytearray(len(comp.fets))   # flags: the repeat record
+    # per region, its last row; before its first, a tuple of its all-'z' Signals
+    own = [((_FLOATING,) * len(nodes),) for nodes, *_ in regions]
     todo: Iterable[int] = range(len(regions))
     seen: dict[bytes, int] = {}             # every FET's flags -> sweep seen at
     for sweep in itertools.count():
         rows = []
         for r in todo:
             _, _, reads_of, shape, table = regions[r]
-            key = own[r] + reads_of(signals)
+            key = own[r][0] + reads_of(signals)
             row = table.get(key) or _TABLES.enter(shape, table, key, _resolve(shape, key))
             rows.append((r, row))
         changed: list[int] = []             # nodes whose level or strength changed
         for r, row in rows:
             nodes, fets, *_ = regions[r]
-            own[r], on, _ = row
-            for k, f in zip(fets, on):
+            own[r] = row
+            for k, f in zip(fets, row[1]):
                 flags[k] = f
-            for m, sig in zip(nodes, own[r]):
+            for m, sig in zip(nodes, row[0]):
                 if signals[m] != sig:
                     changed.append(m)
                     signals[m] = sig
@@ -618,7 +627,7 @@ def _settle(comp: _Compiled, pins: list[float | None], part: _Partition) -> _Sol
         first = seen.setdefault(bytes(flags), sweep)
         if first != sweep:
             raise NonConvergent(sweep - first, tuple(comp.names[m] for m in sorted(changed)))
-    return _Solve(signals, flags, part, False)
+    return _Solve(signals, own, part, False)
 
 
 def _solved(comp: _Compiled, pins: list[float | None]) -> _Solve:
@@ -646,22 +655,33 @@ def steady_state(n: Netlist, inputs: Mapping[str, float] | None = None,
 # ---------------------------------------------------------------------------
 # first-order timing
 
-def _grow(comp: _Compiled, solve: _Solve, r: int) -> None:
-    """Adds region r's branches to the solve's drive forest: node ->
-    (resistance from its driver, Elmore sum, parent, gate of the FET from the
-    parent), by one Dijkstra over r's conducting FETs.  A conducting channel
-    from r leads to a node of r or to a pin, and no pin has a parent, so this
-    is r's part of one multi-source Dijkstra from every pin.  It relaxes the
-    pins' channels into r in (pin, FET) order, as that one pops the pins
-    (all at resistance 0) and then relaxes each in device order, so every
-    entry and every tie is the same as that one's."""
-    node_region, drive, flags = solve.part.node_region, solve.drive, solve.flags
+def _frames(comp: _Compiled, solve: _Solve, r: int) -> dict[int, tuple]:
+    """Region r's timing frames under its row in the solve, key -> (the keys
+    it settles, the keys they wait on, their own delay), kept by the
+    partition under the row: only the row's flags are read, with the
+    partition's pins and comp's resistances and capacitances, so a region
+    timed again on a row it met is one lookup (see _arrival).  One Dijkstra
+    over r's conducting FETs grows r's drive forest, node -> (resistance
+    from its driver, Elmore sum, parent, gate of the FET from the parent).
+    A conducting channel from r leads to a node of r or to a pin, and no pin
+    has a parent, so this is r's part of one multi-source Dijkstra from
+    every pin.  It relaxes the pins' channels into r in (pin, FET) order, as
+    that one pops the pins (all at resistance 0) and then relaxes each in
+    device order, so every entry and every tie is the same as that one's.
+    A driven node i settles its Elmore sum after its branch ~i, and ~i, at
+    once, after its parent's branch and its gate.  A charged node's cluster
+    frame is built on the first read that enters it (see _cluster), but
+    counted here: a region's frames are cleared once they reach TABLE_ROWS,
+    and die with the partition."""
+    part, row = solve.part, solve.rows[r]
+    node_region, on = part.node_region, set(itertools.compress(part.regions[r].fets, row[1]))
     seeds = []
-    for k in solve.part.regions[r].fets:
+    for k in on:
         d, gate, s, _, _, res = comp.fets[k]
-        if flags[k] and (node_region[d] < 0) != (node_region[s] < 0):    # a conducting feed
+        if (node_region[d] < 0) != (node_region[s] < 0):   # a feed
             pin, node = (d, s) if node_region[d] < 0 else (s, d)
             seeds.append((pin, k, node, gate, res))
+    drive: dict[int, tuple] = {}
     heap = []
     for pin, _, node, gate, res in sorted(seeds):
         if node not in drive or res < drive[node][0]:
@@ -674,10 +694,50 @@ def _grow(comp: _Compiled, solve: _Solve, r: int) -> None:
             continue
         for other, r_on, gate, k in comp.channels[cur]:
             nd = dist + r_on
-            if flags[k] and node_region[other] >= 0 and \
+            if k in on and node_region[other] >= 0 and \
                     (other not in drive or nd < drive[other][0]):
                 drive[other] = (nd, elmore + nd * comp.node_cap[other], cur, gate)
                 heapq.heappush(heap, (nd, other))
+    frames = {}
+    for i, (_, elmore, parent, gate) in drive.items():
+        waits = (~parent, gate)
+        frames[i], frames[~i] = ((i,), waits, elmore), ((~i,), waits, 0.0)
+    if part.framed[r] >= TABLE_ROWS:     # bounds a region's frames under an analog sweep
+        part.frames[r].clear()
+        part.framed[r] = 0
+    part.framed[r] += len(part.regions[r].nodes) + len(drive)     # the most it can hold
+    part.frames[r][id(row)] = (row, frames)     # the row keeps its id while the entry lives
+    return frames
+
+
+def _cluster(comp: _Compiled, solve: _Solve, key: int, frames: dict[int, tuple]) -> tuple:
+    """The frame of a node of some strength that is not driven, entered in
+    frames, its region's under the solve's row: its cluster, the charged
+    nodes joined to it by capacitors and conducting channels, as _resolve
+    charges a floating group as one, in breadth-first order from it, waits
+    on every driven or pinned node capacitively attached to it, in the order
+    met, and settles with no delay of its own.  No member is open or
+    settled when the walk enters key, as the walk would then have entered
+    the whole cluster, so the frame is a function of key and the row, and
+    kept with the row's.  One breadth-first order per entry keeps the walk's
+    NoPath node, and building it on entry keeps a charged ladder linear."""
+    signals, part, r = solve.signals, solve.part, solve.part.node_region[key]
+    on = set(itertools.compress(part.regions[r].fets, solve.rows[r][1]))
+    cluster, seen, waits = [key], {key}, {}
+    for m in cluster:
+        for o, _ in comp.cap_adj[m]:
+            if signals[o].strength is not Strength.CHARGED:
+                waits[o] = None         # DRIVEN or SUPPLY: a cluster has no 'z' neighbor
+            elif o not in seen:
+                seen.add(o)
+                cluster.append(o)
+        for o, _, _, k in comp.channels[m]:
+            # a conducting channel joins m's group, charged as one (see _resolve)
+            if k in on and signals[o].strength is Strength.CHARGED and o not in seen:
+                seen.add(o)
+                cluster.append(o)
+    frame = frames[key] = (tuple(cluster), tuple(waits), 0.0)
+    return frame
 
 
 def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
@@ -685,77 +745,66 @@ def _arrival(comp: _Compiled, solve: _Solve, node: int) -> float:
 
     A driven node waits on its parent's branch in the drive-path forest and
     on its own gate, and a branch's time (key ~i) is its parent's plus one
-    gate.  The forest grows a region at a time (see _grow), when the walk
-    first meets a driven node of it.  A charged node's cluster (the charged
-    nodes joined to it by capacitors and conducting channels, as _resolve
-    charges a floating group as one) waits on every driven or pinned node
+    gate.  A charged node's cluster waits on every driven or pinned node
     capacitively attached to it, and settles all its members at once, so a
-    charged ladder is timed in linear time.  An explicit stack, not the
-    interpreter's, visits them depth first from node, in the frame order of
-    a recursive walk over every gate on the path, and stops at keys the
-    solve's memo holds.  The solve keeps the forest and the memo of settled
-    keys, but not comp, and visiting is this read's, so a read names the
-    same cycle node whatever was read before.
+    charged ladder is timed in linear time.  Each key's frame is its
+    region's under the solve's row (see _frames).  An explicit stack, not
+    the interpreter's, visits them depth first from node, in the frame
+    order of a recursive walk over every gate on the path, and stops at keys
+    the solve's memo holds; an entry is [keys, waits, delay, next wait,
+    latest so far], and the latest starts at 0.0, as every time is at least
+    0.  The solve keeps the memo of settled keys, but not comp, and
+    visiting is this read's, so a read names the same cycle node whatever
+    was read before.
     """
-    signals, flags = solve.signals, solve.flags
     if solve.memo is None:
-        solve.drive, solve.memo = {}, dict(solve.part.pin_times)
-    memo, drive = solve.memo, solve.drive
+        solve.memo = dict(solve.part.pin_times)
+    memo = solve.memo
     if node in memo:
         return memo[node]
-    visiting: set[int] = set()
-
-    def frame(key: int) -> tuple[list[int], list[int], float, list[float]]:
-        # (the keys it settles, the keys they wait on, their own delay, the
-        # times so far); only nodes of some strength get one, and a DRIVEN
-        # node's region grows it into the forest, as its group has a
-        # conducting feed from a pin.  Only nodes enter visiting.
-        if key < 0:
-            _, _, parent, gate = drive[~key]
-            return [key], [~parent, gate], 0.0, []
-        visiting.add(key)
-        if signals[key].strength is Strength.DRIVEN:
-            if key not in drive:            # its region is not grown yet
-                _grow(comp, solve, solve.part.node_region[key])
-            _, elmore, parent, gate = drive[key]
-            return [key], [~parent, gate], elmore, []
-        cluster, waits = [key], {}          # the charged nodes joined to key
-        for m in cluster:
-            for o, _ in comp.cap_adj[m]:
-                if signals[o].strength is not Strength.CHARGED:
-                    waits[o] = None         # DRIVEN or SUPPLY: a cluster has no 'z' neighbor
-                elif o not in visiting:
-                    visiting.add(o)
-                    cluster.append(o)
-            for o, _, _, k in comp.channels[m]:
-                # a conducting channel joins m's group, charged as one (see _resolve)
-                if flags[k] and signals[o].strength is Strength.CHARGED and o not in visiting:
-                    visiting.add(o)
-                    cluster.append(o)
-        return cluster, list(waits), 0.0, []
-
-    stack = [frame(node)]
+    node_region, kept, rows = solve.part.node_region, solve.part.frames, solve.rows
+    visiting: set[int] = set()      # the nodes of open frames; a branch key never enters
+    stack, frames, key = [], {}, node     # frames: the last region's met
     while True:
-        keys, waits, delay, times = stack[-1]
-        while len(times) < len(waits):
-            other = waits[len(times)]
+        if key is not None:         # open key's frame
+            frame = frames.get(key)
+            if frame is None:
+                r = node_region[key if key >= 0 else ~key]
+                got = kept[r].get(id(rows[r]))
+                frames = got[1] if got else _frames(comp, solve, r)
+                frame = frames.get(key) or _cluster(comp, solve, key, frames)
+            if key >= 0:
+                visiting.update(frame[0])
+            stack.append([*frame, 0, 0.0])
+        keys, waits, delay, j, latest = top = stack[-1]
+        key = None
+        while j < len(waits):
+            other = waits[j]
             if other in memo:
-                times.append(memo[other])
+                t = memo[other]
+                if t > latest:
+                    latest = t
+                j += 1
             elif other in visiting:
                 raise NoPath(f"timing cycle through node {comp.names[other]}")
             else:
-                stack.append(frame(other))
+                key = other
                 break
-        else:
-            # keys settle their own delay after the last key they wait on
-            t = max(times, default=0.0) + delay
-            for k in keys:
-                memo[k] = t
-                visiting.discard(k)
-            stack.pop()
-            if not stack:
-                return t
-            stack[-1][3].append(t)
+        if key is not None:
+            top[3], top[4] = j, latest
+            continue
+        # keys settle their own delay after the last key they wait on
+        t = latest + delay
+        for k in keys:
+            memo[k] = t
+            visiting.discard(k)
+        stack.pop()
+        if not stack:
+            return t
+        top = stack[-1]
+        top[3] += 1
+        if t > top[4]:
+            top[4] = t
 
 
 def delay_estimate(n: Netlist, output_node: str, cfg: SimConfig = SimConfig(),

@@ -32,6 +32,16 @@ def inverter_chain(depth: int, cap: str | None = None,
     return "\n".join(lines) + "\n"
 
 
+def fet_flags(comp, solve) -> bytes:
+    """Each FET's flag in a solve, 1 where it conducts, from the rows its
+    regions settled on."""
+    flags = bytearray(len(comp.fets))
+    for region, row in zip(solve.part.regions, solve.rows):
+        for k, f in zip(region.fets, row[1]):
+            flags[k] = f
+    return bytes(flags)
+
+
 def ripple_text(width: int) -> str:
     """A width-trit ripple adder of design2 cells, one subcircuit per trit,
     each carry-out wired to the next carry-in."""

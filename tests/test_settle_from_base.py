@@ -23,7 +23,7 @@ import random
 import pytest
 
 from capture_signals import VDDS
-from conftest import inverter_chain, ripple_text
+from conftest import fet_flags, inverter_chain, ripple_text
 from differential import CORPUS_SEED
 from gen_netlists import random_netlist
 from test_rank_order import LEVELS, POOL, _assigns, _ring
@@ -38,8 +38,8 @@ def settles(monkeypatch):
     """Records each rank-order settle as (had a base, fell back)."""
     calls = []
 
-    def settle_from(comp, pins, part, base, _real=sim._settle_from):
-        solve = _real(comp, pins, part, base)
+    def settle_from(pins, part, base, _real=sim._settle_from):
+        solve = _real(pins, part, base)
         calls.append((base is not None, solve is None))
         return solve
 
@@ -56,7 +56,7 @@ def _outcome(n, inputs, cfg):
     except NonConvergent as e:
         return str(e)
     return ([repr(sig.level) for sig in solve.signals], [sig.strength for sig in solve.signals],
-            bytes(solve.flags))
+            fet_flags(comp, solve))
 
 
 def _walk(n, assigns, cfg=CFG) -> None:
@@ -265,8 +265,8 @@ def test_a_repeat_entry_gives_the_same_nonconvergent(monkeypatch):
     fell: list[bool] = []
     settled: list[tuple] = []
 
-    def settle_from(comp, pins, part, base, _real=sim._settle_from):
-        solve = _real(comp, pins, part, base)
+    def settle_from(pins, part, base, _real=sim._settle_from):
+        solve = _real(pins, part, base)
         fell.append(solve is None)
         return solve
 

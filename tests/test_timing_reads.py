@@ -1,14 +1,18 @@
-"""Timing is read on demand, one node at a time, on a forest each solve keeps:
-a delay or its error does not depend on which nodes were read before it, and
-the forest, grown a region at a time, is the one a single Dijkstra from every
-pin grows."""
+"""Timing is read on demand, one node at a time, from frames the partition
+keeps per region and row: a delay or its error does not depend on which
+nodes were read before it, the forest in the frames, grown a region at a
+time, is the one a single Dijkstra from every pin grows, a region timed
+again on a row it met builds nothing, and a region's frames stay under
+their bound and go with their netlist."""
 
+import gc
 import heapq
 import itertools
 import random
+import tracemalloc
 
 from capture_signals import CORPUS_SEED, CORPUS_SIZE, VDDS
-from conftest import ripple_text
+from conftest import fet_flags, ripple_text
 from gen_netlists import random_netlist
 from tritsim import (BOTH_VARIANTS, BuildConfig, NonConvergent, NoPath, SimConfig, Strength,
                      TritsimError, build_design, delay_estimate, flatten, parse, sim)
@@ -61,6 +65,7 @@ def _whole_forest(comp, solve) -> dict[int, tuple]:
     pin over the conducting FETs, as the solver grew it before it grew one
     region at a time: node -> (resistance from its driver, Elmore sum,
     parent, gate of the FET from the parent), pins with parent -1."""
+    flags = fet_flags(comp, solve)
     drive = {i: (0.0, 0.0, -1, -1)
              for i, sig in enumerate(solve.signals) if sig.strength is Strength.SUPPLY}
     heap = [(0.0, i) for i in drive]
@@ -71,7 +76,7 @@ def _whole_forest(comp, solve) -> dict[int, tuple]:
             continue
         for other, r, gate, k in comp.channels[cur]:
             nd = dist + r
-            if solve.flags[k] and (other not in drive or nd < drive[other][0]):
+            if flags[k] and (other not in drive or nd < drive[other][0]):
                 drive[other] = (nd, elmore + nd * comp.node_cap[other], cur, gate)
                 heapq.heappush(heap, (nd, other))
     return drive
@@ -103,7 +108,9 @@ def _solves():
 
 
 def test_the_forest_grown_by_region_is_the_whole_one():
-    # reading every node grows every region that holds a driven node
+    # reading every node builds the frames of every region that holds a
+    # driven node; a driven node's frame waits on its parent's branch and
+    # its gate, and carries its Elmore sum
     for comp, solve in _solves():
         for node, sig in enumerate(solve.signals):
             if sig.strength is not None:
@@ -111,12 +118,18 @@ def test_the_forest_grown_by_region_is_the_whole_one():
                     sim._arrival(comp, solve, node)
                 except NoPath:
                     pass
+        kept = {}
+        for held, row in zip(solve.part.frames, solve.rows):
+            kept.update(held.get(id(row), (row, {}))[1])
         whole = _whole_forest(comp, solve)
-        assert (solve.drive or {}) == {node: entry for node, entry in whole.items()
-                                       if solve.signals[node].strength is not Strength.SUPPLY}
+        assert {node: (waits, elmore) for node, (_, waits, elmore) in kept.items()
+                if node >= 0 and solve.signals[node].strength is not Strength.CHARGED} == \
+            {node: ((~parent, gate), elmore) for node, (_, elmore, parent, gate) in whole.items()
+             if solve.signals[node].strength is not Strength.SUPPLY}
 
 
 def test_a_carry_read_grows_less_than_half_the_forest():
+    # the walk times only what c16 waits on: fewer than half the nodes
     n = parse(ripple_text(16))
     rng = random.Random(16)
     levels = CFG.vmap().levels()
@@ -125,4 +138,57 @@ def test_a_carry_read_grows_less_than_half_the_forest():
         inputs["c0"] = levels[rng.randrange(3)]
         delay_estimate(n, "c16", CFG, inputs)
         (solve,) = n._compiled.solves.values()
-        assert len(solve.drive) < len(n._compiled.names) / 2
+        timed = sum(key >= 0 for key in solve.memo) - len(solve.part.pins)
+        assert timed < len(n._compiled.names) / 2
+
+
+def test_a_second_exhaustive_delay_builds_no_frames(monkeypatch):
+    # a region's frames are a function of its row, and the partition keeps
+    # them: the first exhaustive read builds one set per (region, row) it
+    # times, and a second read with fresh solves, which settle on the same
+    # rows, builds none
+    built = []
+
+    def frames(comp, solve, r, _real=sim._frames):
+        built.append((id(solve.part), r, id(solve.rows[r])))
+        return _real(comp, solve, r)
+
+    monkeypatch.setattr(sim, "_frames", frames)
+    n = build_design(1)
+    first = delay_estimate(n, "sum", CFG)
+    assert built and len(set(built)) == len(built)
+    built.clear()
+    comp = n._compiled
+    comp.solves.clear()
+    comp.kept.clear()
+    assert delay_estimate(n, "sum", CFG) == first
+    assert not built and all(solve.memo for solve in comp.solves.values())
+
+
+def test_a_region_keeps_frames_up_to_the_bound_and_drops_them_with_its_netlist(monkeypatch):
+    # one region: a pass chain gated by g, each analog level of g a new row;
+    # a region's frames are cleared once they reach TABLE_ROWS, so a row of
+    # 2 * (depth + 1) frames keeps about one
+    depth, bound = 100, 4
+    text = ("* pass\n.input g\nMa n0 g GND nfet 19 0 1\n"
+            + "".join(f"M{k} n{k + 1} g n{k} nfet 19 0 1\nC{k} n{k + 1} GND 1f\n"
+                      for k in range(depth)) + ".end\n")
+    monkeypatch.setattr(sim, "TABLE_ROWS", bound)
+    monkeypatch.setattr(sim, "_TABLES", sim._Tables())
+    delay_estimate(parse(text), f"n{depth}", CFG, {"g": 0.9})  # warms what a read needs outside
+    gc.collect()
+    tracemalloc.start()
+    try:
+        n = parse(text)
+        for k in range(3 * bound):
+            delay_estimate(n, f"n{depth}", CFG, {"g": 0.6 + 0.02 * k})
+            (part,) = n._compiled.regions.values()
+            (kept,) = part.frames
+            assert sum(len(frames) for _, frames in kept.values()) <= bound + 2 * (depth + 1)
+        monkeypatch.setattr(sim, "_TABLES", sim._Tables())     # drops the rows it holds
+        del n, part, kept
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 1024
